@@ -21,11 +21,11 @@
 //!
 //! Run with: `cargo run --release -p wsn-bench --bin serve_load`
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use wsn_dse::protocol::{parse_json, Frame, Request, RunJob};
+use wsn_dse::protocol::{parse_json, write_frame, Frame, Request, RunJob};
 use wsn_net::{ServeConfig, Server};
 
 struct PhaseStats {
@@ -73,15 +73,21 @@ impl PhaseStats {
     }
 }
 
+/// Opens a client connection with Nagle's algorithm off, as
+/// `wsn_client` does.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    stream
+}
+
 fn send(stream: &mut TcpStream, line: &str) {
-    stream.write_all(line.as_bytes()).expect("send");
-    stream.write_all(b"\n").expect("send newline");
-    stream.flush().expect("flush");
+    write_frame(stream, line).expect("send");
 }
 
 /// Fetches `(hits, misses)` from the server's stats endpoint.
 fn cache_counters(addr: SocketAddr) -> (u64, u64) {
-    let mut stream = TcpStream::connect(addr).expect("stats connect");
+    let mut stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     send(&mut stream, &Request::Stats.to_json());
     let mut line = String::new();
@@ -117,7 +123,7 @@ fn job_set(jobs: usize, horizon: f64) -> Vec<Request> {
 /// One client: runs its share of the job set sequentially on a single
 /// connection, returning each job's submit→result latency.
 fn client_pass(addr: SocketAddr, jobs: &[Request]) -> Vec<Duration> {
-    let mut stream = TcpStream::connect(addr).expect("client connect");
+    let mut stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut latencies = Vec::with_capacity(jobs.len());
     for request in jobs {
@@ -211,7 +217,7 @@ fn main() {
     );
 
     // Graceful shutdown before reporting.
-    let mut stream = TcpStream::connect(addr).expect("shutdown connect");
+    let mut stream = connect(addr);
     send(&mut stream, &Request::Shutdown.to_json());
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut line = String::new();

@@ -20,11 +20,13 @@
 //! `--frames` on a job command streams all frames (accepted, running,
 //! result/error) instead of just the report payload.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use wsn_dse::protocol::{FaultsJob, Frame, NetworkJob, ParetoJob, Request, RunJob, SimulateJob};
+use wsn_dse::protocol::{
+    write_frame, FaultsJob, Frame, NetworkJob, ParetoJob, Request, RunJob, SimulateJob,
+};
 use wsn_net::args::Args;
 use wsn_node::EngineKind;
 
@@ -170,15 +172,15 @@ fn connect(args: &Args) -> Result<TcpStream, String> {
     let addr = args
         .get("addr")
         .ok_or_else(|| format!("--addr HOST:PORT is required\n{}", usage()))?;
-    TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))
+    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
+    Ok(stream)
 }
 
 fn send_line(stream: &mut TcpStream, line: &str) -> Result<(), String> {
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("cannot send request: {e}"))
+    write_frame(stream, line).map_err(|e| format!("cannot send request: {e}"))
 }
 
 /// Runs one job to its terminal frame. Prints the raw report (or, with

@@ -24,7 +24,7 @@
 //! embedded `"cache"` counters, which describe the server's shared
 //! cache rather than a private cold one.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -261,10 +261,7 @@ type FrameWriter = Arc<Mutex<TcpStream>>;
 
 fn write_frame(writer: &FrameWriter, frame: &str) {
     let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    let _ = w
-        .write_all(frame.as_bytes())
-        .and_then(|()| w.write_all(b"\n"))
-        .and_then(|()| w.flush());
+    let _ = protocol::write_frame(&mut *w, frame);
 }
 
 /// Reads one newline-terminated frame with bounded memory: bytes past
@@ -304,6 +301,10 @@ fn read_frame_capped(reader: &mut impl BufRead, buf: &mut String) -> std::io::Re
 }
 
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
+    // A job streams several frames back to back. Under Nagle's
+    // algorithm, a frame written while the previous one is still
+    // unacknowledged would wait for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

@@ -12,12 +12,13 @@
 //! * a protocol error never kills the connection, and a queued job can
 //!   be cancelled before it runs.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use harvester::VibrationProfile;
-use wsn_dse::protocol::{Frame, Request};
+use wsn_dse::protocol::{write_frame, Frame, Request};
 use wsn_dse::DseFlow;
 use wsn_net::{ServeConfig, Server};
 use wsn_node::{FaultPlan, NodeConfig, SystemConfig};
@@ -55,9 +56,7 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("send");
-        self.stream.write_all(b"\n").expect("send newline");
-        self.stream.flush().expect("flush");
+        write_frame(&mut self.stream, line).expect("send");
     }
 
     fn next_line(&mut self) -> String {
@@ -339,6 +338,27 @@ fn oversized_frames_are_rejected_and_the_stream_recovers() {
     }
     client.send(&Request::Ping.to_json());
     assert!(matches!(client.next_frame(), Frame::Pong));
+    shutdown(addr, handle);
+}
+
+#[test]
+fn sequential_pings_never_wait_on_a_delayed_ack() {
+    // A reply split across two writes leaves its second segment behind
+    // Nagle's algorithm until the client's delayed ACK (40 ms on Linux),
+    // so 50 round trips would take seconds instead of milliseconds.
+    let (addr, handle) = start_server(ServeConfig::default());
+    let mut client = Client::connect(addr);
+    let ping = Request::Ping.to_json();
+    let started = Instant::now();
+    for _ in 0..50 {
+        client.send(&ping);
+        assert!(matches!(client.next_frame(), Frame::Pong));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 sequential pings took {elapsed:?}"
+    );
     shutdown(addr, handle);
 }
 

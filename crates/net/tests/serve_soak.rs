@@ -11,10 +11,10 @@
 //! * leave the persistent cache uncorrupted — a fresh [`EvalCache`]
 //!   re-opening the directory adopts records and quarantines nothing.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 
-use wsn_dse::protocol::{Frame, Request, RunJob, SimulateJob};
+use wsn_dse::protocol::{write_frame, Frame, Request, RunJob, SimulateJob};
 use wsn_dse::EvalCache;
 use wsn_net::{ServeConfig, Server};
 
@@ -22,9 +22,7 @@ const CLIENTS: usize = 3;
 const JOBS_PER_CLIENT: usize = 3;
 
 fn send(stream: &mut TcpStream, line: &str) {
-    stream.write_all(line.as_bytes()).expect("send");
-    stream.write_all(b"\n").expect("send newline");
-    stream.flush().expect("flush");
+    write_frame(stream, line).expect("send");
 }
 
 /// One soak client: submits a mix of run and simulate jobs on a single

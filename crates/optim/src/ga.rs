@@ -162,7 +162,8 @@ impl GeneticAlgorithm {
     /// Draw order per child is fixed: tournament indices, the crossover
     /// coin, per-gene blend draws (when crossing), then per-gene
     /// mutation coins — so a fixed seed yields the same trajectory no
-    /// matter which entry point drives the breeding loop.
+    /// matter which entry point drives the breeding loop. The child is
+    /// the only allocation.
     pub fn breed(
         &self,
         rng: &mut Rng,
@@ -170,13 +171,13 @@ impl GeneticAlgorithm {
         population: &[Vec<f64>],
         better: &dyn Fn(usize, usize) -> bool,
     ) -> Vec<f64> {
-        let widths = bounds.widths();
-        let p1 = self.tournament_by(rng, population, better).to_vec();
-        let p2 = self.tournament_by(rng, population, better).to_vec();
+        let (lower, upper) = (bounds.lower(), bounds.upper());
+        let p1 = self.tournament_by(rng, population, better);
+        let p2 = self.tournament_by(rng, population, better);
         let mut child: Vec<f64> = if rng.next_f64() < self.crossover_rate {
             // BLX-α blend crossover.
             p1.iter()
-                .zip(&p2)
+                .zip(p2)
                 .map(|(a, b)| {
                     let lo = a.min(*b);
                     let hi = a.max(*b);
@@ -185,32 +186,35 @@ impl GeneticAlgorithm {
                 })
                 .collect()
         } else {
-            p1
+            p1.to_vec()
         };
-        for (d, (gene, w)) in child.iter_mut().zip(&widths).enumerate() {
+        for (d, gene) in child.iter_mut().enumerate() {
             if rng.next_f64() < self.mutation_rate {
                 // Mostly local Gaussian steps, with an occasional
                 // uniform redraw so a converged population can still
                 // jump between faces of the design cube (Eq. 9's saddle
                 // has competing corner optima).
                 if rng.next_f64() < 0.2 {
-                    *gene = rng.uniform(bounds.lower()[d], bounds.upper()[d]);
+                    *gene = rng.uniform(lower[d], upper[d]);
                 } else {
-                    *gene += self.mutation_sigma * w * rng.normal();
+                    *gene += self.mutation_sigma * (upper[d] - lower[d]) * rng.normal();
                 }
             }
+            *gene = gene.clamp(lower[d], upper[d]);
         }
-        bounds.clamp(&child)
+        child
     }
 
     /// Shared GA body over a *population-level* evaluator: each
     /// generation is fully assembled before `evaluate` scores it, so a
     /// batch evaluator sees exactly the points a per-point evaluator
     /// would — the RNG stream and the search trajectory are identical
-    /// for both entry points.
-    fn run<E>(&self, bounds: &Bounds, evaluate: E) -> Result<OptimResult>
+    /// for both entry points. `evaluate` overwrites its second argument
+    /// with one fitness per point, so the fitness buffer is reused
+    /// across generations.
+    fn run<E>(&self, bounds: &Bounds, mut evaluate: E) -> Result<OptimResult>
     where
-        E: Fn(&[Vec<f64>]) -> Vec<f64>,
+        E: FnMut(&[Vec<f64>], &mut Vec<f64>),
     {
         self.validate()?;
         let mut rng = Rng::new(self.seed);
@@ -218,7 +222,8 @@ impl GeneticAlgorithm {
         let mut population: Vec<Vec<f64>> = (0..self.population_size)
             .map(|_| bounds.sample(&mut rng))
             .collect();
-        let mut fitness: Vec<f64> = evaluate(&population);
+        let mut fitness = Vec::with_capacity(self.population_size);
+        evaluate(&population, &mut fitness);
         // Count the points actually handed to the evaluator, so the
         // bookkeeping can never drift from what the objective saw — the
         // property the trait-default-vs-batch regression test pins.
@@ -241,7 +246,7 @@ impl GeneticAlgorithm {
             }
 
             population = next;
-            fitness = evaluate(&population);
+            evaluate(&population, &mut fitness);
             evaluations += population.len();
         }
 
@@ -266,29 +271,33 @@ impl GeneticAlgorithm {
 
 impl Optimizer for GeneticAlgorithm {
     fn maximize<F: Fn(&[f64]) -> f64 + Sync>(&self, bounds: &Bounds, f: F) -> Result<OptimResult> {
-        self.run(bounds, |population: &[Vec<f64>]| {
-            population.iter().map(|x| guard(f(x))).collect()
+        self.run(bounds, |population: &[Vec<f64>], fitness: &mut Vec<f64>| {
+            fitness.clear();
+            fitness.extend(population.iter().map(|x| guard(f(x))));
         })
     }
 
     fn maximize_batch<F: BatchObjective>(&self, bounds: &Bounds, f: &F) -> Result<OptimResult> {
         let k = bounds.dimension();
-        self.run(bounds, |population: &[Vec<f64>]| {
+        // Every generation has the same size, so the SoA block is
+        // allocated once and fully overwritten each time.
+        let mut block = Vec::new();
+        self.run(bounds, |population: &[Vec<f64>], fitness: &mut Vec<f64>| {
             // Pack the generation into a column-major SoA block and
             // score it in one pass.
             let n = population.len();
-            let mut block = vec![0.0; k * n];
+            block.resize(k * n, 0.0);
             for (i, x) in population.iter().enumerate() {
                 for (d, &c) in x.iter().enumerate() {
                     block[d * n + i] = c;
                 }
             }
-            let mut out = vec![0.0; n];
-            f.value_batch(&block, n, &mut out);
-            for o in out.iter_mut() {
+            fitness.clear();
+            fitness.resize(n, 0.0);
+            f.value_batch(&block, n, fitness);
+            for o in fitness.iter_mut() {
                 *o = guard(*o);
             }
-            out
         })
     }
 }

@@ -115,12 +115,16 @@ impl Optimizer for SimulatedAnnealing {
         self.validate()?;
         let mut rng = Rng::new(self.seed);
         let widths = bounds.widths();
+        let (lower, upper) = (bounds.lower(), bounds.upper());
 
         let mut current = bounds.center();
         let mut current_val = guard(f(&current));
         let mut best = current.clone();
         let mut best_val = current_val;
         let mut evaluations = 1usize;
+        // One proposal buffer for the whole run: an accepted move swaps
+        // it with `current`, a rejected one is overwritten next move.
+        let mut candidate = current.clone();
 
         // Scale the schedule to the objective magnitude so the acceptance
         // probabilities are meaningful for surfaces like Eq. 9 (|y| ~ 500).
@@ -133,21 +137,18 @@ impl Optimizer for SimulatedAnnealing {
             // Move magnitude shrinks with temperature (fraction of range).
             let frac = 0.5 * (temperature / (self.initial_temperature * scale)).sqrt() + 0.01;
             for _ in 0..self.moves_per_temperature {
-                let candidate: Vec<f64> = current
-                    .iter()
-                    .zip(&widths)
-                    .map(|(x, w)| x + frac * w * rng.normal())
-                    .collect();
-                let candidate = bounds.clamp(&candidate);
+                for (d, c) in candidate.iter_mut().enumerate() {
+                    *c = (current[d] + frac * widths[d] * rng.normal()).clamp(lower[d], upper[d]);
+                }
                 let v = guard(f(&candidate));
                 evaluations += 1;
                 let delta = v - current_val;
                 if delta >= 0.0 || rng.next_f64() < (delta / temperature).exp() {
-                    current = candidate;
+                    std::mem::swap(&mut current, &mut candidate);
                     current_val = v;
                     if v > best_val {
                         best_val = v;
-                        best = current.clone();
+                        best.copy_from_slice(&current);
                     }
                 }
             }

@@ -6,7 +6,8 @@
 #   scripts/verify.sh
 #
 # Runs: release build, the full test suite (plus the cross-engine
-# agreement gate explicitly), rustfmt in check mode, clippy with warnings
+# agreement gate explicitly), the wsn_perf benchmark's own tests,
+# rustfmt in check mode, clippy with warnings
 # denied and rustdoc with warnings denied (the workspace carries
 # `#![warn(missing_docs)]`). Fails on the first broken step.
 set -euo pipefail
@@ -223,6 +224,11 @@ grep -q '"warning":"cache_dir_ignored"' "$FLEET_DIR/cache-warning.log"
 
 echo "== serving gate: load bench smoke (asserts warm hit rate > 90%) =="
 target/release/serve_load --quick --out "$FLEET_DIR/BENCH_serve.json"
+
+echo "== benchmark gate: wsn_perf unit tests and smoke runs of every workload =="
+# A package outside the workspace, so root `cargo test` skips it. Its
+# smoke runs check every served payload against the library's answer.
+cargo test --release --offline --manifest-path crates/bench/src/bin/wsn_perf/Cargo.toml
 
 echo "== cargo fmt --check =="
 cargo fmt --check
