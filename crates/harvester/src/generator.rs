@@ -14,7 +14,8 @@ use crate::{DiodeBridge, HarvesterError, Result};
 /// electrical damping reflected from the load. [`steady_state`] solves the
 /// loaded sinusoidal response self-consistently: the rectifier's average
 /// extracted power defines `c_e`, which feeds back into the velocity
-/// amplitude (fixed-point iteration).
+/// amplitude. The self-consistent amplitude is found by bisection, which
+/// runs until a step leaves its bracket unchanged (at most 80 steps).
 ///
 /// [`steady_state`]: Microgenerator::steady_state
 ///
@@ -135,31 +136,6 @@ impl Microgenerator {
         2.0 * self.mech_damping_ratio * self.mass * 2.0 * std::f64::consts::PI * f_res
     }
 
-    /// Relative velocity amplitude of the undamped-by-load generator for a
-    /// base acceleration amplitude `accel` at `f_vib`, given a total
-    /// damping coefficient `c_total`.
-    fn velocity_amplitude(&self, f_vib: f64, f_res: f64, accel: f64, c_total: f64) -> f64 {
-        let omega = 2.0 * std::f64::consts::PI * f_vib;
-        let omega0 = 2.0 * std::f64::consts::PI * f_res;
-        let denom = ((omega0 * omega0 - omega * omega).powi(2)
-            + (c_total / self.mass * omega).powi(2))
-        .sqrt();
-        // |Z| = accel / denom, velocity = ω |Z|
-        omega * accel / denom
-    }
-
-    /// Equivalent electrical damping at a trial velocity amplitude:
-    /// the rectifier's average extracted power `P` defines `c_e` through
-    /// `P = ½ c_e v²`.
-    fn electrical_damping_at(&self, velocity: f64, v_store: f64) -> f64 {
-        if velocity <= 1e-12 {
-            return 0.0;
-        }
-        let emf = self.coupling * velocity;
-        let avg = self.bridge.averages(emf, v_store, self.coil_resistance);
-        2.0 * avg.power_from_source / (velocity * velocity)
-    }
-
     /// Solves the loaded steady state at vibration frequency `f_vib` (Hz),
     /// generator resonance `f_res` (Hz), base acceleration amplitude
     /// `accel` (m/s²) and store voltage `v_store` (V).
@@ -168,46 +144,78 @@ impl Microgenerator {
     /// `v = V(c_m + c_e(v))`; the residual is monotone over
     /// `(0, v_unloaded]`, so a bisection finds the equilibrium robustly
     /// (a plain fixed-point iteration oscillates for strongly coupled
-    /// coils).
+    /// coils). Each bisection step is a pure function of its bracket, so
+    /// the loop stops as soon as a step leaves both bounds bit-for-bit
+    /// unchanged — every later step would too — and otherwise after 80
+    /// steps.
     ///
     /// # Panics
     ///
-    /// Panics if `f_vib`, `f_res` or `accel` is not positive.
+    /// Panics if `f_vib`, `f_res` or `accel` is not positive, or if
+    /// `v_store` is negative.
     pub fn steady_state(&self, f_vib: f64, f_res: f64, accel: f64, v_store: f64) -> SteadyState {
         assert!(f_vib > 0.0 && f_res > 0.0, "frequencies must be positive");
         assert!(accel > 0.0, "acceleration must be positive");
+        assert!(v_store >= 0.0, "store voltage must be non-negative");
+        let omega = 2.0 * std::f64::consts::PI * f_vib;
+        let omega0 = 2.0 * std::f64::consts::PI * f_res;
+        let detuning = (omega0 * omega0 - omega * omega).powi(2);
+        let clamp = v_store + self.bridge.threshold();
         let c_m = self.mech_damping(f_res);
-        let v_unloaded = self.velocity_amplitude(f_vib, f_res, accel, c_m);
+
+        // Relative velocity amplitude V(c) at total damping c:
+        // |Z| = accel / denom, velocity = ω |Z|.
+        let velocity_amplitude = |c_total: f64| {
+            let denom = (detuning + (c_total / self.mass * omega).powi(2)).sqrt();
+            omega * accel / denom
+        };
+        // The loaded response to a trial amplitude v: the electrical
+        // damping c_e(v), defined by the rectifier's extracted power
+        // through P = ½ c_e v², and the amplitude V(c_m + c_e(v)) it
+        // allows.
+        let loaded = |v: f64| {
+            let c_e = if v <= 1e-12 {
+                0.0
+            } else {
+                let emf = self.coupling * v;
+                2.0 * self
+                    .bridge
+                    .power_from_source(emf, clamp, self.coil_resistance)
+                    / (v * v)
+            };
+            (c_e, velocity_amplitude(c_m + c_e))
+        };
 
         // r(v) = V(c_m + c_e(v)) − v: positive at v→0⁺, non-positive at
         // v_unloaded.
-        let residual = |v: f64| {
-            let c_e = self.electrical_damping_at(v, v_store);
-            self.velocity_amplitude(f_vib, f_res, accel, c_m + c_e) - v
-        };
+        let residual = |v: f64| loaded(v).1 - v;
 
-        let mut velocity = if residual(v_unloaded) >= 0.0 {
+        let v_unloaded = velocity_amplitude(c_m);
+        let trial = if residual(v_unloaded) >= 0.0 {
             // Bridge never conducts: the unloaded response is the answer.
             v_unloaded
         } else {
-            let mut lo = 1e-12;
+            let mut lo: f64 = 1e-12;
             let mut hi = v_unloaded;
             for _ in 0..80 {
                 let mid = 0.5 * (lo + hi);
-                if residual(mid) > 0.0 {
-                    lo = mid;
+                let bound = if residual(mid) > 0.0 {
+                    &mut lo
                 } else {
-                    hi = mid;
+                    &mut hi
+                };
+                // The step would leave the bracket as it is: fixed point.
+                if bound.to_bits() == mid.to_bits() {
+                    break;
                 }
+                *bound = mid;
             }
             0.5 * (lo + hi)
         };
 
         // Report a fully consistent operating point.
-        let c_e = self.electrical_damping_at(velocity, v_store);
-        velocity = self.velocity_amplitude(f_vib, f_res, accel, c_m + c_e);
+        let (c_e, velocity) = loaded(trial);
 
-        let omega = 2.0 * std::f64::consts::PI * f_vib;
         let emf = self.coupling * velocity;
         let avg = self
             .bridge

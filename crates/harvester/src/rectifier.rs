@@ -62,6 +62,44 @@ impl BridgeAverages {
     }
 }
 
+/// Conduction geometry of a sinusoidal EMF `E sin θ` against the bridge
+/// clamp `V + 2 V_d`: conduction spans `(θ_c, π − θ_c)` each half cycle.
+struct Conduction {
+    theta_c: f64,
+    /// `π − 2 θ_c`.
+    span: f64,
+    cos_c: f64,
+    /// `sin θ_c = clamp / E`.
+    sin_c: f64,
+}
+
+impl Conduction {
+    /// The geometry for EMF amplitude `emf`, or `None` when the EMF never
+    /// exceeds `clamp` (the bridge stays blocked).
+    fn of(emf: f64, clamp: f64) -> Option<Self> {
+        if emf <= clamp || emf <= 0.0 {
+            return None;
+        }
+        let ratio = clamp / emf;
+        let theta_c = ratio.asin();
+        Some(Conduction {
+            theta_c,
+            span: std::f64::consts::PI - 2.0 * theta_c,
+            cos_c: theta_c.cos(),
+            sin_c: ratio,
+        })
+    }
+
+    /// Power drawn from the source, `(1/π) ∫ E sinθ · i(θ) dθ`, floored
+    /// at zero.
+    fn power_from_source(&self, emf: f64, clamp: f64, r_series: f64) -> f64 {
+        let sin_sq_integral = self.span / 2.0 + self.sin_c * self.cos_c;
+        let power = emf / (std::f64::consts::PI * r_series)
+            * (emf * sin_sq_integral - clamp * 2.0 * self.cos_c);
+        power.max(0.0)
+    }
+}
+
 impl DiodeBridge {
     /// Creates a bridge with the given per-diode constant drop and Shockley
     /// parameters.
@@ -112,30 +150,30 @@ impl DiodeBridge {
         assert!(r_series > 0.0, "series resistance must be positive");
         assert!(v_store >= 0.0, "store voltage must be non-negative");
         let clamp = v_store + self.threshold();
-        if emf <= clamp || emf <= 0.0 {
+        let Some(c) = Conduction::of(emf, clamp) else {
             return BridgeAverages::blocked();
-        }
-        let ratio = clamp / emf;
-        let theta_c = ratio.asin();
-        let span = std::f64::consts::PI - 2.0 * theta_c;
-        let cos_c = theta_c.cos();
-        let sin_c = ratio;
+        };
 
         // I_avg over a half cycle (both half cycles are identical):
         // (1/π) ∫ (E sinθ − clamp)/R dθ over (θc, π−θc)
-        let current_avg = (2.0 * emf * cos_c - clamp * span) / (std::f64::consts::PI * r_series);
-
-        // Power drawn from the source: (1/π) ∫ E sinθ · i(θ) dθ
-        let sin_sq_integral = span / 2.0 + sin_c * cos_c;
-        let power_from_source =
-            emf / (std::f64::consts::PI * r_series) * (emf * sin_sq_integral - clamp * 2.0 * cos_c);
+        let current_avg =
+            (2.0 * emf * c.cos_c - clamp * c.span) / (std::f64::consts::PI * r_series);
 
         BridgeAverages {
             current_avg: current_avg.max(0.0),
-            power_from_source: power_from_source.max(0.0),
+            power_from_source: c.power_from_source(emf, clamp, r_series),
             power_into_store: (current_avg * v_store).max(0.0),
-            conduction_angle: theta_c,
+            conduction_angle: c.theta_c,
         }
+    }
+
+    /// `averages(emf, v_store, r_series).power_from_source`, bit for bit,
+    /// given the clamp `v_store + threshold()` precomputed by the caller
+    /// and skipping the unused current and store-power terms: the inner
+    /// loop of [`crate::Microgenerator::steady_state`] needs nothing else.
+    /// The caller guarantees the preconditions `averages` asserts.
+    pub(crate) fn power_from_source(&self, emf: f64, clamp: f64, r_series: f64) -> f64 {
+        Conduction::of(emf, clamp).map_or(0.0, |c| c.power_from_source(emf, clamp, r_series))
     }
 
     /// Instantaneous charging current with constant-drop diodes: the

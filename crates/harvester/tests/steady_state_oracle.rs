@@ -1,0 +1,198 @@
+//! Bit-identity oracle for [`Microgenerator::steady_state`].
+//!
+//! `oracle_steady_state` below is the original solver, kept verbatim: a
+//! fixed 80-step bisection whose residual calls the full
+//! [`DiodeBridge::averages`](harvester::DiodeBridge::averages) at every
+//! step. The library's solver stops at the bisection's fixed point and
+//! evaluates only the power term the residual uses. Both must agree on
+//! every output bit: over a seeded sweep of 100 000 operating points
+//! spanning the tunable band, and at the named edge cases (on
+//! resonance, empty store, a bridge that never conducts, vanishing
+//! excitation). Every report, golden file and digest downstream rests on
+//! this equality.
+
+use harvester::{Microgenerator, SteadyState, TuningMechanism};
+use numkit::rng::Rng;
+
+/// The original loaded-steady-state solve, written against the public
+/// accessors with every floating-point operation in its original order.
+fn oracle_steady_state(
+    g: &Microgenerator,
+    f_vib: f64,
+    f_res: f64,
+    accel: f64,
+    v_store: f64,
+) -> SteadyState {
+    let velocity_amplitude = |c_total: f64| {
+        let omega = 2.0 * std::f64::consts::PI * f_vib;
+        let omega0 = 2.0 * std::f64::consts::PI * f_res;
+        let denom = ((omega0 * omega0 - omega * omega).powi(2)
+            + (c_total / g.mass() * omega).powi(2))
+        .sqrt();
+        omega * accel / denom
+    };
+    let electrical_damping_at = |velocity: f64| {
+        if velocity <= 1e-12 {
+            return 0.0;
+        }
+        let emf = g.coupling() * velocity;
+        let avg = g.bridge().averages(emf, v_store, g.coil_resistance());
+        2.0 * avg.power_from_source / (velocity * velocity)
+    };
+
+    assert!(f_vib > 0.0 && f_res > 0.0, "frequencies must be positive");
+    assert!(accel > 0.0, "acceleration must be positive");
+    let c_m = g.mech_damping(f_res);
+    let v_unloaded = velocity_amplitude(c_m);
+
+    let residual = |v: f64| {
+        let c_e = electrical_damping_at(v);
+        velocity_amplitude(c_m + c_e) - v
+    };
+
+    let mut velocity = if residual(v_unloaded) >= 0.0 {
+        v_unloaded
+    } else {
+        let mut lo = 1e-12;
+        let mut hi = v_unloaded;
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if residual(mid) > 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    };
+
+    let c_e = electrical_damping_at(velocity);
+    velocity = velocity_amplitude(c_m + c_e);
+
+    let omega = 2.0 * std::f64::consts::PI * f_vib;
+    let emf = g.coupling() * velocity;
+    let avg = g
+        .bridge()
+        .averages(emf.max(1e-12), v_store, g.coil_resistance());
+    SteadyState {
+        displacement_amp: velocity / omega,
+        velocity_amp: velocity,
+        emf_amplitude: emf,
+        current_avg: avg.current_avg,
+        power_into_store: avg.power_into_store,
+        power_mechanical: avg.power_from_source,
+        electrical_damping: c_e,
+    }
+}
+
+fn bits(ss: &SteadyState) -> [u64; 7] {
+    [
+        ss.displacement_amp.to_bits(),
+        ss.velocity_amp.to_bits(),
+        ss.emf_amplitude.to_bits(),
+        ss.current_avg.to_bits(),
+        ss.power_into_store.to_bits(),
+        ss.power_mechanical.to_bits(),
+        ss.electrical_damping.to_bits(),
+    ]
+}
+
+/// Solves one point both ways and asserts bit equality; returns whether
+/// the bridge conducted.
+fn check(g: &Microgenerator, f_vib: f64, f_res: f64, accel: f64, v_store: f64) -> bool {
+    let fast = g.steady_state(f_vib, f_res, accel, v_store);
+    let oracle = oracle_steady_state(g, f_vib, f_res, accel, v_store);
+    assert_eq!(
+        bits(&fast),
+        bits(&oracle),
+        "steady_state({f_vib:?}, {f_res:?}, {accel:?}, {v_store:?}) drifted from the \
+         oracle:\n  solver {fast:?}\n  oracle {oracle:?}"
+    );
+    fast.electrical_damping > 0.0
+}
+
+#[test]
+fn seeded_sweep_is_bit_identical_to_the_original_solver() {
+    let g = Microgenerator::paper();
+    let (f_lo, f_hi) = TuningMechanism::paper().frequency_range();
+    let mut rng = Rng::new(0x5eed_0013);
+    let mut conducting = 0usize;
+    const POINTS: usize = 100_000;
+    for _ in 0..POINTS {
+        let f_vib = rng.uniform(40.0, 120.0);
+        let f_res = rng.uniform(f_lo, f_hi);
+        let accel = rng.uniform(0.01, 2.0);
+        let v_store = rng.uniform(0.0, 4.0);
+        if check(&g, f_vib, f_res, accel, v_store) {
+            conducting += 1;
+        }
+    }
+    // Both branches of the solver (bisection and the unloaded short cut)
+    // must be represented for the sweep to mean anything. The device's
+    // Q ≈ 160 makes most of the 40–120 Hz band non-conducting.
+    assert!(
+        conducting > 1_000 && conducting < POINTS - 1_000,
+        "{conducting} of {POINTS} points conducted"
+    );
+}
+
+#[test]
+fn near_resonance_sweep_is_bit_identical() {
+    // Within ±3 Hz of resonance the bridge conducts at most points, so
+    // this sweep exercises the bisection far more densely.
+    let g = Microgenerator::paper();
+    let (f_lo, f_hi) = TuningMechanism::paper().frequency_range();
+    let mut rng = Rng::new(0x5eed_0014);
+    for _ in 0..20_000 {
+        let f_res = rng.uniform(f_lo, f_hi);
+        let f_vib = f_res + rng.uniform(-3.0, 3.0);
+        let accel = rng.uniform(0.01, 2.0);
+        let v_store = rng.uniform(0.0, 4.0);
+        check(&g, f_vib, f_res, accel, v_store);
+    }
+}
+
+#[test]
+fn on_resonance_points_are_bit_identical() {
+    let g = Microgenerator::paper();
+    let (f_lo, f_hi) = TuningMechanism::paper().frequency_range();
+    for k in 0..=20 {
+        let f = f_lo + (f_hi - f_lo) * k as f64 / 20.0;
+        for accel in [0.05, 0.5886, 2.0] {
+            for v_store in [0.0, 1.0, 2.8, 3.6] {
+                check(&g, f, f, accel, v_store);
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_store_is_bit_identical() {
+    let g = Microgenerator::paper();
+    for f_vib in [60.0, 80.0, 82.0, 95.0] {
+        for accel in [0.01, 0.3, 0.5886, 2.0] {
+            check(&g, f_vib, 82.0, accel, 0.0);
+        }
+    }
+}
+
+#[test]
+fn non_conducting_bridge_is_bit_identical() {
+    let g = Microgenerator::paper();
+    for f_vib in [67.6, 82.0, 98.0] {
+        for accel in [0.01, 0.5886, 2.0] {
+            assert!(!check(&g, f_vib, 82.0, accel, 50.0), "50 V store conducted");
+        }
+    }
+}
+
+#[test]
+fn vanishing_excitation_is_bit_identical() {
+    let g = Microgenerator::paper();
+    for accel in [1e-300, 1e-15, 1e-9, 1e-6] {
+        for v_store in [0.0, 2.8] {
+            check(&g, 82.0, 82.0, accel, v_store);
+            check(&g, 70.0, 82.0, accel, v_store);
+        }
+    }
+}

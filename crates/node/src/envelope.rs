@@ -250,14 +250,11 @@ impl EnvelopeSim {
                             });
                         }
                         FirmwareAction::CoarseMove {
-                            steps,
                             actuator_energy,
                             mcu_energy,
                             ..
                         } => {
                             coarse_moves += 1;
-                            fine_steps += 0;
-                            let _ = steps;
                             pending.push_back(PendingDraw {
                                 completes_at: completes,
                                 energy: *actuator_energy,
@@ -359,6 +356,9 @@ impl EnvelopeSim {
         firmware: &TuningFirmware,
         sleep_current: f64,
     ) {
+        // The firmware is borrowed for the whole call: its position, and
+        // so the generator's resonance, cannot change mid-advance.
+        let f_res = firmware.resonant_frequency();
         while state.t < to - 1e-12 {
             // Trace sampling boundary.
             let next_sample = cfg.trace_interval.map(|dt| state.sample_count as f64 * dt);
@@ -382,7 +382,6 @@ impl EnvelopeSim {
             let dt = seg_end - state.t;
 
             let f_vib = cfg.vibration.dominant_frequency(state.t);
-            let f_res = firmware.resonant_frequency();
             let i_harvest = state.harvest_current(cfg, f_vib, f_res);
 
             let i_leak = cfg.storage.leakage_current(state.v);

@@ -6,8 +6,8 @@
 #   scripts/verify.sh
 #
 # Runs: release build, the full test suite (plus the cross-engine
-# agreement gate explicitly), the wsn_perf benchmark's own tests,
-# rustfmt in check mode, clippy with warnings
+# agreement and engine bit-identity gates explicitly), the wsn_perf
+# benchmark's own tests, rustfmt in check mode, clippy with warnings
 # denied and rustdoc with warnings denied (the workspace carries
 # `#![warn(missing_docs)]`). Fails on the first broken step.
 set -euo pipefail
@@ -21,6 +21,12 @@ cargo test -q --offline
 
 echo "== cargo test cross_engine (envelope vs full co-simulation) =="
 cargo test -q --offline -p wsn-dse --test cross_engine
+
+echo "== engine gate: steady-state solver and envelope outputs pinned =="
+# The harvester solve must stay bit-identical to the original 80-step
+# bisection, and envelope outputs over Table V to their pinned bits.
+cargo test -q --offline -p harvester --test steady_state_oracle
+cargo test -q --offline -p wsn-node --test envelope_pin
 
 echo "== fault-injection gate: determinism + nominal preservation =="
 cargo test -q --offline -p wsn-dse --test determinism -- \
