@@ -417,19 +417,19 @@ impl ParetoDseFlow {
                 block[d * n + i] = p[d];
             }
         }
-        let per_axis: Vec<Vec<f64>> = surfaces
-            .iter()
-            .map(|s| s.predict_batch(&block, n))
-            .collect();
-        (0..n)
-            .map(|i| {
-                per_axis
-                    .iter()
-                    .zip(specs)
-                    .map(|(axis, spec)| spec.sense.to_max(axis[i]))
-                    .collect()
-            })
-            .collect()
+        // One prediction column reused across surfaces, pushed straight
+        // into the per-point vectors.
+        let mut column = vec![0.0_f64; n];
+        let mut out: Vec<Vec<f64>> = (0..n).map(|_| Vec::with_capacity(surfaces.len())).collect();
+        for (surface, spec) in surfaces.iter().zip(specs) {
+            surface
+                .model()
+                .predict_batch_into(surface.coefficients(), &block, n, &mut column);
+            for (vector, &v) in out.iter_mut().zip(&column) {
+                vector.push(spec.sense.to_max(v));
+            }
+        }
+        out
     }
 
     /// One adaptive acquisition round: NSGA-II exploitation candidates
@@ -533,10 +533,14 @@ impl ParetoDseFlow {
     }
 
     /// Sampled hypervolume proxy of `evaluated` in maximisation space:
-    /// the fraction of a fixed seeded sample of the normalised unit box
-    /// dominated by at least one evaluated point. The sample is
-    /// identical every round (only the normalisation bounds move), so
-    /// round-over-round deltas measure real front growth.
+    /// the fraction of a fixed seeded sample of the unit box dominated
+    /// by at least one evaluated point, after every axis is normalised
+    /// to the evaluated set's own `[min, max]`. The sample is the same
+    /// every round, but the bounds move with the set: a new point that
+    /// widens an axis shrinks everyone else's normalised coordinates.
+    /// A round-over-round delta therefore mixes front growth with
+    /// renormalisation and can fall while the front grows (single-node
+    /// rounds 0 → 1 in `BENCH_pareto.json`: 0.0898 → 0.0840).
     fn hypervolume_proxy(&self, specs: &[ObjectiveSpec], evaluated: &[EvaluatedPoint]) -> f64 {
         if evaluated.is_empty() {
             return 0.0;

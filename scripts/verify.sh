@@ -120,6 +120,16 @@ cmp "$FLEET_DIR/pareto-fleet1.json" "$FLEET_DIR/pareto-fleet8.json"
 echo "== pareto gate: convergence bench smoke (adaptive beats the fixed plan) =="
 target/release/pareto_convergence --quick --out "$FLEET_DIR/BENCH_pareto.json"
 
+echo "== pareto gate: NSGA-II matches its oracle; fronts pinned =="
+# NSGA-II must agree bit for bit with the original implementation kept
+# in the oracle test, and Pareto reports at the 900 s horizon with their
+# pinned hashes. A full convergence run (single-node and 4-axis fleet
+# objectives, ~0.2 s) must reproduce the committed BENCH_pareto.json.
+cargo test -q --offline -p wsn-pareto --test nsga_oracle
+cargo test -q --offline -p wsn-pareto --test front_pin
+target/release/pareto_convergence --out "$FLEET_DIR/BENCH_pareto-full.json"
+cmp "$FLEET_DIR/BENCH_pareto-full.json" BENCH_pareto.json
+
 echo "== robustness gate: chaos harness + corrupted-cache recovery =="
 cargo test -q --offline -p wsn-dse --test chaos
 cargo test -q --offline -p wsn-dse --lib -- \
