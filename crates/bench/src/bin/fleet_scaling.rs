@@ -8,13 +8,13 @@
 //!    design point), unchanged so revisions diff cleanly.
 //! 2. **City ring** — 100/1 000/10 000 nodes on a ring whose radius
 //!    grows with the fleet (constant ~π m spacing, infinite delivery
-//!    range so goodput stays meaningful). Each fleet is evaluated under
-//!    **both** arbitration paths and the two reports are asserted
-//!    identical — the indexed path is bit-for-bit the naive sweep.
+//!    range so goodput stays meaningful).
 //! 3. **Arbitration micro-bench** — synthetic bursty traces (every node
 //!    transmits inside the same sub-second window each period) isolate
 //!    the arbiter itself, where the naive sweep's cost is quadratic in
-//!    co-windowed packets and the spatial index stays near-linear.
+//!    co-windowed packets and the spatial index stays near-linear. The
+//!    indexed [`RadioChannel::arbitrate`] is asserted to agree with the
+//!    [`RadioChannel::arbitrate_naive`] oracle before either is reported.
 //!
 //! All three sections are written to `BENCH_fleet.json` so revisions
 //! can be diffed.
@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use numkit::rng::Rng;
-use wsn_net::{ArbitrationMethod, FleetSpec, FleetTopology, NetworkSim, NodeTrace, RadioChannel};
+use wsn_net::{FleetSpec, FleetTopology, NetworkSim, NodeTrace, RadioChannel};
 use wsn_node::NodeConfig;
 
 /// Parses a trailing `--jobs N` argument; `0` (the default) means "all
@@ -118,11 +118,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     wsn_bench::rule(92);
 
     println!();
-    println!("city ring (constant ~pi m spacing, infinite delivery range, both arbiters):");
+    println!("city ring (constant ~pi m spacing, infinite delivery range):");
     wsn_bench::rule(92);
     println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>12} {:>12} {:>12}",
-        "nodes", "attempted", "collided", "unique", "goodput/h", "s(indexed)", "s(naive)"
+        "{:>6} {:>10} {:>10} {:>10} {:>12} {:>12}",
+        "nodes", "attempted", "collided", "unique", "goodput/h", "s(indexed)"
     );
     wsn_bench::rule(92);
 
@@ -133,35 +133,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let indexed = sim.evaluate(&spec, node)?;
         let seconds_indexed = t0.elapsed().as_secs_f64();
 
-        let naive_spec = spec.clone().with_channel(
-            spec.channel
-                .clone()
-                .with_method(ArbitrationMethod::NaiveSweep),
-        );
-        let t0 = Instant::now();
-        let naive = sim.evaluate(&naive_spec, node)?;
-        let seconds_naive = t0.elapsed().as_secs_f64();
-
-        assert_eq!(
-            indexed, naive,
-            "indexed and naive arbitration diverged at {nodes} nodes"
-        );
-        assert_eq!(indexed.to_json(), naive.to_json());
-
         println!(
-            "{:>6} {:>10} {:>10} {:>10} {:>12.1} {:>12.3} {:>12.3}",
+            "{:>6} {:>10} {:>10} {:>10} {:>12.1} {:>12.3}",
             nodes,
             indexed.attempted(),
             indexed.collided(),
             indexed.unique_delivered(),
             indexed.goodput_per_hour(),
-            seconds_indexed,
-            seconds_naive
+            seconds_indexed
         );
         city_rows.push(format!(
             "{{\"nodes\":{},\"ring_radius_m\":{},\"attempted\":{},\"collided\":{},\
              \"unique_delivered\":{},\"goodput_per_hour\":{},\
-             \"seconds_indexed\":{seconds_indexed},\"seconds_naive\":{seconds_naive}}}",
+             \"seconds_indexed\":{seconds_indexed}}}",
             nodes,
             nodes as f64 * 0.5,
             indexed.attempted(),
@@ -198,7 +182,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let seconds_naive = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        let indexed = channel.arbitrate_indexed(sink, &traces);
+        let indexed = channel.arbitrate(sink, &traces);
         let seconds_indexed = t0.elapsed().as_secs_f64();
 
         assert_eq!(

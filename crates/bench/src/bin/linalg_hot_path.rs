@@ -1,19 +1,18 @@
-//! Linear-algebra hot paths: heap (`dyn`) vs stack (`smat`) backends on
-//! the three numerical kernels the DSE flow spends its time in, plus the
-//! SoA batch-prediction entry.
+//! Linear-algebra hot paths: the three numerical kernels the DSE flow
+//! spends its time in, on stack (`smat`) storage, plus the SoA
+//! batch-prediction entry.
 //!
 //! Four sections:
 //!
 //! 1. **Surface fit** — the paper's 10-run, 10-term quadratic fit
 //!    (normal equations, QR least squares, PRESS leverages) through
-//!    [`ResponseSurface::fit_with`] on each backend.
+//!    [`ResponseSurface::fit`].
 //! 2. **Candidate scoring** — a 200-point optimiser generation scored
 //!    per point via [`ResponseSurface::predict`] and in one pass via the
 //!    column-major [`ResponseSurface::predict_batch`] kernel. The two
 //!    paths are asserted bit-identical before timing.
 //! 3. **D-optimal build** — the full coordinate-exchange design search
-//!    (Gram accumulation + Cholesky scoring per swap) on each backend.
-//!    The two designs are asserted identical before timing.
+//!    (Gram accumulation + Cholesky scoring per swap).
 //! 4. **Rank-1 update** — [`Cholesky::rank1_update`] against a full
 //!    refactorisation of `A + vvᵀ`, the determinant-update primitive.
 //!
@@ -27,7 +26,7 @@ use std::time::Duration;
 
 use doe::{DOptimal, ModelSpec};
 use numkit::rng::Rng;
-use numkit::{Backend, Cholesky, Matrix};
+use numkit::{Cholesky, Matrix};
 use rsm::ResponseSurface;
 use wsn_bench::timing::{bench, Measurement};
 use wsn_bench::PAPER_EQ9;
@@ -56,8 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let model = ModelSpec::quadratic(3);
     let design = DOptimal::new(3, model.clone()).runs(10).seed(12).build()?;
-    // Noise-free Eq. 9 responses: the fit is exactly the paper surface,
-    // so every backend recovers the same coefficients.
+    // Noise-free Eq. 9 responses: the fit is exactly the paper surface.
     let responses: Vec<f64> = design
         .points()
         .iter()
@@ -67,16 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("linalg hot paths (paper 10-run / 10-term quadratic, release profile):");
     wsn_bench::rule(80);
 
-    let fit_dyn = bench("fit 10x10 (dyn)", budget, || {
-        ResponseSurface::fit_with(&design, model.clone(), &responses, Backend::Dyn).unwrap()
-    });
     let fit_smat = bench("fit 10x10 (smat)", budget, || {
-        ResponseSurface::fit_with(&design, model.clone(), &responses, Backend::SMat).unwrap()
+        ResponseSurface::fit(&design, model.clone(), &responses).unwrap()
     });
 
     // A 200-candidate optimiser generation over the coded cube, packed
     // column-major for the batch entry.
-    let surface = ResponseSurface::fit_with(&design, model.clone(), &responses, Backend::SMat)?;
+    let surface = ResponseSurface::fit(&design, model.clone(), &responses)?;
     let n = 200;
     let mut rng = Rng::new(2024);
     let candidates: Vec<Vec<f64>> = (0..n)
@@ -101,33 +96,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         surface.predict_batch(&block, n).iter().sum::<f64>()
     });
 
-    // The full coordinate-exchange search; the two backends must agree
-    // on the design they build before their times are comparable.
-    let built_dyn = DOptimal::new(3, model.clone())
-        .runs(10)
-        .seed(12)
-        .linalg(Backend::Dyn)
-        .build()?;
-    let built_smat = DOptimal::new(3, model.clone())
-        .runs(10)
-        .seed(12)
-        .linalg(Backend::SMat)
-        .build()?;
-    assert_eq!(built_dyn.points(), built_smat.points(), "designs diverged");
-    let doe_budget = budget * 4;
-    let doe_dyn = bench("d-optimal build (dyn)", doe_budget, || {
+    // The full coordinate-exchange search.
+    let doe_smat = bench("d-optimal build (smat)", budget * 4, || {
         DOptimal::new(3, model.clone())
             .runs(10)
             .seed(12)
-            .linalg(Backend::Dyn)
-            .build()
-            .unwrap()
-    });
-    let doe_smat = bench("d-optimal build (smat)", doe_budget, || {
-        DOptimal::new(3, model.clone())
-            .runs(10)
-            .seed(12)
-            .linalg(Backend::SMat)
             .build()
             .unwrap()
     });
@@ -155,11 +128,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     wsn_bench::rule(80);
 
     let rows: Vec<String> = [
-        &fit_dyn,
         &fit_smat,
         &score_point,
         &score_batch,
-        &doe_dyn,
         &doe_smat,
         &update,
         &refactor,

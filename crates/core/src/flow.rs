@@ -1,7 +1,6 @@
 use std::sync::Arc;
 
 use doe::{DOptimal, Design, DesignSpace, ModelSpec};
-use numkit::Backend;
 use optim::{Bounds, GeneticAlgorithm, Optimizer, SimulatedAnnealing};
 use rsm::ResponseSurface;
 use wsn_node::{
@@ -64,7 +63,6 @@ pub struct DseFlow {
     seed: u64,
     pool: SimPool,
     engine: Arc<dyn SimEngine>,
-    linalg: Backend,
 }
 
 impl DseFlow {
@@ -81,24 +79,7 @@ impl DseFlow {
             seed: 12,
             pool: SimPool::new(0),
             engine: EngineKind::Envelope.engine(),
-            linalg: Backend::default(),
         }
-    }
-
-    /// Selects the linear-algebra backend for design construction,
-    /// surface fitting and surface scoring. This is a solver choice,
-    /// not model physics: both backends run the same shared kernels and
-    /// every report is bit-identical across them, so the backend is
-    /// excluded from cache fingerprints and report JSON (like the
-    /// network layer's arbitration method).
-    pub fn linalg(mut self, backend: Backend) -> Self {
-        self.linalg = backend;
-        self
-    }
-
-    /// The selected linear-algebra backend.
-    pub fn linalg_backend(&self) -> Backend {
-        self.linalg
     }
 
     /// Replaces the simulated scenario (vibration, horizon, physics).
@@ -299,7 +280,6 @@ impl DseFlow {
         Ok(DOptimal::new(self.space.dimension(), self.model.clone())
             .runs(self.doe_runs)
             .seed(self.seed)
-            .linalg(self.linalg)
             .build()?)
     }
 
@@ -322,12 +302,7 @@ impl DseFlow {
     ///
     /// Propagates fitting errors (rank deficiency etc.).
     pub fn fit(&self, design: &Design, responses: &[f64]) -> Result<ResponseSurface> {
-        Ok(ResponseSurface::fit_with(
-            design,
-            self.model.clone(),
-            responses,
-            self.linalg,
-        )?)
+        Ok(ResponseSurface::fit(design, self.model.clone(), responses)?)
     }
 
     /// Maximises a fitted surface with both of the paper's optimisers

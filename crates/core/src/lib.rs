@@ -51,7 +51,6 @@ mod surrogate;
 
 pub use error::DseError;
 pub use flow::{DseFlow, SweepPoint, SweepSeries};
-pub use numkit::Backend;
 pub use objective::SurfaceObjective;
 pub use pool::{
     BatchFailure, BatchReport, CacheStats, EvalCache, EvalKey, RetryPolicy, SimPool,

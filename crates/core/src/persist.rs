@@ -241,8 +241,8 @@ mod tests {
     fn sample_entries() -> HashMap<EvalKey, f64> {
         let mut entries = HashMap::new();
         for i in 0..8 {
-            let key = EvalKey::new(
-                EngineKind::Envelope,
+            let key = EvalKey::for_engine(
+                EngineKind::Envelope.engine().as_ref(),
                 1000 + i,
                 &[i as f64 * 0.25, -0.5, 1.0],
             );

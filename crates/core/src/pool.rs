@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use wsn_node::{EngineKind, SimEngine};
+use wsn_node::SimEngine;
 
 use crate::{persist, DseError, Result};
 
@@ -95,31 +95,17 @@ pub struct EvalKey {
 }
 
 impl EvalKey {
-    /// Builds the key for evaluating `coords` on a plain `engine` kind
-    /// under the scenario identified by `scenario_fingerprint` (see
-    /// [`wsn_node::Scenario::fingerprint`]).
-    ///
-    /// Prefer [`EvalKey::for_engine`] when an engine *instance* is at
-    /// hand: wrapper engines (chaos injection, degradation ladders)
-    /// refine their fingerprint beyond the kind discriminant, and this
-    /// constructor cannot see that.
-    pub fn new(engine: EngineKind, scenario_fingerprint: u64, coords: &[f64]) -> Self {
-        EvalKey {
-            engine: u64::from(engine.discriminant()),
-            scenario: scenario_fingerprint,
-            point: Self::quantise(coords),
-        }
-    }
-
     /// Builds the key for evaluating `coords` on a specific engine
-    /// instance, using [`wsn_node::SimEngine::cache_fingerprint`] as the
-    /// engine component.
+    /// instance under the scenario identified by `scenario_fingerprint`
+    /// (see [`wsn_node::Scenario::fingerprint`]), using
+    /// [`wsn_node::SimEngine::cache_fingerprint`] as the engine
+    /// component.
     ///
-    /// For the plain engines this equals [`EvalKey::new`] (the
-    /// fingerprint defaults to the kind discriminant), so existing cached
-    /// values and report bytes are unchanged; wrapper engines get their
-    /// own disjoint key space, so a chaos-wrapped or ladder-backed run
-    /// can never serve its values to a clean run or vice versa.
+    /// For the plain engines that fingerprint is the kind discriminant,
+    /// the key space persisted cache files were written in; wrapper
+    /// engines (chaos injection, degradation ladders) get their own
+    /// disjoint key space, so a chaos-wrapped or ladder-backed run can
+    /// never serve its values to a clean run or vice versa.
     pub fn for_engine(engine: &dyn SimEngine, scenario_fingerprint: u64, coords: &[f64]) -> Self {
         EvalKey {
             engine: engine.cache_fingerprint(),
@@ -186,6 +172,18 @@ pub struct CacheStats {
     /// Corrupt persistent records detected and skipped (never trusted,
     /// never fatal — see the `persist` module).
     pub quarantined: usize,
+}
+
+impl CacheStats {
+    /// The counters as a flat JSON object with explicit zeros, so a
+    /// report's schema never changes between cached and uncached runs.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"entries\":{},\"hits\":{},\"misses\":{},\"inserts\":{},\
+             \"disk_loads\":{},\"quarantined\":{}}}",
+            self.entries, self.hits, self.misses, self.inserts, self.disk_loads, self.quarantined
+        )
+    }
 }
 
 /// Thread-safe memo table for engine evaluations.
@@ -912,11 +910,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsn_node::EngineKind;
+
+    /// The key of `coords` on a plain engine of `kind`.
+    fn plain_key(kind: EngineKind, scenario: u64, coords: &[f64]) -> EvalKey {
+        EvalKey::for_engine(kind.engine().as_ref(), scenario, coords)
+    }
 
     fn keys_of(points: &[Vec<f64>]) -> Vec<EvalKey> {
         points
             .iter()
-            .map(|p| EvalKey::new(EngineKind::Envelope, 7, p))
+            .map(|p| plain_key(EngineKind::Envelope, 7, p))
             .collect()
     }
 
@@ -934,7 +938,7 @@ mod tests {
 
     #[test]
     fn keys_quantise_noise_and_normalise_zero() {
-        let key = |coords: &[f64]| EvalKey::new(EngineKind::Envelope, 0, coords);
+        let key = |coords: &[f64]| plain_key(EngineKind::Envelope, 0, coords);
         assert_eq!(key(&[0.0]), key(&[-0.0]));
         assert_eq!(key(&[0.5]), key(&[0.5 + 1e-12]));
         assert_ne!(key(&[0.5]), key(&[0.5 + 1e-8]));
@@ -943,21 +947,21 @@ mod tests {
     #[test]
     fn keys_separate_engines_and_scenarios() {
         let p = [0.25, -0.5, 1.0];
-        let base = EvalKey::new(EngineKind::Envelope, 42, &p);
-        assert_ne!(base, EvalKey::new(EngineKind::Full, 42, &p));
-        assert_ne!(base, EvalKey::new(EngineKind::Envelope, 43, &p));
-        assert_eq!(base, EvalKey::new(EngineKind::Envelope, 42, &p));
+        let base = plain_key(EngineKind::Envelope, 42, &p);
+        assert_ne!(base, plain_key(EngineKind::Full, 42, &p));
+        assert_ne!(base, plain_key(EngineKind::Envelope, 43, &p));
+        assert_eq!(base, plain_key(EngineKind::Envelope, 42, &p));
     }
 
     #[test]
-    fn for_engine_matches_new_on_plain_engines() {
+    fn plain_engine_keys_carry_the_kind_discriminant() {
+        // Keys in persisted `evalcache.v1.bin` files were written with
+        // the plain engine's kind discriminant as their engine component.
         let p = [0.25, -0.5, 1.0];
-        let envelope = wsn_node::EnvelopeSim::new();
-        assert_eq!(
-            EvalKey::for_engine(&envelope, 42, &p),
-            EvalKey::new(EngineKind::Envelope, 42, &p),
-            "plain engines must keep their historical key space"
-        );
+        for kind in [EngineKind::Envelope, EngineKind::Full] {
+            let key = EvalKey::for_engine(kind.engine().as_ref(), 42, &p);
+            assert_eq!(key.engine, u64::from(kind.discriminant()), "{kind:?}");
+        }
     }
 
     #[test]
@@ -998,8 +1002,8 @@ mod tests {
     fn engine_discriminant_prevents_cross_engine_hits() {
         let pool = SimPool::new(1);
         let p = vec![0.5, 0.5];
-        let envelope = vec![EvalKey::new(EngineKind::Envelope, 9, &p)];
-        let full = vec![EvalKey::new(EngineKind::Full, 9, &p)];
+        let envelope = vec![plain_key(EngineKind::Envelope, 9, &p)];
+        let full = vec![plain_key(EngineKind::Full, 9, &p)];
         let a = pool.evaluate_batch(&envelope, |_| Ok(1.0)).unwrap();
         let b = pool.evaluate_batch(&full, |_| Ok(2.0)).unwrap();
         assert_eq!((a[0], b[0]), (1.0, 2.0));
@@ -1154,7 +1158,7 @@ mod tests {
         let policy = RetryPolicy::attempts(5)
             .with_backoff(Duration::from_millis(10))
             .with_jitter(0.5, 42);
-        let key = EvalKey::new(EngineKind::Envelope, 3, &[0.5]);
+        let key = plain_key(EngineKind::Envelope, 3, &[0.5]);
         let h = key_hash(&key);
         let a = policy.delay_before_retry(1, h);
         let b = policy.delay_before_retry(1, h);
@@ -1240,7 +1244,7 @@ mod tests {
     #[test]
     fn poisoned_cache_mutex_recovers_instead_of_cascading() {
         let cache = EvalCache::new();
-        let key = EvalKey::new(EngineKind::Envelope, 1, &[0.5]);
+        let key = plain_key(EngineKind::Envelope, 1, &[0.5]);
         cache.insert(key.clone(), 9.0);
 
         // Poison the entries mutex the only way possible: panic while
@@ -1258,7 +1262,7 @@ mod tests {
 
         // Every operation keeps working on the recovered map.
         assert_eq!(cache.get(&key), Some(9.0));
-        let key2 = EvalKey::new(EngineKind::Envelope, 1, &[0.75]);
+        let key2 = plain_key(EngineKind::Envelope, 1, &[0.75]);
         cache.insert(key2.clone(), 10.0);
         assert_eq!(cache.get(&key2), Some(10.0));
         assert_eq!(cache.len(), 2);

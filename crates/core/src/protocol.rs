@@ -34,6 +34,13 @@
 //! through the server are therefore byte-identical to the CLI's (the
 //! single-node report's embedded `"cache"` counters excepted: those
 //! describe the serving process's shared warm cache, not the job).
+//!
+//! # JSON token writers
+//!
+//! [`json_string`], [`json_f64`] and [`json_array`] are the one set of
+//! token writers behind every hand-rolled `to_json` in the workspace
+//! (DSE, fleet and Pareto reports, protocol frames), so every document
+//! escapes strings and spells non-finite numbers the same way.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -104,6 +111,10 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+// ---------------------------------------------------------------------------
+// JSON token writers, shared by every report's hand-rolled `to_json`
+// ---------------------------------------------------------------------------
+
 /// Escapes `s` as a JSON string literal (quotes included).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -122,6 +133,30 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
+    out
+}
+
+/// Formats an `f64` as a JSON token: `Display` for finite values (which
+/// round-trips every value the flows produce), `null` for NaN and the
+/// infinities (JSON has no spelling for them).
+pub fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_owned()
+    }
+}
+
+/// Joins JSON tokens into an array.
+pub fn json_array<I: IntoIterator<Item = String>>(items: I) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&item);
+    }
+    out.push(']');
     out
 }
 

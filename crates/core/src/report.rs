@@ -5,6 +5,7 @@ use rsm::ResponseSurface;
 use wsn_node::{FaultCounters, NodeConfig};
 
 use crate::pool::CacheStats;
+use crate::protocol::{json_array, json_f64, json_string};
 
 /// One evaluated design: a configuration, its coded coordinates, the
 /// RSM prediction (when applicable) and the simulator's verdict.
@@ -75,7 +76,7 @@ pub struct DseReport {
     /// Evaluation-cache counters at the end of the flow (hits, misses,
     /// inserts, disk loads, quarantined records). Deterministic for a
     /// given flow — prescans are sequential — and invariant across
-    /// `jobs` settings and linalg backends; `disk_loads > 0` is the
+    /// `jobs` settings; `disk_loads > 0` is the
     /// observable proof that a `--cache-dir` warm start worked.
     pub cache: CacheStats,
 }
@@ -112,78 +113,20 @@ impl DseReport {
     }
 }
 
-/// Formats an `f64` as a JSON token: `Display` for finite values (which
-/// round-trips all values the flow produces), `null` for NaN/infinities
-/// (JSON has no spelling for them).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Quotes a string as a JSON token, escaping the characters JSON requires
-/// (labels here are ASCII identifiers, but correctness is cheap).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Joins JSON tokens into an array.
-fn json_array<I: IntoIterator<Item = String>>(items: I) -> String {
-    let items: Vec<String> = items.into_iter().collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Serialises fault counters as a JSON object (all zero under the
-/// nominal plan).
-fn json_faults(c: &FaultCounters) -> String {
-    format!(
-        "{{\"tx_failures\":{},\"tx_retries\":{},\"tx_aborts\":{},\
-         \"brownouts\":{},\"watchdog_misses\":{}}}",
-        c.tx_failures, c.tx_retries, c.tx_aborts, c.brownouts, c.watchdog_misses
-    )
-}
-
-/// Serialises cache counters as a JSON object with explicit zeros (the
-/// schema never changes between cached and uncached runs, mirroring
-/// `fault_totals`).
-fn json_cache(s: &CacheStats) -> String {
-    format!(
-        "{{\"entries\":{},\"hits\":{},\"misses\":{},\"inserts\":{},\
-         \"disk_loads\":{},\"quarantined\":{}}}",
-        s.entries, s.hits, s.misses, s.inserts, s.disk_loads, s.quarantined
-    )
-}
-
 impl DesignEval {
     /// This evaluation as a single-line JSON object.
     fn to_json(&self) -> String {
         format!(
             "{{\"label\":{},\"clock_hz\":{},\"watchdog_s\":{},\"tx_interval_s\":{},\
              \"coded\":{},\"predicted\":{},\"simulated\":{},\"faults\":{},\"tier\":{}}}",
-            json_str(&self.label),
+            json_string(&self.label),
             json_f64(self.config.clock_hz),
             json_f64(self.config.watchdog_s),
             json_f64(self.config.tx_interval_s),
             json_array(self.coded.iter().map(|&v| json_f64(v))),
             self.predicted.map_or("null".to_owned(), json_f64),
             self.simulated,
-            json_faults(&self.faults),
+            self.faults.to_json(),
             self.tier
         )
     }
@@ -226,8 +169,8 @@ impl DseReport {
             json_f64(self.d_efficiency),
             self.original.to_json(),
             json_array(self.optimised.iter().map(|e| e.to_json())),
-            json_faults(&self.fault_totals()),
-            json_cache(&self.cache),
+            self.fault_totals().to_json(),
+            self.cache.to_json(),
             json_f64(self.best_improvement_factor())
         )
     }
@@ -317,7 +260,7 @@ mod tests {
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_array(vec!["1".to_owned(), "2".to_owned()]), "[1,2]");
     }
 
@@ -348,7 +291,7 @@ mod tests {
     #[test]
     fn cache_counters_serialise_with_explicit_zeros() {
         assert_eq!(
-            json_cache(&CacheStats::default()),
+            CacheStats::default().to_json(),
             "{\"entries\":0,\"hits\":0,\"misses\":0,\"inserts\":0,\
              \"disk_loads\":0,\"quarantined\":0}"
         );
@@ -360,7 +303,7 @@ mod tests {
             disk_loads: 13,
             quarantined: 2,
         };
-        let json = json_cache(&warm);
+        let json = warm.to_json();
         assert!(json.contains("\"disk_loads\":13"));
         assert!(json.contains("\"quarantined\":2"));
     }

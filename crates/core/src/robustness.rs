@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use harvester::VibrationProfile;
 use numkit::stats;
-use wsn_node::{EngineKind, FaultPlan, NodeConfig, Scenario, SimEngine, SystemConfig};
+use wsn_node::{
+    EngineKind, FaultCounters, FaultPlan, NodeConfig, Scenario, SimEngine, SystemConfig,
+};
 
 use crate::pool::{EvalKey, SimPool};
 use crate::Result;
@@ -271,6 +273,39 @@ pub fn fault_robustness_with(
         .map(|&seed| template.scenario().with_faults(plan.reseeded(seed)))
         .collect();
     evaluate_scenarios_with(engine, pool, template, config, &scenarios)
+}
+
+/// The fault-injection document of `wsn_dse faults --json` and of the
+/// server's `faults` jobs, as one JSON line: the plan, the nominal
+/// response, the ensemble `summary` (one sample per realisation) and
+/// the fault `counters` of one realisation.
+pub fn faults_json(
+    plan: &FaultPlan,
+    nominal_tx: f64,
+    summary: &RobustnessSummary,
+    counters: &FaultCounters,
+) -> String {
+    let samples: Vec<String> = summary.samples.iter().map(|s| format!("{s}")).collect();
+    format!(
+        "{{\"fault_seed\":{},\"fault_rate\":{},\"realisations\":{},\
+         \"nominal_tx\":{},\
+         \"ensemble\":{{\"samples\":[{}],\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{},\
+         \"fragility\":{:.6},\"p10\":{},\"worst_case_ratio\":{:.6}}},\
+         \"counters\":{}}}",
+        plan.seed(),
+        plan.tx_failure_rate(),
+        summary.samples.len(),
+        nominal_tx,
+        samples.join(","),
+        summary.mean,
+        summary.std_dev,
+        summary.min,
+        summary.max,
+        summary.fragility(),
+        summary.percentile(10.0),
+        summary.worst_case_ratio(),
+        counters.to_json(),
+    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-use numkit::linalg::{Backend, LinAlg, SMAT_MAX_COLS};
+use numkit::linalg::{LinAlg, SMAT_MAX_COLS};
 use numkit::rng::Rng;
 
 use numkit::{Matrix, SMat};
@@ -39,7 +39,6 @@ pub struct DOptimal {
     seed: u64,
     max_passes: usize,
     criterion: OptimalityCriterion,
-    linalg: Backend,
 }
 
 /// Alphabetic optimality criterion driving the exchange search.
@@ -76,20 +75,12 @@ impl DOptimal {
             seed: 0,
             max_passes: 50,
             criterion: OptimalityCriterion::D,
-            linalg: Backend::default(),
         }
     }
 
     /// Selects the optimality criterion (default: D, as in the paper).
     pub fn criterion(mut self, criterion: OptimalityCriterion) -> Self {
         self.criterion = criterion;
-        self
-    }
-
-    /// Selects the linear-algebra backend for the exchange-loop scoring
-    /// (a solver choice: both backends produce bit-identical designs).
-    pub fn linalg(mut self, backend: Backend) -> Self {
-        self.linalg = backend;
         self
     }
 
@@ -162,9 +153,7 @@ impl DOptimal {
             .map(|c| self.model.expand(c))
             .collect();
         let criterion = self.criterion;
-        let backend = self.linalg;
-        let score =
-            |selected: &[usize]| score_selection(&rows, selected, p, criterion, None, backend);
+        let score = |selected: &[usize]| score_selection(&rows, selected, p, criterion, None);
 
         // Greedy initialisation from a shuffled candidate order: repeatedly
         // add the candidate that most increases ln det(XᵀX + ridge I).
@@ -275,10 +264,8 @@ impl DOptimal {
             .map(|c| self.model.expand(c))
             .collect();
         let criterion = self.criterion;
-        let backend = self.linalg;
-        let score = |selected: &[usize]| {
-            score_selection(&rows, selected, p, criterion, Some(&base_gram), backend)
-        };
+        let score =
+            |selected: &[usize]| score_selection(&rows, selected, p, criterion, Some(&base_gram));
 
         let mut rng = Rng::new(self.seed);
         let mut order: Vec<usize> = (0..candidates.len()).collect();
@@ -344,7 +331,7 @@ impl DOptimal {
 /// base gram (for design augmentation). `gram` must be zeroed `p × p`.
 ///
 /// Upper-triangle accumulation per selected row, mirrored at the end —
-/// the single shared source of this arithmetic for both backends and
+/// the single shared source of this arithmetic for both storages and
 /// both the build and augment call-sites.
 fn accumulate_information(
     gram: &mut impl LinAlg,
@@ -398,42 +385,46 @@ fn information_matrix(
 
 /// Exchange score of a selection — larger is better for every criterion
 /// (A and I are negated so the maximising exchange loop applies
-/// unchanged). Dispatches to heap or stack storage per the backend; the
-/// two paths run the same kernels and score bit-identically.
+/// unchanged). Models of up to [`SMAT_MAX_COLS`] terms score on stack
+/// storage and wider ones on the heap; both run the same kernels and
+/// score bit-identically.
 fn score_selection(
     rows: &[Vec<f64>],
     selected: &[usize],
     p: usize,
     criterion: OptimalityCriterion,
     base: Option<&Matrix>,
-    backend: Backend,
 ) -> f64 {
-    match backend {
-        Backend::SMat if p <= SMAT_MAX_COLS => {
-            let gram = SMat::<SMAT_MAX_COLS, SMAT_MAX_COLS>::zeros(p, p);
-            let l = gram;
-            let mut scratch = [0.0; SMAT_MAX_COLS];
-            score_selection_on(
-                gram,
-                l,
-                &mut scratch[..p],
-                rows,
-                selected,
-                p,
-                criterion,
-                base,
-            )
-        }
-        _ => {
-            let gram = Matrix::zeros(p, p);
-            let l = gram.clone();
-            let mut scratch = vec![0.0; p];
-            score_selection_on(gram, l, &mut scratch, rows, selected, p, criterion, base)
-        }
+    if p <= SMAT_MAX_COLS {
+        let gram = SMat::<SMAT_MAX_COLS, SMAT_MAX_COLS>::zeros(p, p);
+        let mut scratch = [0.0; SMAT_MAX_COLS];
+        score_selection_on(
+            gram,
+            gram,
+            &mut scratch[..p],
+            rows,
+            selected,
+            p,
+            criterion,
+            base,
+        )
+    } else {
+        let gram = Matrix::zeros(p, p);
+        let mut scratch = vec![0.0; p];
+        score_selection_on(
+            gram.clone(),
+            gram,
+            &mut scratch,
+            rows,
+            selected,
+            p,
+            criterion,
+            base,
+        )
     }
 }
 
-/// Backend-generic scoring body: accumulate the information matrix into
+/// Storage-generic scoring body: accumulate the information matrix into
 /// `gram`, Cholesky-factor it into `l`, evaluate the criterion using
 /// `scratch` (length `p`) for the solves.
 #[allow(clippy::too_many_arguments)]
@@ -749,53 +740,74 @@ mod tests {
         assert!(eff_aug > 0.5 * eff_base);
     }
 
-    #[test]
-    fn backends_build_identical_designs() {
+    /// Scores seeded selections with the scoring body on heap and on
+    /// stack storage, for every criterion, on top of `base` when given:
+    /// the exchange loop only ever runs one of them, so their bits must
+    /// agree.
+    fn assert_storages_score_identically(with_base: bool) {
         let model = ModelSpec::quadratic(3);
+        let p = model.num_terms();
+        let rows: Vec<Vec<f64>> = full_factorial(3, 3)
+            .unwrap()
+            .points()
+            .iter()
+            .map(|c| model.expand(c))
+            .collect();
+        let base_rows: Vec<usize> = (0..rows.len()).step_by(3).collect();
+        let base_gram = information_matrix(&rows, &base_rows, p, None);
+        let base = with_base.then_some(&base_gram);
+        let mut rng = Rng::new(5);
+        let selections: Vec<Vec<usize>> = (0..24)
+            .map(|k| (0..2 + k % 12).map(|_| rng.index(rows.len())).collect())
+            .collect();
         for criterion in [
             OptimalityCriterion::D,
             OptimalityCriterion::A,
             OptimalityCriterion::I,
         ] {
-            let dyn_design = DOptimal::new(3, model.clone())
-                .runs(12)
-                .seed(7)
-                .criterion(criterion)
-                .linalg(Backend::Dyn)
-                .build()
-                .unwrap();
-            let smat_design = DOptimal::new(3, model.clone())
-                .runs(12)
-                .seed(7)
-                .criterion(criterion)
-                .linalg(Backend::SMat)
-                .build()
-                .unwrap();
-            assert_eq!(dyn_design, smat_design, "{criterion:?} designs diverged");
+            for selected in &selections {
+                let heap = score_selection_on(
+                    Matrix::zeros(p, p),
+                    Matrix::zeros(p, p),
+                    &mut vec![0.0; p],
+                    &rows,
+                    selected,
+                    p,
+                    criterion,
+                    base,
+                );
+                let stack_gram = SMat::<SMAT_MAX_COLS, SMAT_MAX_COLS>::zeros(p, p);
+                let stack = score_selection_on(
+                    stack_gram,
+                    stack_gram,
+                    &mut [0.0; SMAT_MAX_COLS][..p],
+                    &rows,
+                    selected,
+                    p,
+                    criterion,
+                    base,
+                );
+                assert_eq!(
+                    heap.to_bits(),
+                    stack.to_bits(),
+                    "{criterion:?}, base {with_base}, selection {selected:?}"
+                );
+                assert_eq!(
+                    stack.to_bits(),
+                    score_selection(&rows, selected, p, criterion, base).to_bits()
+                );
+            }
         }
     }
 
     #[test]
+    fn backends_build_identical_designs() {
+        assert_storages_score_identically(false);
+    }
+
+    #[test]
     fn backends_augment_identically() {
-        let model = ModelSpec::quadratic(2);
-        let base = DOptimal::new(2, model.clone())
-            .runs(6)
-            .seed(1)
-            .build()
-            .unwrap();
-        let dyn_aug = DOptimal::new(2, model.clone())
-            .runs(9)
-            .seed(1)
-            .linalg(Backend::Dyn)
-            .augment(&base)
-            .unwrap();
-        let smat_aug = DOptimal::new(2, model.clone())
-            .runs(9)
-            .seed(1)
-            .linalg(Backend::SMat)
-            .augment(&base)
-            .unwrap();
-        assert_eq!(dyn_aug, smat_aug);
+        assert_storages_score_identically(true);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! wsn_dse run       [--seed N] [--runs N] [--f0 HZ] [--horizon S] [--jobs N] [--engine E]
-//!                   [--linalg dyn|smat] [--json]
+//!                   [--json]
 //! wsn_dse simulate  --clock HZ --watchdog S --interval S [--f0 HZ] [--horizon S] [--engine E]
 //!                   [--trace] [--json]
 //! wsn_dse sweep     --factor {clock|watchdog|interval} [--samples N] [--validate] [--jobs N]
@@ -12,17 +12,18 @@
 //! wsn_dse network   [--nodes N] [--fleet-seed N] [--clock HZ --watchdog S --interval S]
 //!                   [--freq-spread HZ] [--phase-spread S] [--slot S] [--interference M]
 //!                   [--delivery M] [--ring-radius M | --grid-pitch M] [--ideal]
-//!                   [--arbitration indexed|naive]
-//!                   [--dse] [--seed N] [--runs N] [--jobs N] [--engine E]
-//!                   [--linalg dyn|smat] [--json]
+//!                   [--dse] [--seed N] [--runs N] [--jobs N] [--engine E] [--json]
 //! wsn_dse pareto    [--fleet [--nodes N] <network options>] [--objectives LIST]
 //!                   [--adaptive] [--budget N] [--batch N] [--explore A] [--front-cap N]
 //!                   [--seed N] [--runs N] [--timer-space] [--f0 HZ] [--horizon S]
-//!                   [--jobs N] [--engine E] [--linalg dyn|smat] [--json]
+//!                   [--jobs N] [--engine E] [--json]
 //! ```
 //!
 //! `--jobs N` caps the simulation worker threads (0 or omitted: all
-//! cores; 1: sequential). Reports are bit-identical at any job count.
+//! cores; 1: sequential). Reports are bit-identical at any job count,
+//! except `chaos`: its circuit breakers see the order in which worker
+//! threads finish, so a `chaos` report is reproducible only at
+//! `--jobs 1`.
 //!
 //! `--engine envelope|full` selects the simulation engine (default:
 //! `envelope`, the accelerated energy-balance model; `full` is the
@@ -45,17 +46,6 @@
 //! sequential acquisition driver, `--objectives LIST` selecting an axis
 //! subset by name, and `--timer-space` widening the search with the
 //! optional timer-quantum factor.
-//! `--arbitration indexed|naive` selects the channel-arbitration
-//! path (default `indexed`, the spatial-grid streaming resolver; `naive`
-//! is the reference pairwise sweep) — reports are bit-identical either
-//! way, gated by `scripts/verify.sh`.
-//!
-//! `--linalg dyn|smat` (accepted by `run`, `sweep`, `refine` and
-//! `network --dse`) selects the linear-algebra backend for design
-//! construction, surface fitting and surface scoring (default `smat`,
-//! the allocation-free stack backend; `dyn` is the heap reference).
-//! Like `--arbitration`, it is a solver choice, not model physics:
-//! reports are bit-identical either way, gated by `scripts/verify.sh`.
 //!
 //! `--fault-seed N --fault-rate R` (accepted by `run`, `simulate`,
 //! `faults` and `network`) inject deterministic faults: each radio
@@ -89,23 +79,16 @@ use std::time::Duration;
 
 use std::sync::Arc;
 
-use doe::{DOptimal, ModelSpec};
 use harvester::VibrationProfile;
 use numkit::rng::Rng;
-use rsm::ResponseSurface;
-use wsn_dse::robustness::{evaluate_scenarios_with, fault_robustness_with};
+use wsn_dse::protocol::{json_array, json_string};
+use wsn_dse::robustness::{evaluate_scenarios_with, fault_robustness_with, faults_json};
 use wsn_dse::{
-    coded_to_config, paper_design_space, paper_design_space_with_timer, Backend, DseFlow, EvalKey,
-    RetryPolicy, SimPool, SurrogateEngine,
+    coded_to_config, paper_design_space, paper_design_space_with_timer, DseFlow, EvalKey,
+    RetryPolicy, SimPool,
 };
-use wsn_net::{
-    ArbitrationMethod, FleetDseFlow, FleetObjectives, FleetSpec, FleetTopology, NetworkSim,
-    RadioChannel,
-};
-use wsn_node::{
-    ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, FaultPlan, NodeConfig, SimEngine,
-    SystemConfig,
-};
+use wsn_net::{FleetDseFlow, FleetObjectives, FleetSpec, FleetTopology, NetworkSim, RadioChannel};
+use wsn_node::{EngineKind, FaultPlan, NodeConfig, SimEngine, SystemConfig};
 use wsn_pareto::{MultiObjective, NodeObjectives, ParetoDseFlow};
 
 use wsn_net::args::Args;
@@ -113,8 +96,7 @@ use wsn_net::args::Args;
 fn usage() -> &'static str {
     "usage: wsn_dse <run|simulate|sweep|refine|faults|network|pareto|chaos|serve> [options]\n\
      \n\
-     run       --seed N --runs N --f0 HZ --horizon S [--csv DIR] [--jobs N]\n\
-               [--linalg dyn|smat] [--json]\n\
+     run       --seed N --runs N --f0 HZ --horizon S [--csv DIR] [--jobs N] [--json]\n\
      simulate  --clock HZ --watchdog S --interval S [--f0 HZ] [--horizon S] [--trace] [--json]\n\
      sweep     --factor clock|watchdog|interval [--samples N] [--validate] [--jobs N]\n\
      refine    --seed N --shrink F --runs N [--jobs N]\n\
@@ -123,14 +105,13 @@ fn usage() -> &'static str {
      network   --nodes N [--fleet-seed N] [--clock HZ --watchdog S --interval S]\n\
                [--freq-spread HZ] [--phase-spread S] [--slot S] [--interference M]\n\
                [--delivery M] [--ring-radius M | --grid-pitch M] [--ideal]\n\
-               [--arbitration indexed|naive]\n\
-               [--dse --seed N --runs N] [--jobs N] [--linalg dyn|smat] [--json]\n\
+               [--dse --seed N --runs N] [--jobs N] [--json]\n\
      pareto    [--fleet [--nodes N] <network options>] [--objectives LIST]\n\
                [--adaptive] [--budget N] [--batch N] [--explore A] [--front-cap N]\n\
                [--seed N] [--runs N] [--timer-space] [--f0 HZ] [--horizon S]\n\
-               [--jobs N] [--engine E] [--linalg dyn|smat] [--json]\n\
+               [--jobs N] [--engine E] [--json]\n\
      chaos     [--seed N] [--chaos-rate R] [--points N] [--f0 HZ] [--horizon S]\n\
-               [--eval-timeout S] [--eval-retries N] [--jobs N] [--linalg dyn|smat] [--json]\n\
+               [--eval-timeout S] [--eval-retries N] [--jobs N] [--json]\n\
      serve     [--addr HOST:PORT] [--workers N] [--jobs N] [--cache-dir DIR]\n\
                [--chaos-rate R] [--chaos-seed N] [--eval-timeout S] [--eval-retries N]\n\
                [--addr-file FILE]\n\
@@ -140,13 +121,12 @@ fn usage() -> &'static str {
        --dt S overrides the full engine's analogue step\n\
      --fault-seed N --fault-rate R (run, simulate, faults, network) inject\n\
        deterministic radio/watchdog/vibration faults at rate R\n\
-     --linalg dyn|smat (run, sweep, refine, network --dse) selects the\n\
-       linear-algebra backend (default smat); reports are bit-identical\n\
      --cache-dir DIR (run, sweep, refine, faults, network --dse) attaches the\n\
        crash-safe persistent evaluation cache; warm reports match cold ones\n\
      --eval-timeout S arms a per-evaluation wall-clock budget;\n\
        --eval-retries N allows N retries with deterministic backoff\n\
-     --jobs 0 (default) uses all cores; results are identical at any job count"
+     --jobs 0 (default) uses all cores; results are identical at any job count\n\
+       (chaos: only at --jobs 1, its breakers see thread completion order)"
 }
 
 /// Builds the engine selected by `--engine` (default envelope) and the
@@ -174,14 +154,6 @@ fn fault_plan_from(args: &Args) -> Result<FaultPlan, String> {
         ));
     }
     Ok(FaultPlan::uniform(seed, rate))
-}
-
-/// Parses the `--linalg` backend selection (default: the stack backend).
-fn linalg_from(args: &Args) -> Result<Backend, String> {
-    match args.get("linalg") {
-        Some(name) => name.parse().map_err(|e| format!("--linalg: {e}")),
-        None => Ok(Backend::default()),
-    }
 }
 
 /// Parses the `--eval-timeout` per-evaluation wall-clock budget
@@ -236,7 +208,6 @@ fn flow_from(args: &Args) -> Result<DseFlow, String> {
         .seed(seed)
         .doe_runs(runs)
         .jobs(jobs)
-        .linalg(linalg_from(args)?)
         .retry_policy(retry_policy_from(args)?)
         .eval_deadline(eval_deadline_from(args)?)
         .with_engine(engine_from(args)?);
@@ -406,31 +377,9 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let outcome = engine.simulate(&counted).map_err(|e| e.to_string())?;
 
     if args.has_flag("json") {
-        let samples: Vec<String> = summary.samples.iter().map(|s| format!("{s}")).collect();
         println!(
-            "{{\"fault_seed\":{},\"fault_rate\":{},\"realisations\":{},\
-             \"nominal_tx\":{},\
-             \"ensemble\":{{\"samples\":[{}],\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{},\
-             \"fragility\":{:.6},\"p10\":{},\"worst_case_ratio\":{:.6}}},\
-             \"counters\":{{\"tx_failures\":{},\"tx_retries\":{},\"tx_aborts\":{},\
-             \"brownouts\":{},\"watchdog_misses\":{}}}}}",
-            plan.seed(),
-            plan.tx_failure_rate(),
-            n_seeds,
-            nominal_tx,
-            samples.join(","),
-            summary.mean,
-            summary.std_dev,
-            summary.min,
-            summary.max,
-            summary.fragility(),
-            summary.percentile(10.0),
-            summary.worst_case_ratio(),
-            outcome.faults.tx_failures,
-            outcome.faults.tx_retries,
-            outcome.faults.tx_aborts,
-            outcome.faults.brownouts,
-            outcome.faults.watchdog_misses,
+            "{}",
+            faults_json(&plan, nominal_tx, &summary, &outcome.faults)
         );
     } else {
         println!(
@@ -500,11 +449,6 @@ fn fleet_spec_from(args: &Args, default_nodes: u64) -> Result<FleetSpec, String>
         }
         channel = channel.with_delivery_range(range);
     }
-    if let Some(method) = args.get("arbitration") {
-        let method: ArbitrationMethod =
-            method.parse().map_err(|e| format!("--arbitration: {e}"))?;
-        channel = channel.with_method(method);
-    }
 
     let topology = if args.get("grid-pitch").is_some() {
         FleetTopology::Grid {
@@ -544,7 +488,6 @@ fn cmd_network(args: &Args) -> Result<(), String> {
             .seed(args.get_u64("seed", 12)?)
             .doe_runs(args.get_u64("runs", 10)? as usize)
             .jobs(jobs)
-            .linalg(linalg_from(args)?)
             .retry_policy(retry_policy_from(args)?)
             .eval_deadline(eval_deadline_from(args)?)
             .with_engine(engine_from(args)?);
@@ -621,7 +564,6 @@ fn cmd_pareto(args: &Args) -> Result<(), String> {
         .front_cap(args.get_u64("front-cap", 12)? as usize)
         .explore(args.get_f64("explore", 0.5)?)
         .jobs(jobs)
-        .linalg(linalg_from(args)?)
         .retry_policy(retry_policy_from(args)?)
         .eval_deadline(eval_deadline_from(args)?);
     if args.has_flag("timer-space") {
@@ -667,39 +609,14 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         .with_vibration(VibrationProfile::paper_profile(f0));
     template.trace_interval = None;
 
-    // Calibrate the last-resort surrogate tier from the clean envelope
-    // engine: a quick D-optimal design, simulated and fitted exactly
-    // like the paper flow's response surface.
-    let space = paper_design_space();
-    let model = ModelSpec::quadratic(space.dimension());
-    let design = DOptimal::new(space.dimension(), model.clone())
-        .runs(10)
-        .seed(seed)
-        .linalg(linalg_from(args)?)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let clean = EngineKind::Envelope.engine();
-    let mut responses = Vec::with_capacity(design.len());
-    for p in design.points() {
-        let mut cfg = template.clone();
-        cfg.node = coded_to_config(&space, p).map_err(|e| e.to_string())?;
-        let out = clean.simulate(&cfg).map_err(|e| e.to_string())?;
-        responses.push(out.transmissions as f64);
-    }
-    let surface = ResponseSurface::fit_with(&design, model, &responses, linalg_from(args)?)
-        .map_err(|e| e.to_string())?;
-    let surrogate: Arc<dyn SimEngine> = Arc::new(SurrogateEngine::new(space.clone(), surface));
-
     // The ladder under test: the envelope engine wrapped in a seeded
-    // chaos injector, backed by the surrogate, with per-tier breakers.
-    let chaotic: Arc<dyn SimEngine> = Arc::new(ChaosEngine::new(
-        EngineKind::Envelope.engine(),
-        ChaosPlan::storm(seed, rate),
-    ));
-    let ladder = Arc::new(FallbackEngine::new(vec![chaotic, surrogate]));
+    // chaos injector, backed by a surrogate calibrated under `template`,
+    // with per-tier breakers.
+    let ladder = wsn_net::serve::chaos_ladder(&template, seed, rate)?;
     let engine: Arc<dyn SimEngine> = ladder.clone();
 
     // Storm targets: seeded coded points across the Table V space.
+    let space = paper_design_space();
     let mut rng = Rng::stream(seed, 0x6368_6173); // "chas"
     let points: Vec<Vec<f64>> = (0..n_points)
         .map(|_| {
@@ -732,34 +649,21 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let stats = ladder.tier_stats();
     let degraded = ladder.degraded_served();
     if args.has_flag("json") {
-        let tiers: Vec<String> = stats
-            .iter()
-            .enumerate()
-            .map(|(tier, s)| s.to_json(tier))
-            .collect();
-        let failures: Vec<String> = batch
-            .failures
-            .iter()
-            .map(|f| {
-                let error = f
-                    .error
-                    .to_string()
-                    .replace('\\', "\\\\")
-                    .replace('"', "\\\"");
-                format!(
-                    "{{\"index\":{},\"attempts\":{},\"error\":\"{error}\"}}",
-                    f.index, f.attempts
-                )
-            })
-            .collect();
+        let tiers = json_array(stats.iter().enumerate().map(|(tier, s)| s.to_json(tier)));
+        let failures = json_array(batch.failures.iter().map(|f| {
+            format!(
+                "{{\"index\":{},\"attempts\":{},\"error\":{}}}",
+                f.index,
+                f.attempts,
+                json_string(&f.error.to_string())
+            )
+        }));
         println!(
             "{{\"seed\":{seed},\"chaos_rate\":{rate},\"points\":{n_points},\
              \"succeeded\":{},\"failed\":{},\"degraded_served\":{degraded},\
-             \"tiers\":[{}],\"failures\":[{}],\"cache\":{{\"hits\":{},\"misses\":{}}}}}",
+             \"tiers\":{tiers},\"failures\":{failures},\"cache\":{{\"hits\":{},\"misses\":{}}}}}",
             batch.succeeded(),
             batch.failures.len(),
-            tiers.join(","),
-            failures.join(","),
             pool.cache().hits(),
             pool.cache().misses(),
         );

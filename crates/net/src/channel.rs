@@ -15,68 +15,19 @@
 //! index), so the verdict is bit-identical however the per-node runs were
 //! scheduled across worker threads.
 //!
-//! Two interchangeable arbitration paths implement that contract
-//! ([`ArbitrationMethod`]): the original quadratic-in-co-windowed-nodes
-//! [`RadioChannel::arbitrate_naive`] sweep, kept as a reference oracle,
-//! and the default [`RadioChannel::arbitrate_indexed`] path, which
-//! consults a uniform spatial grid (cell edge = `interference_range_m`)
-//! and streams the timeline through a sliding airtime window so a
-//! city-scale fleet never materialises one flat sorted packet vector.
-//! The two are bit-identical — same total order, same symmetric
+//! [`RadioChannel::arbitrate`] consults a uniform spatial grid (cell
+//! edge = `interference_range_m`) and streams the timeline through a
+//! sliding airtime window, so a city-scale fleet never materialises one
+//! flat sorted packet vector. The original quadratic-in-co-windowed-nodes
+//! sweep, [`RadioChannel::arbitrate_naive`], is kept as the reference
+//! oracle. The two are bit-identical — same total order, same symmetric
 //! collision marking — enforced by an equivalence property test
-//! (crates/net/tests/channel_props.rs) and by a `verify.sh` gate that
-//! diffs `network --json` between the paths.
+//! (crates/net/tests/channel_props.rs) and by a pin test that replays
+//! real fleet traces through the oracle (crates/net/tests/report_pin.rs).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::str::FromStr;
-
-/// Which algorithm [`RadioChannel::arbitrate`] resolves collisions with.
-///
-/// Both paths produce bit-identical [`ChannelStats`]; the method is an
-/// implementation selector, not a physical parameter — it is excluded
-/// from [`RadioChannel::fingerprint`], from channel equality and from
-/// every report schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArbitrationMethod {
-    /// Spatial-grid candidate lookup + streamed airtime window:
-    /// near-linear in transmissions. The default.
-    #[default]
-    Indexed,
-    /// The original pairwise time-sweep over one flat sorted packet
-    /// vector: quadratic in co-windowed nodes. Kept as the reference
-    /// oracle for equivalence tests and gates.
-    NaiveSweep,
-}
-
-impl ArbitrationMethod {
-    /// CLI spelling of the method.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ArbitrationMethod::Indexed => "indexed",
-            ArbitrationMethod::NaiveSweep => "naive",
-        }
-    }
-}
-
-impl fmt::Display for ArbitrationMethod {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for ArbitrationMethod {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "indexed" => Ok(ArbitrationMethod::Indexed),
-            "naive" => Ok(ArbitrationMethod::NaiveSweep),
-            other => Err(format!("expected 'indexed' or 'naive', got '{other}'")),
-        }
-    }
-}
 
 /// Default airtime of one packet (s). Matches the Table III transmission
 /// duration used by the node model ([`wsn_node::SensorNode::tx_duration`]).
@@ -92,7 +43,7 @@ pub const DEFAULT_SLOT_S: f64 = 1.0;
 /// The model is intentionally coarse — a slotted-ALOHA-style collision
 /// rule over recorded timestamps — because the interesting coupling is
 /// *energy policy → transmission times → contention*, not RF propagation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioChannel {
     /// Airtime of one packet (s). Two transmissions whose start times are
     /// closer than this overlap on the medium.
@@ -106,22 +57,6 @@ pub struct RadioChannel {
     /// Delivery range (m): packets from nodes farther than this from the
     /// sink are lost even without a collision.
     pub delivery_range_m: f64,
-    /// Which arbitration algorithm resolves the timeline. Not a physical
-    /// parameter: both methods are bit-identical, so it takes no part in
-    /// equality, fingerprints or serialised reports.
-    pub method: ArbitrationMethod,
-}
-
-impl PartialEq for RadioChannel {
-    /// Physical parameters only: two channels that differ solely in
-    /// [`ArbitrationMethod`] produce identical verdicts and compare
-    /// equal.
-    fn eq(&self, other: &Self) -> bool {
-        self.airtime_s == other.airtime_s
-            && self.slot_s == other.slot_s
-            && self.interference_range_m == other.interference_range_m
-            && self.delivery_range_m == other.delivery_range_m
-    }
 }
 
 impl RadioChannel {
@@ -133,7 +68,6 @@ impl RadioChannel {
             slot_s: DEFAULT_SLOT_S,
             interference_range_m: 50.0,
             delivery_range_m: 30.0,
-            method: ArbitrationMethod::default(),
         }
     }
 
@@ -146,7 +80,6 @@ impl RadioChannel {
             slot_s: DEFAULT_SLOT_S,
             interference_range_m: 0.0,
             delivery_range_m: f64::INFINITY,
-            method: ArbitrationMethod::default(),
         }
     }
 
@@ -201,19 +134,9 @@ impl RadioChannel {
         self
     }
 
-    /// Selects the arbitration algorithm (default:
-    /// [`ArbitrationMethod::Indexed`]). Purely an implementation choice —
-    /// verdicts are bit-identical either way.
-    pub fn with_method(mut self, method: ArbitrationMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// A stable 64-bit fingerprint of the *physical* channel parameters
-    /// (the [`ArbitrationMethod`] is excluded: both methods produce the
-    /// same verdicts, so they must share cache entries), folded into the
-    /// fleet fingerprint so cached fleet evaluations under different
-    /// channels never collide.
+    /// A stable 64-bit fingerprint of the channel parameters, folded
+    /// into the fleet fingerprint so cached fleet evaluations under
+    /// different channels never collide.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -239,77 +162,9 @@ impl RadioChannel {
     /// The verdict depends only on the *content* of `traces` — packets
     /// are processed in a global (time, node index) total order — so the
     /// same traces always produce the same statistics, regardless of how
-    /// the per-node simulations were scheduled. Dispatches to the path
-    /// selected by [`RadioChannel::method`]; both paths are bit-identical
-    /// (equivalence property-tested).
-    pub fn arbitrate(&self, sink: (f64, f64), traces: &[NodeTrace<'_>]) -> Vec<ChannelStats> {
-        match self.method {
-            ArbitrationMethod::Indexed => self.arbitrate_indexed(sink, traces),
-            ArbitrationMethod::NaiveSweep => self.arbitrate_naive(sink, traces),
-        }
-    }
-
-    /// The reference arbitration oracle: flattens every trace into one
-    /// globally sorted packet vector and resolves collisions with a
-    /// pairwise backward time-sweep. O(P·W) in the number of packets P
-    /// and the co-windowed packet count W — W grows linearly with fleet
-    /// density, which is what makes this path quadratic on city-scale
-    /// fleets. Kept verbatim as the ground truth the indexed path is
-    /// checked against.
-    pub fn arbitrate_naive(&self, sink: (f64, f64), traces: &[NodeTrace<'_>]) -> Vec<ChannelStats> {
-        // Flatten to (start time, node) packets in a total order.
-        let mut packets: Vec<(f64, usize)> = traces
-            .iter()
-            .enumerate()
-            .flat_map(|(n, trace)| trace.tx_times.iter().map(move |&t| (t, n)))
-            .collect();
-        packets.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        // Sweep: packet j collides with every earlier packet i whose
-        // airtime window it overlaps, provided the transmitters differ
-        // and sit within interference range. Marking both sides makes the
-        // relation symmetric by construction.
-        let mut collided = vec![false; packets.len()];
-        for j in 1..packets.len() {
-            let (tj, nj) = packets[j];
-            let mut i = j;
-            while i > 0 {
-                i -= 1;
-                let (ti, ni) = packets[i];
-                if tj - ti >= self.airtime_s {
-                    break;
-                }
-                if ni != nj && self.interferes(traces[ni].position, traces[nj].position) {
-                    collided[i] = true;
-                    collided[j] = true;
-                }
-            }
-        }
-
-        // Accumulate the per-node verdicts in packet order, tracking the
-        // sink's deduplication slot per node.
-        let mut stats = vec![ChannelStats::default(); traces.len()];
-        let mut last_slot: Vec<Option<i64>> = vec![None; traces.len()];
-        for (k, &(t, n)) in packets.iter().enumerate() {
-            stats[n].attempted += 1;
-            if collided[k] {
-                stats[n].collided += 1;
-            } else if distance(traces[n].position, sink) <= self.delivery_range_m {
-                stats[n].delivered += 1;
-                let slot = (t / self.slot_s).floor() as i64;
-                if last_slot[n] == Some(slot) {
-                    stats[n].duplicates += 1;
-                } else {
-                    last_slot[n] = Some(slot);
-                }
-            } else {
-                stats[n].out_of_range += 1;
-            }
-        }
-        stats
-    }
-
-    /// The near-linear arbitration path: a uniform spatial grid over the
+    /// the per-node simulations were scheduled.
+    ///
+    /// Arbitration is near-linear: a uniform spatial grid over the
     /// node positions (cell edge = `interference_range_m`, so any two
     /// transmitters within range sit in the same or an adjacent cell)
     /// plus a streaming k-way merge of the per-node traces through a
@@ -326,11 +181,7 @@ impl RadioChannel {
     /// only prunes pairs the shared private `interferes` test
     /// would reject anyway, and per-node verdicts are settled in global
     /// packet order with the same sink-slot deduplication.
-    pub fn arbitrate_indexed(
-        &self,
-        sink: (f64, f64),
-        traces: &[NodeTrace<'_>],
-    ) -> Vec<ChannelStats> {
+    pub fn arbitrate(&self, sink: (f64, f64), traces: &[NodeTrace<'_>]) -> Vec<ChannelStats> {
         let n = traces.len();
 
         // Per-node sorted views. Both engines record tx_times in
@@ -525,6 +376,67 @@ impl RadioChannel {
         }
         while let Some(p) = window.pop_front() {
             settle(p, &mut stats, &mut last_slot);
+        }
+        stats
+    }
+
+    /// The reference arbitration oracle: flattens every trace into one
+    /// globally sorted packet vector and resolves collisions with a
+    /// pairwise backward time-sweep. O(P·W) in the number of packets P
+    /// and the co-windowed packet count W — W grows linearly with fleet
+    /// density, which is what makes this path quadratic on city-scale
+    /// fleets. No runtime path calls it: it is kept verbatim as the
+    /// ground truth [`RadioChannel::arbitrate`] is checked against by
+    /// the equivalence tests and the `fleet_scaling` micro-bench.
+    pub fn arbitrate_naive(&self, sink: (f64, f64), traces: &[NodeTrace<'_>]) -> Vec<ChannelStats> {
+        // Flatten to (start time, node) packets in a total order.
+        let mut packets: Vec<(f64, usize)> = traces
+            .iter()
+            .enumerate()
+            .flat_map(|(n, trace)| trace.tx_times.iter().map(move |&t| (t, n)))
+            .collect();
+        packets.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        // Sweep: packet j collides with every earlier packet i whose
+        // airtime window it overlaps, provided the transmitters differ
+        // and sit within interference range. Marking both sides makes the
+        // relation symmetric by construction.
+        let mut collided = vec![false; packets.len()];
+        for j in 1..packets.len() {
+            let (tj, nj) = packets[j];
+            let mut i = j;
+            while i > 0 {
+                i -= 1;
+                let (ti, ni) = packets[i];
+                if tj - ti >= self.airtime_s {
+                    break;
+                }
+                if ni != nj && self.interferes(traces[ni].position, traces[nj].position) {
+                    collided[i] = true;
+                    collided[j] = true;
+                }
+            }
+        }
+
+        // Accumulate the per-node verdicts in packet order, tracking the
+        // sink's deduplication slot per node.
+        let mut stats = vec![ChannelStats::default(); traces.len()];
+        let mut last_slot: Vec<Option<i64>> = vec![None; traces.len()];
+        for (k, &(t, n)) in packets.iter().enumerate() {
+            stats[n].attempted += 1;
+            if collided[k] {
+                stats[n].collided += 1;
+            } else if distance(traces[n].position, sink) <= self.delivery_range_m {
+                stats[n].delivered += 1;
+                let slot = (t / self.slot_s).floor() as i64;
+                if last_slot[n] == Some(slot) {
+                    stats[n].duplicates += 1;
+                } else {
+                    last_slot[n] = Some(slot);
+                }
+            } else {
+                stats[n].out_of_range += 1;
+            }
         }
         stats
     }
@@ -742,32 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn method_is_not_a_physical_parameter() {
-        let indexed = RadioChannel::paper_default();
-        let naive = RadioChannel::paper_default().with_method(ArbitrationMethod::NaiveSweep);
-        assert_eq!(
-            indexed.method,
-            ArbitrationMethod::Indexed,
-            "indexed is the default"
-        );
-        assert_eq!(indexed, naive, "equality ignores the method");
-        assert_eq!(
-            indexed.fingerprint(),
-            naive.fingerprint(),
-            "fingerprints ignore the method"
-        );
-        assert_eq!(
-            "naive".parse::<ArbitrationMethod>(),
-            Ok(ArbitrationMethod::NaiveSweep)
-        );
-        assert_eq!(
-            "indexed".parse::<ArbitrationMethod>(),
-            Ok(ArbitrationMethod::Indexed)
-        );
-        assert!("quadtree".parse::<ArbitrationMethod>().is_err());
-    }
-
-    #[test]
     fn indexed_matches_naive_on_hidden_terminals() {
         let ch = RadioChannel::paper_default()
             .with_interference_range(15.0)
@@ -781,19 +667,7 @@ mod tests {
             trace((10.0, 0.0), &c),
         ];
         let sink = (0.0, 0.0);
-        assert_eq!(
-            ch.arbitrate_indexed(sink, &fleet),
-            ch.arbitrate_naive(sink, &fleet)
-        );
-        // `arbitrate` itself dispatches on the method and agrees with
-        // both explicit paths.
         assert_eq!(ch.arbitrate(sink, &fleet), ch.arbitrate_naive(sink, &fleet));
-        assert_eq!(
-            ch.clone()
-                .with_method(ArbitrationMethod::NaiveSweep)
-                .arbitrate(sink, &fleet),
-            ch.arbitrate_naive(sink, &fleet)
-        );
     }
 
     #[test]
@@ -808,11 +682,8 @@ mod tests {
             trace((0.0, 5.0), &quiet),
         ];
         let sink = (0.0, 0.0);
-        assert_eq!(
-            ch.arbitrate_indexed(sink, &fleet),
-            ch.arbitrate_naive(sink, &fleet)
-        );
-        assert_eq!(ch.arbitrate_indexed(sink, &[]), Vec::new());
+        assert_eq!(ch.arbitrate(sink, &fleet), ch.arbitrate_naive(sink, &fleet));
+        assert_eq!(ch.arbitrate(sink, &[]), Vec::new());
     }
 
     #[test]
@@ -832,7 +703,7 @@ mod tests {
         ];
         let sink = (0.0, 0.0);
         let naive = ch.arbitrate_naive(sink, &fleet);
-        assert_eq!(ch.arbitrate_indexed(sink, &fleet), naive);
+        assert_eq!(ch.arbitrate(sink, &fleet), naive);
         assert_eq!(naive[0].collided, 1);
         assert_eq!(naive[2].collided, 1, "collides with node 1, not node 0");
     }

@@ -14,9 +14,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use doe::{DOptimal, Design, DesignSpace, ModelSpec};
-use numkit::Backend;
 use optim::{Bounds, GeneticAlgorithm, Optimizer, SimulatedAnnealing};
 use rsm::ResponseSurface;
+use wsn_dse::protocol::{json_array, json_f64, json_string};
 use wsn_dse::{
     coded_to_config, config_to_coded, paper_design_space, DseError, EvalKey, SimPool,
     SurfaceObjective,
@@ -24,7 +24,7 @@ use wsn_dse::{
 use wsn_node::{EngineKind, NodeConfig, SimEngine};
 
 use crate::fleet::{FleetSpec, NetworkSim};
-use crate::report::{json_array, json_f64, json_str, NetworkReport};
+use crate::report::NetworkReport;
 use crate::Result;
 
 /// One evaluated fleet design: a configuration, its coded coordinates,
@@ -69,7 +69,7 @@ impl FleetEval {
         format!(
             "{{\"label\":{},\"clock_hz\":{},\"watchdog_s\":{},\"tx_interval_s\":{},\
              \"coded\":{},\"predicted\":{},\"goodput_per_hour\":{}}}",
-            json_str(&self.label),
+            json_string(&self.label),
             json_f64(self.config.clock_hz),
             json_f64(self.config.watchdog_s),
             json_f64(self.config.tx_interval_s),
@@ -207,7 +207,6 @@ pub struct FleetDseFlow {
     doe_runs: usize,
     seed: u64,
     pool: SimPool,
-    linalg: Backend,
 }
 
 impl FleetDseFlow {
@@ -226,22 +225,7 @@ impl FleetDseFlow {
             doe_runs: 10,
             seed: 12,
             pool: SimPool::new(0),
-            linalg: Backend::default(),
         }
-    }
-
-    /// Selects the linear-algebra backend for design construction,
-    /// surface fitting and surface scoring. A solver choice, not fleet
-    /// physics: reports are bit-identical across backends, so the
-    /// backend never enters cache keys or report JSON.
-    pub fn linalg(mut self, backend: Backend) -> Self {
-        self.linalg = backend;
-        self
-    }
-
-    /// The selected linear-algebra backend.
-    pub fn linalg_backend(&self) -> Backend {
-        self.linalg
     }
 
     /// Replaces the fleet specification. Keys carry the fleet
@@ -400,7 +384,6 @@ impl FleetDseFlow {
         Ok(DOptimal::new(self.space.dimension(), self.model.clone())
             .runs(self.doe_runs)
             .seed(self.seed)
-            .linalg(self.linalg)
             .build()?)
     }
 
@@ -416,8 +399,7 @@ impl FleetDseFlow {
         let responses = self
             .pool
             .evaluate_batch(&self.keys_for(points), |i| self.evaluate_coded(&points[i]))?;
-        let surface =
-            ResponseSurface::fit_with(&design, self.model.clone(), &responses, self.linalg)?;
+        let surface = ResponseSurface::fit(&design, self.model.clone(), &responses)?;
         let d_efficiency = doe::diagnostics::d_efficiency(&design, &self.model)?;
 
         let original_cfg = NodeConfig::original();
@@ -558,7 +540,8 @@ mod tests {
         let point = vec![0.0, 0.0, 0.0];
         let fleet_key = flow.keys_for(std::slice::from_ref(&point));
         let scenario = flow.spec().template.scenario().fingerprint();
-        let single_key = EvalKey::new(flow.engine_kind(), scenario, &point);
+        let single_key =
+            EvalKey::for_engine(flow.engine_kind().engine().as_ref(), scenario, &point);
         assert_ne!(fleet_key[0], single_key);
     }
 }

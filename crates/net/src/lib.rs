@@ -59,8 +59,7 @@ mod report;
 pub mod serve;
 
 pub use channel::{
-    distance, ArbitrationMethod, ChannelStats, NodeTrace, RadioChannel, DEFAULT_AIRTIME_S,
-    DEFAULT_SLOT_S,
+    distance, ChannelStats, NodeTrace, RadioChannel, DEFAULT_AIRTIME_S, DEFAULT_SLOT_S,
 };
 pub use dse::{FleetDseFlow, FleetDseReport, FleetEval};
 pub use fleet::{FleetSpec, FleetTopology, NetworkSim};

@@ -37,13 +37,13 @@ use harvester::VibrationProfile;
 use rsm::ResponseSurface;
 use wsn_dse::jobs::{EventSink, JobEvent, JobFn, JobQueue, JobState};
 use wsn_dse::protocol::{
-    self, FaultsJob, NetworkJob, ParetoJob, ProtocolError, Request, RunJob, SimulateJob,
-    MAX_FRAME_BYTES,
+    self, json_array, FaultsJob, NetworkJob, ParetoJob, ProtocolError, Request, RunJob,
+    SimulateJob, MAX_FRAME_BYTES,
 };
-use wsn_dse::robustness::{evaluate_scenarios_with, fault_robustness_with};
+use wsn_dse::robustness::{evaluate_scenarios_with, fault_robustness_with, faults_json};
 use wsn_dse::{
-    coded_to_config, paper_design_space, paper_design_space_with_timer, Backend, DseFlow,
-    EvalCache, RetryPolicy, SimPool, SurrogateEngine,
+    coded_to_config, paper_design_space, paper_design_space_with_timer, DseFlow, EvalCache,
+    RetryPolicy, SimPool, SurrogateEngine,
 };
 use wsn_node::{
     ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, FaultPlan, NodeConfig, SimEngine,
@@ -164,7 +164,16 @@ impl Server {
                     config.chaos_rate
                 ));
             }
-            Some(build_chaos_ladder(config.chaos_seed, config.chaos_rate)?)
+            // The calibration scenario of `wsn_dse chaos` at its defaults.
+            let mut template = SystemConfig::paper(NodeConfig::original())
+                .with_horizon(600.0)
+                .with_vibration(VibrationProfile::paper_profile(75.0));
+            template.trace_interval = None;
+            Some(chaos_ladder(
+                &template,
+                config.chaos_seed,
+                config.chaos_rate,
+            )?)
         } else {
             None
         };
@@ -222,14 +231,22 @@ impl Server {
     }
 }
 
-/// Calibrates the last-resort surrogate tier from the clean envelope
-/// engine (the `chaos` subcommand's procedure) and stacks it under a
-/// chaos-wrapped envelope engine.
-fn build_chaos_ladder(seed: u64, rate: f64) -> Result<Arc<FallbackEngine>, String> {
-    let mut template = SystemConfig::paper(NodeConfig::original())
-        .with_horizon(600.0)
-        .with_vibration(VibrationProfile::paper_profile(75.0));
-    template.trace_interval = None;
+/// The engine-degradation ladder of `wsn_dse chaos` and of the
+/// server's chaos mode: the envelope engine wrapped in a seeded
+/// [`ChaosEngine`] storm at `rate`, backed by a last-resort surrogate
+/// tier, with per-tier circuit breakers. The surrogate is calibrated
+/// from the clean envelope engine exactly like the paper flow's
+/// response surface: a 10-run D-optimal design over the Table V space,
+/// simulated under `template` and fitted with the quadratic model.
+///
+/// # Errors
+///
+/// Returns the message of a failed design build, simulation or fit.
+pub fn chaos_ladder(
+    template: &SystemConfig,
+    seed: u64,
+    rate: f64,
+) -> Result<Arc<FallbackEngine>, String> {
     let space = paper_design_space();
     let model = ModelSpec::quadratic(space.dimension());
     let design = DOptimal::new(space.dimension(), model.clone())
@@ -245,8 +262,7 @@ fn build_chaos_ladder(seed: u64, rate: f64) -> Result<Arc<FallbackEngine>, Strin
         let out = clean.simulate(&cfg).map_err(|e| e.to_string())?;
         responses.push(out.transmissions as f64);
     }
-    let surface = ResponseSurface::fit_with(&design, model, &responses, Backend::default())
-        .map_err(|e| e.to_string())?;
+    let surface = ResponseSurface::fit(&design, model, &responses).map_err(|e| e.to_string())?;
     let surrogate: Arc<dyn SimEngine> = Arc::new(SurrogateEngine::new(space, surface));
     let chaotic: Arc<dyn SimEngine> = Arc::new(ChaosEngine::new(
         EngineKind::Envelope.engine(),
@@ -423,26 +439,24 @@ fn frame_events(writer: FrameWriter, id: Option<String>) -> EventSink {
 
 fn stats_frame(state: &ServerState) -> String {
     let q = state.queue.stats();
-    let c = state.cache.stats();
     let (degraded, tiers) = match &state.ladder {
-        Some(ladder) => {
-            let tiers: Vec<String> = ladder
-                .tier_stats()
-                .iter()
-                .enumerate()
-                .map(|(tier, s)| s.to_json(tier))
-                .collect();
-            (ladder.degraded_served(), tiers.join(","))
-        }
-        None => (0, String::new()),
+        Some(ladder) => (
+            ladder.degraded_served(),
+            json_array(
+                ladder
+                    .tier_stats()
+                    .iter()
+                    .enumerate()
+                    .map(|(tier, s)| s.to_json(tier)),
+            ),
+        ),
+        None => (0, "[]".to_owned()),
     };
     format!(
         "{{\"event\":\"stats\",\"requests\":{},\"protocol_errors\":{},\
          \"jobs\":{{\"submitted\":{},\"done\":{},\"failed\":{},\"cancelled\":{},\
          \"queued\":{},\"running\":{}}},\
-         \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"inserts\":{},\
-         \"disk_loads\":{},\"quarantined\":{}}},\
-         \"degraded_served\":{degraded},\"tiers\":[{tiers}]}}",
+         \"cache\":{},\"degraded_served\":{degraded},\"tiers\":{tiers}}}",
         state.requests.load(Ordering::Relaxed),
         state.protocol_errors.load(Ordering::Relaxed),
         q.submitted,
@@ -451,12 +465,7 @@ fn stats_frame(state: &ServerState) -> String {
         q.cancelled,
         q.queued,
         q.running,
-        c.entries,
-        c.hits,
-        c.misses,
-        c.inserts,
-        c.disk_loads,
-        c.quarantined,
+        state.cache.stats().to_json(),
     )
 }
 
@@ -559,32 +568,7 @@ fn faults_report(state: &ServerState, job: &FaultsJob) -> Result<String, String>
     counted.node = node;
     let outcome = engine.simulate(&counted).map_err(|e| e.to_string())?;
 
-    let samples: Vec<String> = summary.samples.iter().map(|s| format!("{s}")).collect();
-    Ok(format!(
-        "{{\"fault_seed\":{},\"fault_rate\":{},\"realisations\":{},\
-         \"nominal_tx\":{},\
-         \"ensemble\":{{\"samples\":[{}],\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{},\
-         \"fragility\":{:.6},\"p10\":{},\"worst_case_ratio\":{:.6}}},\
-         \"counters\":{{\"tx_failures\":{},\"tx_retries\":{},\"tx_aborts\":{},\
-         \"brownouts\":{},\"watchdog_misses\":{}}}}}",
-        plan.seed(),
-        plan.tx_failure_rate(),
-        job.seeds,
-        nominal_tx,
-        samples.join(","),
-        summary.mean,
-        summary.std_dev,
-        summary.min,
-        summary.max,
-        summary.fragility(),
-        summary.percentile(10.0),
-        summary.worst_case_ratio(),
-        outcome.faults.tx_failures,
-        outcome.faults.tx_retries,
-        outcome.faults.tx_aborts,
-        outcome.faults.brownouts,
-        outcome.faults.watchdog_misses,
-    ))
+    Ok(faults_json(&plan, nominal_tx, &summary, &outcome.faults))
 }
 
 fn pareto_report(state: &ServerState, job: &ParetoJob) -> Result<String, String> {

@@ -7,7 +7,7 @@
 
 use numkit::rng::Rng;
 use proptest::prelude::*;
-use wsn_net::{distance, ArbitrationMethod, NodeTrace, RadioChannel};
+use wsn_net::{distance, NodeTrace, RadioChannel};
 
 /// Strategy: a fleet of 1–6 nodes, each with a position in a 80 m square
 /// around the sink and 0–24 unsorted transmission timestamps in a window
@@ -135,17 +135,8 @@ proptest! {
         let sink = (0.0, 0.0);
         let traces = traces(&nodes);
         let naive = channel.arbitrate_naive(sink, &traces);
-        let indexed = channel.arbitrate_indexed(sink, &traces);
+        let indexed = channel.arbitrate(sink, &traces);
         prop_assert_eq!(&indexed, &naive, "paths diverged on channel {}", channel);
-        // The method dispatcher routes to the same verdicts.
-        prop_assert_eq!(&channel.arbitrate(sink, &traces), &indexed);
-        prop_assert_eq!(
-            &channel
-                .clone()
-                .with_method(ArbitrationMethod::NaiveSweep)
-                .arbitrate(sink, &traces),
-            &naive
-        );
     }
 
     /// Same oracle over the original free-floating timestamp strategy
@@ -159,7 +150,7 @@ proptest! {
         let sink = (0.0, 0.0);
         let traces = traces(&nodes);
         prop_assert_eq!(
-            channel.arbitrate_indexed(sink, &traces),
+            channel.arbitrate(sink, &traces),
             channel.arbitrate_naive(sink, &traces)
         );
     }

@@ -89,6 +89,17 @@ impl FaultCounters {
     pub fn is_nominal(&self) -> bool {
         *self == Self::default()
     }
+
+    /// The counters as a JSON object with every field explicit (zeros
+    /// included), so a report's schema never shifts between nominal and
+    /// faulty runs.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"tx_failures\":{},\"tx_retries\":{},\"tx_aborts\":{},\
+             \"brownouts\":{},\"watchdog_misses\":{}}}",
+            self.tx_failures, self.tx_retries, self.tx_aborts, self.brownouts, self.watchdog_misses
+        )
+    }
 }
 
 impl fmt::Display for FaultCounters {
@@ -181,9 +192,7 @@ impl SimOutcome {
              \"watchdog_wakes\":{},\"coarse_moves\":{},\"fine_steps\":{},\
              \"energy\":{{\"harvested\":{},\"transmission\":{},\"mcu\":{},\"actuator\":{},\
              \"accelerometer\":{},\"sleep\":{},\"leakage\":{}}},\
-             \"faults\":{{\"tx_failures\":{},\"tx_retries\":{},\"tx_aborts\":{},\
-             \"brownouts\":{},\"watchdog_misses\":{}}},\
-             \"tx_times\":[{}]}}",
+             \"faults\":{},\"tx_times\":[{}]}}",
             self.transmissions,
             self.horizon,
             self.final_voltage,
@@ -197,11 +206,7 @@ impl SimOutcome {
             self.energy.accelerometer,
             self.energy.sleep,
             self.energy.leakage,
-            self.faults.tx_failures,
-            self.faults.tx_retries,
-            self.faults.tx_aborts,
-            self.faults.brownouts,
-            self.faults.watchdog_misses,
+            self.faults.to_json(),
             times.join(","),
         )
     }

@@ -9,9 +9,10 @@
 //! * [`Qr`] — Householder QR decomposition and least-squares solving.
 //! * [`Cholesky`] — Cholesky factorisation for symmetric positive definite
 //!   systems.
-//! * [`linalg`] — backend-swappable dense kernels: the [`LinAlg`] trait
-//!   shared by the heap [`Matrix`] and the const-generic stack
-//!   [`SMat`], selected per call-site by [`Backend`].
+//! * [`linalg`] — the dense kernels: the [`LinAlg`] trait shared by the
+//!   heap [`Matrix`] and the const-generic stack [`SMat`], and the
+//!   least-squares and `(XᵀX)⁻¹` entries that use stack storage when a
+//!   system fits and the heap otherwise.
 //! * [`SymEigen`] — Jacobi eigen-decomposition of symmetric matrices
 //!   (used by the canonical analysis of fitted response surfaces).
 //! * [`stats`] — descriptive statistics used by the experiment harness.
@@ -55,7 +56,7 @@ pub mod stats;
 pub use cholesky::Cholesky;
 pub use eigen::SymEigen;
 pub use error::NumError;
-pub use linalg::{Backend, LinAlg};
+pub use linalg::LinAlg;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;

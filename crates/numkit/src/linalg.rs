@@ -1,4 +1,4 @@
-//! Backend-swappable dense linear-algebra kernels.
+//! Dense linear-algebra kernels over heap or stack storage.
 //!
 //! The paper's whole flow runs on tiny fixed-size systems (a 10×10
 //! normal system is the largest object on the hot path), so the same
@@ -9,33 +9,26 @@
 //!   the factorisation and solve kernels (Householder QR, Cholesky with
 //!   rank-1 determinant update, LU with partial pivoting, Gram products).
 //!   Both `Matrix` and `SMat` implement the four accessor methods and
-//!   inherit the kernels, so the two backends execute the *same*
+//!   inherit the kernels, so the two storages execute the *same*
 //!   floating-point operations in the same order — results are
 //!   bit-identical by construction, not by tolerance.
-//! * [`Backend`] — a per-call-site selector between the heap (`Dyn`)
-//!   and stack (`SMat`) execution paths. Like `ArbitrationMethod` in the
-//!   network layer, a backend is a *solver choice, not model physics*:
-//!   it is excluded from fingerprints, report equality and JSON schemas,
-//!   and `scripts/verify.sh` byte-diffs full reports across backends.
-//!
-//! Systems larger than the stack capacities ([`SMAT_MAX_ROWS`] ×
-//! [`SMAT_MAX_COLS`]) silently fall back to the `Dyn` path, which runs
-//! the identical kernels on heap storage.
+//! * [`solve_least_squares`] and [`gram_inverse`] — the response-surface
+//!   fit's two solves. Each runs on stack storage when the system fits
+//!   [`SMAT_MAX_ROWS`] × [`SMAT_MAX_COLS`] and on the heap
+//!   ([`crate::Qr`], [`crate::Lu`]) otherwise. Storage is picked by size
+//!   alone, so there is nothing to select.
 
 // Dense triangular solves and Householder sweeps read naturally with
 // explicit indices; iterator rewrites obscure the linear algebra.
 #![allow(clippy::needless_range_loop)]
 
-use std::fmt;
-use std::str::FromStr;
-
 use crate::{Matrix, NumError, Result, SMat};
 
-/// Row capacity of the stack backend: least-squares systems with more
+/// Row capacity of stack storage: least-squares systems with more
 /// rows than this fall back to the heap path (bit-identical results).
 pub const SMAT_MAX_ROWS: usize = 32;
 
-/// Column capacity of the stack backend: models with more terms than
+/// Column capacity of stack storage: models with more terms than
 /// this fall back to the heap path (bit-identical results).
 pub const SMAT_MAX_COLS: usize = 16;
 
@@ -45,7 +38,7 @@ pub const SMAT_MAX_COLS: usize = 16;
 /// Implementors provide shape and element access; every numerical
 /// kernel is a *provided* method written once against those accessors.
 /// [`Matrix`] (heap) and [`SMat`] (stack) both implement this trait, so
-/// selecting a backend changes where the numbers live, never what
+/// choosing a storage changes where the numbers live, never what
 /// operations run on them.
 pub trait LinAlg {
     /// Number of rows.
@@ -434,131 +427,74 @@ impl LinAlg for Matrix {
     }
 }
 
-/// Execution backend for the dense kernels on the DSE hot path.
+/// Solves the least-squares problem `min ‖x β − y‖²` by Householder QR:
+/// the fit behind every response surface.
 ///
-/// A backend is a *solver choice*: both run the same shared [`LinAlg`]
-/// kernels and produce bit-identical results on every shipped flow.
-/// Like the network layer's `ArbitrationMethod`, it is deliberately
-/// excluded from cache fingerprints, report equality and JSON output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Heap-allocated [`Matrix`] storage — the reference path.
-    Dyn,
-    /// Const-generic stack storage ([`SMat`]), allocation-free for
-    /// systems within [`SMAT_MAX_ROWS`] × [`SMAT_MAX_COLS`]; larger
-    /// systems transparently fall back to the `Dyn` path.
-    #[default]
-    SMat,
+/// A system within [`SMAT_MAX_ROWS`] × [`SMAT_MAX_COLS`] runs on stack
+/// storage ([`SMat`]) with no allocation but the result; a larger one
+/// runs on the heap through [`crate::Qr`]. Both run the same [`LinAlg`]
+/// kernels, so the choice changes where the numbers live, never a bit
+/// of the answer.
+///
+/// # Errors
+///
+/// * [`NumError::InvalidArgument`] when `x` has fewer rows than
+///   columns.
+/// * [`NumError::ShapeMismatch`] when `y.len()` differs from the
+///   row count.
+/// * [`NumError::RankDeficient`] when the system is numerically
+///   singular.
+pub fn solve_least_squares(x: &Matrix, y: &[f64]) -> Result<Vec<f64>> {
+    let (m, n) = x.shape();
+    if m > SMAT_MAX_ROWS || n > SMAT_MAX_COLS {
+        return x.qr()?.solve_least_squares(y);
+    }
+    if m < n {
+        return Err(NumError::InvalidArgument(
+            "qr: matrix must have rows >= cols",
+        ));
+    }
+    if y.len() != m {
+        return Err(NumError::ShapeMismatch {
+            op: "qr least squares",
+            lhs: (m, n),
+            rhs: (y.len(), 1),
+        });
+    }
+    let mut qr = SMat::<SMAT_MAX_ROWS, SMAT_MAX_COLS>::from_linalg(x);
+    let mut r_diag = [0.0; SMAT_MAX_COLS];
+    qr.la_qr_factor(&mut r_diag[..n]);
+    let mut rhs = [0.0; SMAT_MAX_ROWS];
+    rhs[..m].copy_from_slice(y);
+    let mut beta = vec![0.0; n];
+    qr.la_qr_solve(&r_diag[..n], &mut rhs[..m], &mut beta)?;
+    Ok(beta)
 }
 
-impl Backend {
-    /// `true` when a `rows × cols` system fits the stack capacities.
-    pub fn fits_stack(rows: usize, cols: usize) -> bool {
-        rows <= SMAT_MAX_ROWS && cols <= SMAT_MAX_COLS
+/// Inverse of the information matrix `(xᵀx)⁻¹` via Gram product and LU:
+/// the covariance kernel of the response-surface fit.
+///
+/// Up to [`SMAT_MAX_COLS`] columns the Gram matrix and its factors live
+/// on the stack; wider systems take `x.gram().inverse()` on the heap,
+/// which runs the same kernels bit for bit.
+///
+/// # Errors
+///
+/// Returns [`NumError::Singular`] when `xᵀx` is numerically singular.
+pub fn gram_inverse(x: &Matrix) -> Result<Matrix> {
+    let p = x.cols();
+    if p > SMAT_MAX_COLS {
+        return x.gram().inverse();
     }
-
-    /// Solves the least-squares problem `min ‖x β − y‖²` by Householder
-    /// QR on the selected backend.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumError::InvalidArgument`] when `x` has fewer rows than
-    ///   columns.
-    /// * [`NumError::ShapeMismatch`] when `y.len()` differs from the
-    ///   row count.
-    /// * [`NumError::RankDeficient`] when the system is numerically
-    ///   singular.
-    pub fn solve_least_squares(&self, x: &Matrix, y: &[f64]) -> Result<Vec<f64>> {
-        let (m, n) = x.shape();
-        if m < n {
-            return Err(NumError::InvalidArgument(
-                "qr: matrix must have rows >= cols",
-            ));
-        }
-        if y.len() != m {
-            return Err(NumError::ShapeMismatch {
-                op: "qr least squares",
-                lhs: (m, n),
-                rhs: (y.len(), 1),
-            });
-        }
-        match self {
-            Backend::SMat if Self::fits_stack(m, n) => {
-                let mut qr = SMat::<SMAT_MAX_ROWS, SMAT_MAX_COLS>::from_linalg(x);
-                let mut r_diag = [0.0; SMAT_MAX_COLS];
-                qr.la_qr_factor(&mut r_diag[..n]);
-                let mut rhs = [0.0; SMAT_MAX_ROWS];
-                rhs[..m].copy_from_slice(y);
-                let mut beta = vec![0.0; n];
-                qr.la_qr_solve(&r_diag[..n], &mut rhs[..m], &mut beta)?;
-                Ok(beta)
-            }
-            _ => {
-                let mut qr = x.clone();
-                let mut r_diag = vec![0.0; n];
-                qr.la_qr_factor(&mut r_diag);
-                let mut rhs = y.to_vec();
-                let mut beta = vec![0.0; n];
-                qr.la_qr_solve(&r_diag, &mut rhs, &mut beta)?;
-                Ok(beta)
-            }
-        }
-    }
-
-    /// Inverse of the information matrix `(xᵀx)⁻¹` via Gram product and
-    /// LU on the selected backend (the covariance kernel of the
-    /// response-surface fit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Singular`] when `xᵀx` is numerically
-    /// singular.
-    pub fn gram_inverse(&self, x: &Matrix) -> Result<Matrix> {
-        let p = x.cols();
-        let mut out = Matrix::zeros(p, p);
-        match self {
-            Backend::SMat if p <= SMAT_MAX_COLS => {
-                let mut gram = SMat::<SMAT_MAX_COLS, SMAT_MAX_COLS>::zeros(p, p);
-                x.la_gram_into(&mut gram);
-                let mut perm = [0usize; SMAT_MAX_COLS];
-                gram.la_lu_factor(&mut perm[..p])?;
-                let mut rhs = [0.0; SMAT_MAX_COLS];
-                let mut col = [0.0; SMAT_MAX_COLS];
-                gram.la_lu_inverse_into(&perm[..p], &mut out, &mut rhs[..p], &mut col[..p]);
-            }
-            _ => {
-                let mut gram = Matrix::zeros(p, p);
-                x.la_gram_into(&mut gram);
-                let mut perm = vec![0usize; p];
-                gram.la_lu_factor(&mut perm)?;
-                let mut rhs = vec![0.0; p];
-                let mut col = vec![0.0; p];
-                gram.la_lu_inverse_into(&perm, &mut out, &mut rhs, &mut col);
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backend::Dyn => write!(f, "dyn"),
-            Backend::SMat => write!(f, "smat"),
-        }
-    }
-}
-
-impl FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "dyn" => Ok(Backend::Dyn),
-            "smat" => Ok(Backend::SMat),
-            other => Err(format!("unknown linalg backend {other:?} (dyn|smat)")),
-        }
-    }
+    let mut gram = SMat::<SMAT_MAX_COLS, SMAT_MAX_COLS>::zeros(p, p);
+    x.la_gram_into(&mut gram);
+    let mut perm = [0usize; SMAT_MAX_COLS];
+    gram.la_lu_factor(&mut perm[..p])?;
+    let mut out = Matrix::zeros(p, p);
+    let mut rhs = [0.0; SMAT_MAX_COLS];
+    let mut col = [0.0; SMAT_MAX_COLS];
+    gram.la_lu_inverse_into(&perm[..p], &mut out, &mut rhs[..p], &mut col[..p]);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -571,57 +507,41 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_and_display_roundtrip() {
-        for b in [Backend::Dyn, Backend::SMat] {
-            assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
-        }
-        assert!("heap".parse::<Backend>().is_err());
-        assert_eq!(Backend::default(), Backend::SMat);
-    }
-
-    #[test]
     fn least_squares_backends_are_bit_identical() {
+        // The stack path must equal the public heap Qr path.
         let x = design_matrix(10, 4);
         let y: Vec<f64> = (0..10).map(|i| (i as f64 * 0.37).cos()).collect();
-        let dyn_beta = Backend::Dyn.solve_least_squares(&x, &y).unwrap();
-        let smat_beta = Backend::SMat.solve_least_squares(&x, &y).unwrap();
-        assert_eq!(dyn_beta, smat_beta);
-        // And both match the public Qr path.
         let qr_beta = x.qr().unwrap().solve_least_squares(&y).unwrap();
-        assert_eq!(dyn_beta, qr_beta);
+        assert_eq!(solve_least_squares(&x, &y).unwrap(), qr_beta);
     }
 
     #[test]
     fn gram_inverse_backends_are_bit_identical() {
+        // The stack path must equal the public gram + LU inverse path.
         let x = design_matrix(12, 5);
-        let a = Backend::Dyn.gram_inverse(&x).unwrap();
-        let b = Backend::SMat.gram_inverse(&x).unwrap();
-        assert_eq!(a, b);
-        // And both match the public gram + LU inverse path.
-        assert_eq!(a, x.gram().inverse().unwrap());
+        assert_eq!(gram_inverse(&x).unwrap(), x.gram().inverse().unwrap());
     }
 
     #[test]
     fn oversized_systems_fall_back_to_the_heap_path() {
         let x = design_matrix(SMAT_MAX_ROWS + 3, 4);
         let y = vec![1.0; SMAT_MAX_ROWS + 3];
-        let a = Backend::Dyn.solve_least_squares(&x, &y).unwrap();
-        let b = Backend::SMat.solve_least_squares(&x, &y).unwrap();
-        assert_eq!(a, b);
+        let qr_beta = x.qr().unwrap().solve_least_squares(&y).unwrap();
+        assert_eq!(solve_least_squares(&x, &y).unwrap(), qr_beta);
     }
 
     #[test]
     fn degenerate_systems_fail_identically() {
-        // Two equal columns: rank deficient on both backends.
+        // Two equal columns: rank deficient on both storages.
         let x = Matrix::from_fn(6, 3, |i, j| if j == 1 { (i * i) as f64 } else { i as f64 });
         let y = vec![1.0; 6];
-        let e_dyn = Backend::Dyn.solve_least_squares(&x, &y).unwrap_err();
-        let e_smat = Backend::SMat.solve_least_squares(&x, &y).unwrap_err();
-        assert_eq!(e_dyn, e_smat);
-        assert!(matches!(e_dyn, NumError::RankDeficient { .. }));
-        let g_dyn = Backend::Dyn.gram_inverse(&x).unwrap_err();
-        let g_smat = Backend::SMat.gram_inverse(&x).unwrap_err();
-        assert_eq!(g_dyn, g_smat);
+        let e = solve_least_squares(&x, &y).unwrap_err();
+        assert_eq!(e, x.qr().unwrap().solve_least_squares(&y).unwrap_err());
+        assert!(matches!(e, NumError::RankDeficient { .. }));
+        assert_eq!(
+            gram_inverse(&x).unwrap_err(),
+            x.gram().inverse().unwrap_err()
+        );
     }
 
     #[test]

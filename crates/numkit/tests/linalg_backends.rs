@@ -1,14 +1,17 @@
-//! Property-based tests for the linalg backend layer: the stack backend
-//! must be indistinguishable from the heap backend on every shipped
-//! flow — bit-identical results, identical structured errors, identical
-//! fallback behaviour beyond the stack capacity.
+//! Property-based tests for the storage layer under the response-surface
+//! solves: [`numkit::linalg::solve_least_squares`] and
+//! [`numkit::linalg::gram_inverse`] run on stack storage when a system
+//! fits the stack capacities and on the heap otherwise, and must be
+//! indistinguishable from the public heap reference (`Qr`, `gram` + `Lu`)
+//! either way — bit-identical results, identical structured errors.
 //!
-//! The guarantee is by construction (both backends execute the same
+//! The guarantee is by construction (both storages execute the same
 //! shared [`numkit::LinAlg`] kernels in the same order), so the
 //! assertions here are exact `to_bits` equalities, not tolerances —
 //! including on adversarially scaled inputs.
 
-use numkit::{Backend, Cholesky, Matrix};
+use numkit::linalg::{gram_inverse, solve_least_squares, SMAT_MAX_COLS, SMAT_MAX_ROWS};
+use numkit::{Cholesky, Matrix, NumError};
 use proptest::prelude::*;
 
 /// Strategy: a full-column-rank `m × n` design matrix: random entries
@@ -23,6 +26,16 @@ fn design_matrix(m: usize, n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// The heap reference for least squares: the public `Qr` path.
+fn heap_least_squares(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, NumError> {
+    x.qr()?.solve_least_squares(y)
+}
+
+/// The heap reference for `(XᵀX)⁻¹`: the public Gram + LU inverse.
+fn heap_gram_inverse(x: &Matrix) -> Result<Matrix, NumError> {
+    x.gram().inverse()
+}
+
 /// Asserts two solutions are the same bits, coordinate by coordinate.
 fn assert_same_bits(a: &[f64], b: &[f64]) {
     assert_eq!(a.len(), b.len());
@@ -31,30 +44,42 @@ fn assert_same_bits(a: &[f64], b: &[f64]) {
     }
 }
 
+/// Asserts both least-squares paths agree: same bits or the same error.
+fn assert_least_squares_agree(x: &Matrix, y: &[f64]) {
+    match (solve_least_squares(x, y), heap_least_squares(x, y)) {
+        (Ok(a), Ok(b)) => assert_same_bits(&a, &b),
+        (Err(a), Err(b)) => assert_eq!(a, b),
+        (a, b) => panic!("paths disagree: {a:?} vs {b:?}"),
+    }
+}
+
+/// Asserts both `(XᵀX)⁻¹` paths agree: same bits or the same error.
+fn assert_gram_inverse_agrees(x: &Matrix) {
+    match (gram_inverse(x), heap_gram_inverse(x)) {
+        (Ok(a), Ok(b)) => assert_same_bits(a.as_slice(), b.as_slice()),
+        (Err(a), Err(b)) => assert_eq!(a, b),
+        (a, b) => panic!("paths disagree: {a:?} vs {b:?}"),
+    }
+}
+
 proptest! {
-    /// Least squares agrees bit-for-bit between backends on random
-    /// well-posed systems (the surface-fit flow).
+    /// Least squares agrees bit-for-bit with the heap reference on
+    /// random well-posed systems (the surface-fit flow).
     #[test]
     fn least_squares_is_bit_identical(
         x in design_matrix(9, 5),
         y in prop::collection::vec(-5.0..5.0f64, 9),
     ) {
-        let dyn_beta = Backend::Dyn.solve_least_squares(&x, &y).expect("full rank");
-        let smat_beta = Backend::SMat.solve_least_squares(&x, &y).expect("full rank");
-        assert_same_bits(&dyn_beta, &smat_beta);
+        prop_assert!(solve_least_squares(&x, &y).is_ok());
+        assert_least_squares_agree(&x, &y);
     }
 
-    /// (XᵀX)⁻¹ agrees bit-for-bit between backends (the PRESS /
+    /// (XᵀX)⁻¹ agrees bit-for-bit with the heap reference (the PRESS /
     /// standard-error flow).
     #[test]
     fn gram_inverse_is_bit_identical(x in design_matrix(8, 4)) {
-        let dyn_inv = Backend::Dyn.gram_inverse(&x).expect("full rank");
-        let smat_inv = Backend::SMat.gram_inverse(&x).expect("full rank");
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(dyn_inv[(i, j)].to_bits(), smat_inv[(i, j)].to_bits());
-            }
-        }
+        prop_assert!(gram_inverse(&x).is_ok());
+        assert_gram_inverse_agrees(&x);
     }
 
     /// Adversarial scaling — entries spanning ~200 orders of magnitude —
@@ -68,43 +93,51 @@ proptest! {
     ) {
         let scale = 10f64.powi(exp);
         let scaled = Matrix::from_fn(7, 3, |i, j| x[(i, j)] * scale);
-        let dyn_beta = Backend::Dyn.solve_least_squares(&scaled, &y);
-        let smat_beta = Backend::SMat.solve_least_squares(&scaled, &y);
-        match (dyn_beta, smat_beta) {
-            (Ok(a), Ok(b)) => assert_same_bits(&a, &b),
-            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            (a, b) => prop_assert!(false, "backends disagree: {a:?} vs {b:?}"),
-        }
+        assert_least_squares_agree(&scaled, &y);
+        assert_gram_inverse_agrees(&scaled);
     }
 
-    /// A duplicated column is rank-deficient: both backends must return
-    /// the same structured error, not different failure shapes.
+    /// Degenerate input returns the heap path's structured errors: a
+    /// duplicated column (rank deficient, singular Gram matrix), fewer
+    /// rows than columns, and a right-hand side of the wrong length.
     #[test]
     fn degenerate_systems_fail_identically(
         x in design_matrix(8, 4),
         y in prop::collection::vec(-5.0..5.0f64, 8),
     ) {
         let singular = Matrix::from_fn(8, 4, |i, j| if j == 3 { x[(i, 0)] } else { x[(i, j)] });
-        let dyn_err = Backend::Dyn.solve_least_squares(&singular, &y).unwrap_err();
-        let smat_err = Backend::SMat.solve_least_squares(&singular, &y).unwrap_err();
-        assert_eq!(format!("{dyn_err:?}"), format!("{smat_err:?}"));
+        let err = solve_least_squares(&singular, &y).unwrap_err();
+        prop_assert!(matches!(err, NumError::RankDeficient { .. }), "{err:?}");
+        assert_least_squares_agree(&singular, &y);
+        assert_gram_inverse_agrees(&singular);
+
+        let wide = Matrix::from_fn(3, 4, |i, j| x[(i, j)]);
+        let err = solve_least_squares(&wide, &y[..3]).unwrap_err();
+        prop_assert!(matches!(err, NumError::InvalidArgument(_)), "{err:?}");
+        assert_least_squares_agree(&wide, &y[..3]);
+
+        let err = solve_least_squares(&x, &y[..7]).unwrap_err();
+        prop_assert!(matches!(err, NumError::ShapeMismatch { .. }), "{err:?}");
+        assert_least_squares_agree(&x, &y[..7]);
     }
 
-    /// Beyond the stack capacity (`n > 16` columns) the stack backend
-    /// silently falls back to the heap path: results stay bit-identical
-    /// rather than erroring or diverging.
+    /// Beyond the stack capacities — more than 32 rows, or more than 16
+    /// columns — the heap path takes over, and the results stay
+    /// bit-identical to the reference rather than erroring or diverging.
     #[test]
     fn oversized_systems_fall_back_identically(
-        seed in prop::collection::vec(-3.0..3.0f64, 24 * 18),
-        y in prop::collection::vec(-5.0..5.0f64, 24),
+        tall in design_matrix(SMAT_MAX_ROWS + 8, 5),
+        wide in design_matrix(24, SMAT_MAX_COLS + 2),
+        y in prop::collection::vec(-5.0..5.0f64, SMAT_MAX_ROWS + 8),
     ) {
-        let mut x = Matrix::from_vec(24, 18, seed).expect("sized correctly");
-        for j in 0..18 {
-            x[(j, j)] += 10.0;
-        }
-        let dyn_beta = Backend::Dyn.solve_least_squares(&x, &y).expect("full rank");
-        let smat_beta = Backend::SMat.solve_least_squares(&x, &y).expect("full rank");
-        assert_same_bits(&dyn_beta, &smat_beta);
+        prop_assert!(solve_least_squares(&tall, &y).is_ok());
+        assert_least_squares_agree(&tall, &y);
+        assert_gram_inverse_agrees(&tall);
+        prop_assert!(solve_least_squares(&wide, &y[..24]).is_ok());
+        assert_least_squares_agree(&wide, &y[..24]);
+        assert_gram_inverse_agrees(&wide);
+        // Short right-hand sides fail the same way beyond the caps too.
+        assert_least_squares_agree(&tall, &y[..24]);
     }
 
     /// The O(p²) rank-1 rotation tracks a full refactorisation of

@@ -12,7 +12,7 @@
 //!    [`SimPool`]/[`wsn_dse::EvalCache`] under per-objective salted
 //!    keys, so adaptive rounds and repeat runs are warm-cache-friendly;
 //! 3. (adaptive) fit per-objective surfaces via
-//!    [`ResponseSurface::fit_with`] on a model ladder (linear →
+//!    [`ResponseSurface::fit`] on a model ladder (linear →
 //!    interactions → quadratic as points accrue), then place the next
 //!    batch by an acquisition rule blending
 //!    [`prediction_standard_error`](ResponseSurface::prediction_standard_error)
@@ -30,7 +30,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use doe::{DOptimal, Design, DesignSpace, ModelSpec};
 use numkit::rng::Rng;
-use numkit::Backend;
 use optim::Bounds;
 use rsm::ResponseSurface;
 use wsn_dse::{coded_to_config, paper_design_space, space_fingerprint, EvalKey, SimPool};
@@ -76,7 +75,6 @@ pub struct ParetoDseFlow {
     space: DesignSpace,
     seed: u64,
     pool: SimPool,
-    linalg: Backend,
     adaptive: bool,
     budget: usize,
     doe_runs: usize,
@@ -97,7 +95,6 @@ impl ParetoDseFlow {
             space: paper_design_space(),
             seed: 12,
             pool: SimPool::new(0),
-            linalg: Backend::default(),
             adaptive: false,
             budget: 18,
             doe_runs: 10,
@@ -131,14 +128,6 @@ impl ParetoDseFlow {
     /// Seeds the D-optimal search, the acquisition sampler and NSGA-II.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Selects the linear-algebra backend (a solver choice: reports are
-    /// bit-identical across backends and the choice is excluded from
-    /// cache keys and JSON).
-    pub fn linalg(mut self, backend: Backend) -> Self {
-        self.linalg = backend;
         self
     }
 
@@ -387,12 +376,7 @@ impl ParetoDseFlow {
                 .map(|slot| {
                     let responses: Vec<f64> =
                         evaluated.iter().map(|e| e.objectives[slot]).collect();
-                    Ok(ResponseSurface::fit_with(
-                        &design,
-                        model.clone(),
-                        &responses,
-                        self.linalg,
-                    )?)
+                    Ok(ResponseSurface::fit(&design, model.clone(), &responses)?)
                 })
                 .collect();
             match fits {
@@ -638,7 +622,6 @@ impl ParetoDseFlow {
         let design = DOptimal::new(k, seed_model)
             .runs(seed_runs)
             .seed(self.seed)
-            .linalg(self.linalg)
             .build()?;
         let mut seed_points: Vec<Vec<f64>> = design.points().to_vec();
         if self.adaptive && seed_points.len() < self.budget {

@@ -4,13 +4,14 @@
 //!
 //! Like every report in this workspace the JSON is hand-rolled with a
 //! fixed field order, `null` for non-finite floats and explicit zeros,
-//! so byte-identity across `--jobs`, linalg backends and cache warmth
+//! so byte-identity across `--jobs` and cache warmth
 //! can be checked with `cmp`. The only warmth-dependent content is the
 //! `"cache"` object, which verify.sh strips before comparing served and
 //! CLI outputs.
 
 use std::fmt;
 
+use wsn_dse::protocol::{json_array, json_f64, json_string};
 use wsn_dse::CacheStats;
 use wsn_node::NodeConfig;
 
@@ -89,52 +90,10 @@ pub struct ParetoReport {
     pub cache: CacheStats,
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        if v == 0.0 {
-            "0".to_owned() // normalises -0
-        } else {
-            format!("{v}")
-        }
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_array(items: impl Iterator<Item = String>) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item);
-    }
-    out.push(']');
-    out
-}
-
-fn json_cache(s: &CacheStats) -> String {
-    format!(
-        "{{\"entries\":{},\"hits\":{},\"misses\":{},\"inserts\":{},\
-         \"disk_loads\":{},\"quarantined\":{}}}",
-        s.entries, s.hits, s.misses, s.inserts, s.disk_loads, s.quarantined
-    )
+/// [`json_f64`] with `-0` printed as `0`: a Pareto report's schema
+/// never distinguishes the two zeros.
+fn json_num(v: f64) -> String {
+    json_f64(if v == 0.0 { 0.0 } else { v })
 }
 
 impl EvaluatedPoint {
@@ -142,8 +101,8 @@ impl EvaluatedPoint {
         format!(
             "{{\"round\":{},\"coded\":{},\"objectives\":{}}}",
             self.round,
-            json_array(self.coded.iter().map(|&v| json_f64(v))),
-            json_array(self.objectives.iter().map(|&v| json_f64(v)))
+            json_array(self.coded.iter().map(|&v| json_num(v))),
+            json_array(self.objectives.iter().map(|&v| json_num(v)))
         )
     }
 }
@@ -156,8 +115,8 @@ impl ParetoRound {
             self.round,
             self.points_added,
             self.model_terms,
-            json_f64(self.hypervolume),
-            json_f64(self.best_scalar)
+            json_num(self.hypervolume),
+            json_num(self.best_scalar)
         )
     }
 }
@@ -167,12 +126,12 @@ impl FrontPoint {
         format!(
             "{{\"clock_hz\":{},\"watchdog_s\":{},\"tx_interval_s\":{},\
              \"coded\":{},\"objectives\":{},\"predicted\":{},\"dominated\":{}}}",
-            json_f64(self.config.clock_hz),
-            json_f64(self.config.watchdog_s),
-            json_f64(self.config.tx_interval_s),
-            json_array(self.coded.iter().map(|&v| json_f64(v))),
-            json_array(self.objectives.iter().map(|&v| json_f64(v))),
-            json_array(self.predicted.iter().map(|&v| json_f64(v))),
+            json_num(self.config.clock_hz),
+            json_num(self.config.watchdog_s),
+            json_num(self.config.tx_interval_s),
+            json_array(self.coded.iter().map(|&v| json_num(v))),
+            json_array(self.objectives.iter().map(|&v| json_num(v))),
+            json_array(self.predicted.iter().map(|&v| json_num(v))),
             self.dominated
         )
     }
@@ -188,24 +147,24 @@ impl ParetoReport {
              \"objectives\":{},\"points_evaluated\":{},\"evaluated\":{},\
              \"rounds\":{},\"surface_r2\":{},\"front\":{},\"cache\":{},\
              \"best_scalar\":{}}}",
-            json_str(&self.mode),
+            json_string(&self.mode),
             self.adaptive,
             self.seed,
             self.budget,
             json_array(self.objectives.iter().map(|s| {
                 format!(
                     "{{\"name\":{},\"sense\":{}}}",
-                    json_str(s.name),
-                    json_str(s.sense.name())
+                    json_string(s.name),
+                    json_string(s.sense.name())
                 )
             })),
             self.evaluated.len(),
             json_array(self.evaluated.iter().map(|e| e.to_json())),
             json_array(self.rounds.iter().map(|r| r.to_json())),
-            json_array(self.surface_r2.iter().map(|&v| json_f64(v))),
+            json_array(self.surface_r2.iter().map(|&v| json_num(v))),
             json_array(self.front.iter().map(|p| p.to_json())),
-            json_cache(&self.cache),
-            json_f64(self.best_scalar)
+            self.cache.to_json(),
+            json_num(self.best_scalar)
         )
     }
 }

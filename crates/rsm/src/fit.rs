@@ -2,7 +2,8 @@ use std::fmt;
 
 use doe::{Design, DesignSpace, ModelSpec};
 use numkit::linalg::SMAT_MAX_COLS;
-use numkit::{stats, Backend, Matrix};
+use numkit::linalg::{gram_inverse, solve_least_squares};
+use numkit::{stats, Matrix};
 
 use crate::{Anova, CanonicalAnalysis, Result, RsmError};
 
@@ -73,24 +74,6 @@ impl ResponseSurface {
     /// * [`RsmError::InvalidArgument`] when there are fewer runs than model
     ///   terms.
     pub fn fit(design: &Design, model: ModelSpec, responses: &[f64]) -> Result<Self> {
-        Self::fit_with(design, model, responses, Backend::default())
-    }
-
-    /// [`ResponseSurface::fit`] with an explicit linear-algebra backend.
-    ///
-    /// The backend is a solver choice (heap vs stack kernels running the
-    /// same arithmetic): coefficients, statistics and the covariance
-    /// matrix are bit-identical across backends.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ResponseSurface::fit`].
-    pub fn fit_with(
-        design: &Design,
-        model: ModelSpec,
-        responses: &[f64],
-        backend: Backend,
-    ) -> Result<Self> {
         let n = design.len();
         let p = model.num_terms();
         if responses.len() != n {
@@ -105,12 +88,10 @@ impl ResponseSurface {
             ));
         }
         let x = design.model_matrix(&model)?;
-        let coefficients = backend
-            .solve_least_squares(&x, responses)
-            .map_err(|e| match e {
-                numkit::NumError::RankDeficient { .. } => RsmError::NotEstimable,
-                other => RsmError::Numerical(other),
-            })?;
+        let coefficients = solve_least_squares(&x, responses).map_err(|e| match e {
+            numkit::NumError::RankDeficient { .. } => RsmError::NotEstimable,
+            other => RsmError::Numerical(other),
+        })?;
 
         let fitted = x.mul_vec(&coefficients)?;
         let residuals: Vec<f64> = responses.iter().zip(&fitted).map(|(y, f)| y - f).collect();
@@ -124,9 +105,7 @@ impl ResponseSurface {
             r_squared
         };
 
-        let xtx_inv = backend
-            .gram_inverse(&x)
-            .map_err(|_| RsmError::NotEstimable)?;
+        let xtx_inv = gram_inverse(&x).map_err(|_| RsmError::NotEstimable)?;
         let leverages: Vec<f64> = x
             .rows_iter()
             .map(|row| {
@@ -566,38 +545,6 @@ mod tests {
                 batch[i].to_bits(),
                 fit.predict(p).to_bits(),
                 "point {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn fit_backends_are_bit_identical() {
-        let model = ModelSpec::quadratic(2);
-        let design = full_factorial(2, 5).unwrap();
-        let truth = [10.0, 3.0, -2.0, 1.0, 0.5, -1.5];
-        let responses: Vec<f64> = design
-            .points()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| model.predict(&truth, p) + if i % 2 == 0 { 0.1 } else { -0.1 })
-            .collect();
-        let dyn_fit =
-            ResponseSurface::fit_with(&design, model.clone(), &responses, Backend::Dyn).unwrap();
-        let smat_fit =
-            ResponseSurface::fit_with(&design, model.clone(), &responses, Backend::SMat).unwrap();
-        let default_fit = ResponseSurface::fit(&design, model, &responses).unwrap();
-        assert_eq!(dyn_fit.coefficients(), smat_fit.coefficients());
-        assert_eq!(dyn_fit.coefficients(), default_fit.coefficients());
-        assert_eq!(dyn_fit.stats(), smat_fit.stats());
-        assert_eq!(dyn_fit.leverages(), smat_fit.leverages());
-        for p in [[0.0, 0.0], [0.7, -0.3], [1.0, 1.0]] {
-            assert_eq!(
-                dyn_fit.predict(&p).to_bits(),
-                smat_fit.predict(&p).to_bits()
-            );
-            assert_eq!(
-                dyn_fit.prediction_standard_error(&p),
-                smat_fit.prediction_standard_error(&p)
             );
         }
     }

@@ -146,7 +146,7 @@ mod tests {
     use doe::{central_composite, full_factorial, ModelSpec};
 
     /// CCD with centre replicates and deterministic "noise".
-    fn fit_with_truth<F: Fn(&[f64]) -> f64>(truth: F, noise: f64) -> (ResponseSurface, Design) {
+    fn fit_to_truth<F: Fn(&[f64]) -> f64>(truth: F, noise: f64) -> (ResponseSurface, Design) {
         let design = central_composite(2, 1.0, 4).unwrap();
         let model = ModelSpec::quadratic(2);
         let ys: Vec<f64> = design
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn quadratic_truth_shows_no_lack_of_fit() {
-        let (fit, design) = fit_with_truth(|p| 3.0 + p[0] - 2.0 * p[1] + p[0] * p[0], 0.01);
+        let (fit, design) = fit_to_truth(|p| 3.0 + p[0] - 2.0 * p[1] + p[0] * p[0], 0.01);
         let lof = lack_of_fit(&fit, &design).unwrap();
         assert!(
             !lof.is_significant(5.0),
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn cubic_truth_is_flagged() {
         // Strong cubic the quadratic basis cannot represent.
-        let (fit, design) = fit_with_truth(
+        let (fit, design) = fit_to_truth(
             |p| 20.0 * p[0] * p[0] * p[0] + 20.0 * p[1] * p[0] * p[1],
             0.01,
         );
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn decomposition_sums_to_sse() {
-        let (fit, design) = fit_with_truth(|p| p[0] + p[1], 0.5);
+        let (fit, design) = fit_to_truth(|p| p[0] + p[1], 0.5);
         let lof = lack_of_fit(&fit, &design).unwrap();
         let total = lof.ss_pure_error + lof.ss_lack_of_fit;
         assert!(

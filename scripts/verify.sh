@@ -59,39 +59,27 @@ done
 cmp "$FLEET_DIR/jobs1.json" "$FLEET_DIR/jobs2.json"
 cmp "$FLEET_DIR/jobs1.json" "$FLEET_DIR/jobs8.json"
 
-echo "== network gate: indexed arbitration is bit-identical to the naive sweep =="
-for method in indexed naive; do
-  # shellcheck disable=SC2086
-  target/release/wsn_dse $FLEET_ARGS --arbitration "$method" \
-    > "$FLEET_DIR/arb-$method.json"
-done
-cmp "$FLEET_DIR/arb-indexed.json" "$FLEET_DIR/arb-naive.json"
-cmp "$FLEET_DIR/jobs1.json" "$FLEET_DIR/arb-indexed.json"
+echo "== report gate: fleet reports pinned; naive arbitration oracle on real traces =="
+# The 16-node fleet (nominal and faulty) and the 4-node fleet DSE report
+# must keep their pinned hashes, and the naive sweep must reproduce every
+# node's channel verdict from re-simulated traces.
+cargo test -q --offline -p wsn-net --test report_pin
 
-echo "== linalg gate: backend property tests (dyn vs smat bit-identity) =="
+echo "== linalg gate: stack storage matches the heap reference =="
 cargo test -q --offline -p numkit --test linalg_backends
 
-echo "== linalg gate: bit-identical DSE report for --linalg dyn|smat =="
-for linalg in dyn smat; do
-  for jobs in 1 2 8; do
-    target/release/wsn_dse run --horizon 900 --json \
-      --linalg "$linalg" --jobs "$jobs" > "$FLEET_DIR/dse-$linalg-$jobs.json"
-  done
-done
+echo "== determinism gate: bit-identical DSE report at --jobs 1/2/8 =="
 for jobs in 1 2 8; do
-  cmp "$FLEET_DIR/dse-dyn-$jobs.json" "$FLEET_DIR/dse-smat-$jobs.json"
+  target/release/wsn_dse run --horizon 900 --json --jobs "$jobs" \
+    > "$FLEET_DIR/dse-$jobs.json"
 done
-cmp "$FLEET_DIR/dse-dyn-1.json" "$FLEET_DIR/dse-dyn-2.json"
-cmp "$FLEET_DIR/dse-dyn-1.json" "$FLEET_DIR/dse-dyn-8.json"
+cmp "$FLEET_DIR/dse-1.json" "$FLEET_DIR/dse-2.json"
+cmp "$FLEET_DIR/dse-1.json" "$FLEET_DIR/dse-8.json"
+# The fleet DSE baseline the serving gate compares against.
+target/release/wsn_dse network --nodes 4 --horizon 900 --dse --json \
+  > "$FLEET_DIR/fleet-dse.json"
 
-echo "== linalg gate: bit-identical fleet DSE report for --linalg dyn|smat =="
-for linalg in dyn smat; do
-  target/release/wsn_dse network --nodes 4 --horizon 900 --dse --json \
-    --linalg "$linalg" > "$FLEET_DIR/fleet-dse-$linalg.json"
-done
-cmp "$FLEET_DIR/fleet-dse-dyn.json" "$FLEET_DIR/fleet-dse-smat.json"
-
-echo "== linalg gate: hot-path bench smoke (asserts backend agreement) =="
+echo "== linalg gate: hot-path bench smoke (asserts batch scoring agreement) =="
 target/release/linalg_hot_path --quick --out "$FLEET_DIR/BENCH_linalg.json"
 
 echo "== pareto gate: NSGA-II invariants + flow determinism =="
@@ -159,11 +147,11 @@ target/release/wsn_dse run --horizon 900 --json --jobs 8 \
   --cache-dir "$CACHE_DIR" > "$FLEET_DIR/cache-warm.json"
 # Outside the (intentionally warmth-dependent) cache counters, the warm
 # report must match the cold one byte for byte — and the cold report must
-# match the uncached baseline produced by the linalg gate above.
+# match the uncached baseline produced by the determinism gate above.
 cmp <(strip_cache "$FLEET_DIR/cache-cold.json") \
     <(strip_cache "$FLEET_DIR/cache-warm.json")
 cmp <(strip_cache "$FLEET_DIR/cache-cold.json") \
-    <(strip_cache "$FLEET_DIR/dse-smat-1.json")
+    <(strip_cache "$FLEET_DIR/dse-1.json")
 grep -q '"disk_loads":0' "$FLEET_DIR/cache-cold.json"
 if grep -o '"disk_loads":[0-9]*' "$FLEET_DIR/cache-warm.json" \
     | grep -q '"disk_loads":0$'; then
@@ -198,15 +186,15 @@ done
 [ -s "$ADDR_FILE" ] || { echo "verify: wsn-serve never announced its address" >&2; exit 1; }
 ADDR="$(cat "$ADDR_FILE")"
 # Cold pass: the served single-node report must match the CLI baseline
-# from the linalg gate byte for byte outside the cache counters.
+# from the determinism gate byte for byte outside the cache counters.
 target/release/wsn_client --addr "$ADDR" run --horizon 900 \
   > "$FLEET_DIR/served-run-cold.json"
 cmp <(strip_cache "$FLEET_DIR/served-run-cold.json") \
-    <(strip_cache "$FLEET_DIR/dse-smat-1.json")
+    <(strip_cache "$FLEET_DIR/dse-1.json")
 # Fleet DSE reports carry no cache counters: strict byte equality.
 target/release/wsn_client --addr "$ADDR" network --nodes 4 --horizon 900 --dse \
   > "$FLEET_DIR/served-fleet-dse.json"
-cmp "$FLEET_DIR/served-fleet-dse.json" "$FLEET_DIR/fleet-dse-smat.json"
+cmp "$FLEET_DIR/served-fleet-dse.json" "$FLEET_DIR/fleet-dse.json"
 # The served pareto front must match the CLI's, single-node and fleet,
 # outside the shared-cache counters.
 target/release/wsn_client --addr "$ADDR" pareto --horizon 900 \
