@@ -1,8 +1,8 @@
-//! Linear-algebra hot paths: the three numerical kernels the DSE flow
-//! spends its time in, on stack (`smat`) storage, plus the SoA
+//! Linear-algebra hot paths: the numerical kernels the DSE flow spends
+//! its time in, on stack (`smat`) storage, plus the SoA
 //! batch-prediction entry.
 //!
-//! Four sections:
+//! Three sections:
 //!
 //! 1. **Surface fit** — the paper's 10-run, 10-term quadratic fit
 //!    (normal equations, QR least squares, PRESS leverages) through
@@ -13,8 +13,6 @@
 //!    paths are asserted bit-identical before timing.
 //! 3. **D-optimal build** — the full coordinate-exchange design search
 //!    (Gram accumulation + Cholesky scoring per swap).
-//! 4. **Rank-1 update** — [`Cholesky::rank1_update`] against a full
-//!    refactorisation of `A + vvᵀ`, the determinant-update primitive.
 //!
 //! All measurements are written as one JSON line (default
 //! `BENCH_linalg.json`, override with `--out PATH`) so revisions can be
@@ -26,7 +24,6 @@ use std::time::Duration;
 
 use doe::{DOptimal, ModelSpec};
 use numkit::rng::Rng;
-use numkit::{Cholesky, Matrix};
 use rsm::ResponseSurface;
 use wsn_bench::timing::{bench, Measurement};
 use wsn_bench::PAPER_EQ9;
@@ -105,39 +102,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .unwrap()
     });
 
-    // Determinant update: O(p²) rotation vs O(p³) refactorisation.
-    let p = 10;
-    let x = Matrix::from_fn(p, p, |i, j| (0.3 + 0.15 * i as f64).powi(j as i32));
-    let gram = x.gram();
-    let v: Vec<f64> = (0..p).map(|i| 0.1 + 0.05 * i as f64).collect();
-    let base = Cholesky::decompose(&gram)?;
-    let update = bench("rank-1 update (rotation)", budget, || {
-        let mut chol = base.clone();
-        chol.rank1_update(&v).unwrap();
-        chol.ln_det()
-    });
-    let refactor = bench("rank-1 update (refactor)", budget, || {
-        let mut bumped = gram.clone();
-        for i in 0..p {
-            for j in 0..p {
-                bumped[(i, j)] += v[i] * v[j];
-            }
-        }
-        Cholesky::decompose(&bumped).unwrap().ln_det()
-    });
     wsn_bench::rule(80);
 
-    let rows: Vec<String> = [
-        &fit_smat,
-        &score_point,
-        &score_batch,
-        &doe_smat,
-        &update,
-        &refactor,
-    ]
-    .iter()
-    .map(|m| row(m))
-    .collect();
+    let rows: Vec<String> = [&fit_smat, &score_point, &score_batch, &doe_smat]
+        .iter()
+        .map(|m| row(m))
+        .collect();
     let json = format!(
         "{{\"bench\":\"linalg_hot_path\",\"model_terms\":10,\"design_runs\":10,\
          \"candidates\":{n},\"quick\":{quick},\"rows\":[{}]}}\n",

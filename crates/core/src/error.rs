@@ -14,6 +14,14 @@ pub enum DseError {
     Node(wsn_node::NodeError),
     /// An invalid argument to the flow itself.
     InvalidArgument(&'static str),
+    /// An objective selection names an objective the flow does not
+    /// have.
+    UnknownObjective {
+        /// The name given.
+        name: String,
+        /// The objective names the flow has.
+        known: Vec<&'static str>,
+    },
     /// An evaluation closure panicked inside a pool worker; the payload
     /// is the panic message. Produced by the fault-tolerant batch mode
     /// (see [`crate::SimPool::evaluate_batch_partial`]), which converts
@@ -47,6 +55,9 @@ impl fmt::Display for DseError {
             DseError::Optim(e) => write!(f, "optimisation failed: {e}"),
             DseError::Node(e) => write!(f, "simulation failed: {e}"),
             DseError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            DseError::UnknownObjective { name, known } => {
+                write!(f, "unknown objective {name:?}; known: {}", known.join(", "))
+            }
             DseError::EvalPanicked(msg) => write!(f, "evaluation panicked: {msg}"),
             DseError::ResponseCount { expected, got } => {
                 write!(f, "batch returned {got} responses, expected {expected}")
@@ -70,6 +81,7 @@ impl std::error::Error for DseError {
             DseError::Optim(e) => Some(e),
             DseError::Node(e) => Some(e),
             DseError::InvalidArgument(_) => None,
+            DseError::UnknownObjective { .. } => None,
             DseError::EvalPanicked(_) => None,
             DseError::ResponseCount { .. } => None,
             DseError::EvalTimedOut { .. } => None,

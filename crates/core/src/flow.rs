@@ -145,29 +145,15 @@ impl DseFlow {
         &self.pool
     }
 
-    /// Attaches a crash-safe persistent evaluation cache under `dir`:
-    /// verified entries from earlier sessions are adopted immediately
-    /// (`disk_loads` in the report's cache counters) and every batch
-    /// flushes fresh results atomically. Corrupt records are quarantined
-    /// and recomputed, never trusted. In the robustness spirit, an
-    /// unusable directory only costs the cache: a warning is printed and
-    /// the flow continues unpersisted.
-    pub fn cache_dir(self, dir: impl AsRef<std::path::Path>) -> Self {
-        if let Err(e) = self.pool.cache().persist_to(dir.as_ref()) {
-            eprintln!(
-                "warning: cannot attach eval cache at {}: {e}; continuing without persistence",
-                dir.as_ref().display()
-            );
-        }
-        self
-    }
-
     /// Replaces the pool's cache with a shared handle (see
     /// [`SimPool::set_shared_cache`]): lookups and inserts land in the
     /// cache every other holder sees, which is how a long-lived server
     /// multiplexes many flows onto one warm cache. Apply this **after**
     /// [`with_template`](Self::with_template) / [`faults`](Self::faults),
-    /// which clear whatever cache the pool holds at that moment.
+    /// which clear whatever cache the pool holds at that moment. A cache
+    /// attached to a directory with [`crate::EvalCache::persist_to`]
+    /// makes the flow persistent across sessions (the CLI's
+    /// `--cache-dir`).
     pub fn shared_cache(mut self, cache: std::sync::Arc<crate::EvalCache>) -> Self {
         self.pool.set_shared_cache(cache);
         self

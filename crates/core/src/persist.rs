@@ -44,7 +44,7 @@
 //! by the next flush.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use crate::pool::EvalKey;
@@ -224,13 +224,6 @@ pub(crate) fn write_cache_file(path: &Path, entries: &HashMap<EvalKey, f64>) -> 
             Err(e)
         }
     }
-}
-
-/// Verifies a reader still yields bytes — used by tests to distinguish
-/// a short read from corruption. (Kept small and private.)
-#[allow(dead_code)]
-fn read_exact_or_none<R: Read>(reader: &mut R, buf: &mut [u8]) -> Option<()> {
-    reader.read_exact(buf).ok()
 }
 
 #[cfg(test)]

@@ -788,46 +788,14 @@ impl SimPool {
         }
 
         let max_attempts = self.retry.max_attempts.max(1);
-        // `AssertUnwindSafe` is sound here: a panicking attempt's partial
-        // state is confined to the attempt itself — the closure is re-run
-        // from scratch on retry, and nothing from a failed attempt ever
-        // reaches the cache or the report's successful slots.
         let run_one = |input: usize| -> std::result::Result<f64, (u32, DseError)> {
             let mut attempts = 0;
             loop {
                 attempts += 1;
-                let started = Instant::now();
-                let outcome = wsn_node::deadline::with_budget(self.deadline, || {
-                    std::panic::catch_unwind(AssertUnwindSafe(|| eval(input)))
-                });
-                let error = match outcome {
-                    Ok(Ok(value)) => match self.deadline {
-                        // Coarse watchdog: an attempt that beat the
-                        // cooperative checks but still blew the budget is
-                        // discarded — a late value must never be cached.
-                        Some(budget) if started.elapsed() > budget => {
-                            DseError::EvalTimedOut { budget }
-                        }
-                        _ => return Ok(value),
-                    },
-                    Ok(Err(DseError::Node(wsn_node::NodeError::DeadlineExceeded))) => {
-                        DseError::EvalTimedOut {
-                            budget: self.deadline.unwrap_or_default(),
-                        }
-                    }
-                    Ok(Err(e)) => e,
-                    Err(payload) => {
-                        if wsn_node::deadline::payload_is_deadline(payload.as_ref()) {
-                            DseError::EvalTimedOut {
-                                budget: self.deadline.unwrap_or_default(),
-                            }
-                        } else {
-                            DseError::EvalPanicked(panic_message(payload.as_ref()))
-                        }
-                    }
-                };
-                if attempts >= max_attempts {
-                    return Err((attempts, error));
+                match single_attempt(self.deadline, || eval(input)) {
+                    Ok(value) => return Ok(value),
+                    Err(error) if attempts >= max_attempts => return Err((attempts, error)),
+                    Err(_) => {}
                 }
                 let delay = self
                     .retry
@@ -896,6 +864,47 @@ impl SimPool {
     }
 }
 
+/// One attempt at one evaluation, under the pool's discipline: `eval`
+/// runs under `deadline` (so cooperative engines abandon an over-budget
+/// run), a panic inside it is caught, and a value that arrives over
+/// budget anyway is discarded. Batches retry around this per their
+/// [`RetryPolicy`]; a direct single run calls it once.
+///
+/// `AssertUnwindSafe` is sound: a panicking attempt's partial state is
+/// confined to the attempt, and nothing from a failed attempt reaches a
+/// cache or a report.
+///
+/// # Errors
+///
+/// [`DseError::EvalTimedOut`] over budget, [`DseError::EvalPanicked`]
+/// for a panic, otherwise `eval`'s own error.
+pub fn single_attempt<T>(
+    deadline: Option<Duration>,
+    eval: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    let started = Instant::now();
+    let timed_out = || DseError::EvalTimedOut {
+        budget: deadline.unwrap_or_default(),
+    };
+    match wsn_node::deadline::with_budget(deadline, || {
+        std::panic::catch_unwind(AssertUnwindSafe(eval))
+    }) {
+        Ok(Ok(value)) => match deadline {
+            // Coarse watchdog: an attempt that beat the cooperative
+            // checks but still blew the budget is discarded — a late
+            // value must never be cached.
+            Some(budget) if started.elapsed() > budget => Err(DseError::EvalTimedOut { budget }),
+            _ => Ok(value),
+        },
+        Ok(Err(DseError::Node(wsn_node::NodeError::DeadlineExceeded))) => Err(timed_out()),
+        Ok(Err(e)) => Err(e),
+        Err(payload) if wsn_node::deadline::payload_is_deadline(payload.as_ref()) => {
+            Err(timed_out())
+        }
+        Err(payload) => Err(DseError::EvalPanicked(panic_message(payload.as_ref()))),
+    }
+}
+
 /// Extracts a printable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -934,6 +943,34 @@ mod tests {
             })
             .unwrap();
         (out, calls.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn single_attempt_catches_panics_and_discards_late_values() {
+        let panicked = single_attempt::<f64>(None, || panic!("boom"));
+        assert!(
+            matches!(&panicked, Err(DseError::EvalPanicked(m)) if m.contains("boom")),
+            "{panicked:?}"
+        );
+        let late = single_attempt(Some(Duration::from_millis(1)), || {
+            std::thread::sleep(Duration::from_millis(20));
+            Ok(1.0)
+        });
+        assert!(
+            matches!(late, Err(DseError::EvalTimedOut { .. })),
+            "{late:?}"
+        );
+        let aborted = single_attempt::<f64>(Some(Duration::from_secs(60)), || {
+            Err(DseError::Node(wsn_node::NodeError::DeadlineExceeded))
+        });
+        assert!(
+            matches!(aborted, Err(DseError::EvalTimedOut { .. })),
+            "{aborted:?}"
+        );
+        assert_eq!(
+            single_attempt(Some(Duration::from_secs(60)), || Ok(2.0)),
+            Ok(2.0)
+        );
     }
 
     #[test]

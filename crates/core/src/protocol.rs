@@ -4,11 +4,11 @@
 //! One frame per line, one JSON object per frame, in both directions:
 //!
 //! * **client → server**: a [`Request`] — a job submission (`run`,
-//!   `simulate`, `faults`, `network`) or a control message (`stats`,
-//!   `ping`, `cancel`, `shutdown`). Every job may carry a client-chosen
-//!   `"id"` tag, echoed verbatim in every frame about that job, so a
-//!   client multiplexing jobs on one connection can match streamed
-//!   frames to submissions regardless of completion order.
+//!   `simulate`, `faults`, `network`, `pareto`) or a control message
+//!   (`stats`, `ping`, `cancel`, `shutdown`). Every job may carry a
+//!   client-chosen `"id"` tag, echoed verbatim in every frame about that
+//!   job, so a client multiplexing jobs on one connection can match
+//!   streamed frames to submissions regardless of completion order.
 //! * **server → client**: a [`Frame`] — `accepted` (with the assigned
 //!   server-wide job number and the queue depth), `running`, `result`
 //!   (the report document placed **last**, verbatim), `error`,
@@ -21,9 +21,23 @@
 //! oversized, or garbage line produces a structured [`ProtocolError`]
 //! (serialised with [`ProtocolError::to_frame`]) and the stream
 //! continues with the next line. Unknown *fields* in a well-formed
-//! request are ignored for forward compatibility; an unknown *type* is
+//! request are ignored, so an older server accepts a newer client's
+//! requests (the new fields take no effect there); an unknown *type* is
 //! rejected. Frames larger than [`MAX_FRAME_BYTES`] are rejected before
-//! any parsing.
+//! any parsing. Numbers must be finite, and integers below 2^53, the
+//! range in which an `f64` holds every integer exactly.
+//!
+//! # One job spec
+//!
+//! Each job type's fields — JSON name, type, default and check — are
+//! declared once, in the `requests!` invocation below. The job structs,
+//! their `Default`s, [`Request::parse`], [`Request::to_json`] and the
+//! command-line decoder [`Request::from_argv`] all derive from that
+//! declaration. A command line decodes through JSON (`--fault-rate 0.2`
+//! is member `"fault_rate":0.2`, a bare `--flag` is `true`), so
+//! `wsn_dse`, `wsn_client` and the server read the same job the same
+//! way. Unlike JSON, a command line rejects unknown options: a typo is
+//! an error there, not a silent default.
 //!
 //! # Byte-identity contract
 //!
@@ -67,7 +81,8 @@ pub const MAX_JSON_DEPTH: usize = 64;
 pub struct ProtocolError {
     /// Stable machine-readable error class: one of `oversized_frame`,
     /// `empty_frame`, `invalid_json`, `not_an_object`, `missing_field`,
-    /// `bad_field`, `unknown_type`, `unknown_event`.
+    /// `bad_field`, `unknown_type`, `unknown_event`, and for command
+    /// lines `unknown_option`, `missing_value`, `unexpected_argument`.
     pub code: &'static str,
     /// Human-readable detail.
     pub message: String,
@@ -200,11 +215,12 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, when it is one exactly
-    /// (rejects fractions and values beyond 2^53).
+    /// The value as a non-negative integer, when it is one exactly:
+    /// fractions are rejected, and so is everything from 2^53 up, where
+    /// an `f64` no longer holds every integer (2^53 + 1 parses as 2^53).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9_007_199_254_740_992.0 => {
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < 9_007_199_254_740_992.0 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -224,6 +240,19 @@ impl Json {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+
+    /// Member `name` of an object, decoded as `T`; `default` when the
+    /// member is absent or `null`.
+    ///
+    /// # Errors
+    ///
+    /// A `bad_field` error when the member does not decode as `T`.
+    pub fn field<T: Field>(&self, name: &str, default: T) -> Result<T, ProtocolError> {
+        match self.get(name) {
+            None | Some(Json::Null) => Ok(default),
+            Some(v) => T::decode(v).map_err(|detail| ProtocolError::bad_field(name, detail)),
         }
     }
 }
@@ -471,318 +500,515 @@ fn unsafe_free_utf8_prefix(bytes: &[u8]) -> &str {
 }
 
 // ---------------------------------------------------------------------------
-// Requests (client → server)
+// Requests (client → server): each job type's fields, declared once
 // ---------------------------------------------------------------------------
 
-/// A single-node DSE job: the paper flow end to end
-/// (`DseFlow::run()`), equivalent to the CLI's `run --json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunJob {
-    /// Optional client-chosen tag, echoed in every frame about the job.
-    pub id: Option<String>,
-    /// DOE seed (CLI default 12).
-    pub seed: u64,
-    /// D-optimal design runs (CLI default 10).
-    pub runs: u64,
-    /// Base vibration frequency in Hz (CLI default 75).
-    pub f0: f64,
-    /// Simulated horizon in seconds (CLI default 3600).
-    pub horizon: f64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Fault-injection seed (0 with rate 0.0 means nominal).
-    pub fault_seed: u64,
-    /// Fault-injection rate in `[0, 1]`.
-    pub fault_rate: f64,
-    /// Optional per-evaluation wall-clock budget, in milliseconds,
-    /// mapped onto the pool's deadline machinery.
-    pub timeout_ms: Option<u64>,
+/// How a command line spells an option's value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    /// A bare `--flag`, standing for `true`.
+    Flag,
+    /// `--name N`: a finite number.
+    Number,
+    /// `--name TEXT`: a string.
+    Text,
 }
 
-impl Default for RunJob {
-    fn default() -> Self {
-        RunJob {
-            id: None,
-            seed: 12,
-            runs: 10,
-            f0: 75.0,
-            horizon: 3600.0,
-            engine: EngineKind::Envelope,
-            fault_seed: 0,
-            fault_rate: 0.0,
-            timeout_ms: None,
-        }
+/// A job field's type: how it decodes from a JSON value (a command line
+/// decodes through JSON too, see [`argv_to_json`]) and how it encodes.
+pub trait Field: Sized {
+    /// How a command line spells a value of this type.
+    const ARG: Arg;
+
+    /// Decodes a present, non-null value; the error is the detail of a
+    /// `bad_field` error.
+    fn decode(v: &Json) -> Result<Self, String>;
+
+    /// The value as a JSON token; `None` leaves the member out.
+    fn encode(&self) -> Option<String>;
+
+    /// The value a field check reads, for numeric types.
+    fn number(&self) -> Option<f64> {
+        None
     }
 }
 
-/// A single simulation of one node configuration (the CLI's
-/// `simulate --json`, trace disabled).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulateJob {
-    /// Optional client-chosen tag.
-    pub id: Option<String>,
-    /// MCU clock in Hz (CLI default 4e6).
-    pub clock: f64,
-    /// Watchdog period in seconds (CLI default 320).
-    pub watchdog: f64,
-    /// Transmission interval in seconds (CLI default 5).
-    pub interval: f64,
-    /// Base vibration frequency in Hz.
-    pub f0: f64,
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Fault-injection seed.
-    pub fault_seed: u64,
-    /// Fault-injection rate in `[0, 1]`.
-    pub fault_rate: f64,
-    /// Optional wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-}
+impl Field for u64 {
+    const ARG: Arg = Arg::Number;
 
-impl Default for SimulateJob {
-    fn default() -> Self {
-        SimulateJob {
-            id: None,
-            clock: 4e6,
-            watchdog: 320.0,
-            interval: 5.0,
-            f0: 75.0,
-            horizon: 3600.0,
-            engine: EngineKind::Envelope,
-            fault_seed: 0,
-            fault_rate: 0.0,
-            timeout_ms: None,
-        }
+    fn decode(v: &Json) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| "expected a non-negative integer below 2^53".to_owned())
+    }
+
+    fn encode(&self) -> Option<String> {
+        Some(self.to_string())
+    }
+
+    fn number(&self) -> Option<f64> {
+        Some(*self as f64)
     }
 }
 
-/// A fault-injection robustness ensemble (the CLI's `faults --json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultsJob {
-    /// Optional client-chosen tag.
-    pub id: Option<String>,
-    /// MCU clock in Hz.
-    pub clock: f64,
-    /// Watchdog period in seconds.
-    pub watchdog: f64,
-    /// Transmission interval in seconds.
-    pub interval: f64,
-    /// Base vibration frequency in Hz.
-    pub f0: f64,
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-    /// Fault-injection seed.
-    pub fault_seed: u64,
-    /// Fault-injection rate; must be positive for an ensemble to mean
-    /// anything.
-    pub fault_rate: f64,
-    /// Independent fault realisations (CLI default 8, at least 1).
-    pub seeds: u64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Optional wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-}
+impl Field for f64 {
+    const ARG: Arg = Arg::Number;
 
-impl Default for FaultsJob {
-    fn default() -> Self {
-        FaultsJob {
-            id: None,
-            clock: 4e6,
-            watchdog: 320.0,
-            interval: 5.0,
-            f0: 75.0,
-            horizon: 3600.0,
-            fault_seed: 0,
-            fault_rate: 0.1,
-            seeds: 8,
-            engine: EngineKind::Envelope,
-            timeout_ms: None,
-        }
+    fn decode(v: &Json) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".to_owned())
+    }
+
+    fn encode(&self) -> Option<String> {
+        Some(json_f64(*self))
+    }
+
+    fn number(&self) -> Option<f64> {
+        Some(*self)
     }
 }
 
-/// A fleet job: plain evaluation (`dse: false`, the CLI's
-/// `network --json`) or fleet-level DSE (`dse: true`, the CLI's
-/// `network --dse --json`). Exotic channel and topology knobs keep
-/// their CLI defaults; they stay CLI-only until a client needs them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkJob {
-    /// Optional client-chosen tag.
-    pub id: Option<String>,
-    /// Fleet size (CLI default 16, at least 1).
-    pub nodes: u64,
-    /// Fleet heterogeneity seed (CLI default 99).
-    pub fleet_seed: u64,
-    /// Base vibration frequency in Hz.
-    pub f0: f64,
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-    /// Per-node frequency spread in Hz (CLI default 2).
-    pub freq_spread: f64,
-    /// Per-node phase spread in seconds (CLI default 30).
-    pub phase_spread: f64,
-    /// Use the ideal (collision-free) channel.
-    pub ideal: bool,
-    /// Run the fleet-level DSE instead of a single evaluation.
-    pub dse: bool,
-    /// DOE seed (DSE only).
-    pub seed: u64,
-    /// D-optimal design runs (DSE only).
-    pub runs: u64,
-    /// MCU clock in Hz (plain evaluation only).
-    pub clock: f64,
-    /// Watchdog period in seconds (plain evaluation only).
-    pub watchdog: f64,
-    /// Transmission interval in seconds (plain evaluation only).
-    pub interval: f64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Fault-injection seed.
-    pub fault_seed: u64,
-    /// Fault-injection rate in `[0, 1]`.
-    pub fault_rate: f64,
-    /// Optional wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-}
+impl Field for bool {
+    const ARG: Arg = Arg::Flag;
 
-impl Default for NetworkJob {
-    fn default() -> Self {
-        NetworkJob {
-            id: None,
-            nodes: 16,
-            fleet_seed: 99,
-            f0: 75.0,
-            horizon: 3600.0,
-            freq_spread: 2.0,
-            phase_spread: 30.0,
-            ideal: false,
-            dse: false,
-            seed: 12,
-            runs: 10,
-            clock: 4e6,
-            watchdog: 320.0,
-            interval: 5.0,
-            engine: EngineKind::Envelope,
-            fault_seed: 0,
-            fault_rate: 0.0,
-            timeout_ms: None,
-        }
+    fn decode(v: &Json) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "expected a boolean".to_owned())
+    }
+
+    fn encode(&self) -> Option<String> {
+        Some(self.to_string())
     }
 }
 
-/// A multi-objective Pareto DSE job: the CLI's `pareto --json`
-/// (single-node) or `pareto --fleet --json`. Exotic fleet knobs
-/// (spreads, channel, topology) keep their CLI defaults; they stay
-/// CLI-only until a client needs them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParetoJob {
-    /// Optional client-chosen tag.
-    pub id: Option<String>,
-    /// Optimise the fleet objective vector instead of the single-node
-    /// one.
-    pub fleet: bool,
-    /// Fleet size (fleet mode only; CLI default 5, at least 1).
-    pub nodes: u64,
-    /// Fleet heterogeneity seed (fleet mode only; CLI default 99).
-    pub fleet_seed: u64,
-    /// Base vibration frequency in Hz.
-    pub f0: f64,
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-    /// Comma-separated objective-axis subset (`None` = full vector).
-    pub objectives: Option<String>,
-    /// Adaptive sequential DOE instead of the fixed D-optimal plan.
-    pub adaptive: bool,
-    /// Adaptive evaluation budget (design points).
-    pub budget: u64,
-    /// DOE / acquisition / NSGA-II seed.
-    pub seed: u64,
-    /// Fixed plan's design size (non-adaptive only).
-    pub runs: u64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Widen the space with the optional timer-quantum factor.
-    pub timer_space: bool,
-    /// Optional wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-}
+impl Field for String {
+    const ARG: Arg = Arg::Text;
 
-impl Default for ParetoJob {
-    fn default() -> Self {
-        ParetoJob {
-            id: None,
-            fleet: false,
-            nodes: 5,
-            fleet_seed: 99,
-            f0: 75.0,
-            horizon: 3600.0,
-            objectives: None,
-            adaptive: false,
-            budget: 18,
-            seed: 12,
-            runs: 10,
-            engine: EngineKind::Envelope,
-            timer_space: false,
-            timeout_ms: None,
-        }
+    fn decode(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| "expected a string".to_owned())
+    }
+
+    fn encode(&self) -> Option<String> {
+        Some(json_string(self))
     }
 }
 
-/// One client → server message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Submit a single-node DSE job.
-    Run(RunJob),
-    /// Submit a single simulation.
-    Simulate(SimulateJob),
-    /// Submit a robustness ensemble.
-    Faults(FaultsJob),
-    /// Submit a fleet evaluation or fleet DSE.
-    Network(NetworkJob),
-    /// Submit a multi-objective Pareto DSE (single-node or fleet).
-    Pareto(ParetoJob),
-    /// Ask for server/cache/ladder statistics.
-    Stats,
-    /// Liveness probe.
-    Ping,
-    /// Cancel a job by its server-assigned number.
-    Cancel {
-        /// The server-assigned job number from the `accepted` frame.
-        job: u64,
-    },
-    /// Ask the server to stop accepting work and exit cleanly.
-    Shutdown,
+impl Field for EngineKind {
+    const ARG: Arg = Arg::Text;
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        String::decode(v)?
+            .parse()
+            .map_err(|e: wsn_node::NodeError| e.to_string())
+    }
+
+    fn encode(&self) -> Option<String> {
+        Some(json_string(self.name()))
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    const ARG: Arg = T::ARG;
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        T::decode(v).map(Some)
+    }
+
+    fn encode(&self) -> Option<String> {
+        self.as_ref().and_then(T::encode)
+    }
+
+    fn number(&self) -> Option<f64> {
+        self.as_ref().and_then(T::number)
+    }
+}
+
+/// A numeric field's check: the predicate a value must pass, and the
+/// detail of the `bad_field` error when it does not. An absent optional
+/// field passes.
+struct Check(fn(f64) -> bool, &'static str);
+
+const RATE: Check = Check(|r| (0.0..=1.0).contains(&r), "expected a rate in [0, 1]");
+const ENSEMBLE_RATE: Check = Check(
+    |r| r > 0.0 && r <= 1.0,
+    "a robustness ensemble needs a rate in (0, 1]",
+);
+const NON_NEGATIVE: Check = Check(|v| v >= 0.0, "expected a non-negative value");
+const POSITIVE: Check = Check(|v| v > 0.0, "expected a positive value");
+const NODES: Check = Check(|n| n >= 1.0, "a fleet needs at least one node");
+const SEEDS: Check = Check(|n| n >= 1.0, "expected at least one realisation");
+const BUDGET: Check = Check(
+    |n| n >= 4.0,
+    "the adaptive driver needs at least four evaluations",
+);
+
+fn check<T: Field>(name: &str, value: T, check: &Check) -> Result<T, ProtocolError> {
+    match value.number() {
+        Some(v) if !(check.0)(v) => Err(ProtocolError::bad_field(name, check.1)),
+        _ => Ok(value),
+    }
+}
+
+/// The payload of a job variant of [`Request`]: the job itself, or a
+/// box for a job type marked `boxed`, whose many fields would otherwise
+/// set the size of every request.
+macro_rules! payload {
+    ($job:ident) => { $job };
+    ($job:ident boxed) => { Box<$job> };
+}
+
+/// Declares the job types. Each field's name, type, default and check
+/// is written once; the macro derives the job struct (with the
+/// per-submission fields `id` and `timeout_ms` around the job's own),
+/// its `Default`, its JSON decoder and encoder, its option table for
+/// [`Request::from_argv`], and the job variants of [`Request`].
+macro_rules! requests {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident($job:ident) = $kind:literal $(, $boxed:ident)? {
+            $(
+                $(#[doc = $fdoc:literal])*
+                $field:ident: $ty:ty = $default:expr $(=> $check:ident)?,
+            )*
+        }
+    )*) => {
+        $(
+            $(#[doc = $doc])*
+            #[derive(Debug, Clone, PartialEq)]
+            pub struct $job {
+                /// Optional client-chosen tag, echoed in every frame about
+                /// the job (per submission: not a `wsn_dse` option).
+                pub id: Option<String>,
+                $($(#[doc = $fdoc])* pub $field: $ty,)*
+                /// Optional per-evaluation wall-clock budget in
+                /// milliseconds, overriding the server's default (per
+                /// submission: not a `wsn_dse` option).
+                pub timeout_ms: Option<u64>,
+            }
+
+            impl Default for $job {
+                fn default() -> Self {
+                    $job {
+                        id: None,
+                        $($field: $default,)*
+                        timeout_ms: None,
+                    }
+                }
+            }
+
+            impl $job {
+                const FIELDS: &'static [(&'static str, Arg)] = &[
+                    ("id", Arg::Text),
+                    $((stringify!($field), <$ty as Field>::ARG),)*
+                    ("timeout_ms", Arg::Number),
+                ];
+
+                fn decode(doc: &Json) -> Result<Self, ProtocolError> {
+                    let d = Self::default();
+                    Ok($job {
+                        id: doc.field("id", d.id)?,
+                        $($field: {
+                            let v = doc.field(stringify!($field), d.$field)?;
+                            $(let v = check(stringify!($field), v, &$check)?;)?
+                            v
+                        },)*
+                        timeout_ms: doc.field("timeout_ms", d.timeout_ms)?,
+                    })
+                }
+
+                fn encode(&self, m: &mut Members) {
+                    m.field("id", &self.id);
+                    $(m.field(stringify!($field), &self.$field);)*
+                    m.field("timeout_ms", &self.timeout_ms);
+                }
+            }
+        )*
+
+        /// One client → server message.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Request {
+            $(
+                #[doc = concat!("Submit a `", $kind, "` job.")]
+                $variant(payload!($job $($boxed)?)),
+            )*
+            /// Ask for server/cache/ladder statistics.
+            Stats,
+            /// Liveness probe.
+            Ping,
+            /// Cancel a job by its server-assigned number.
+            Cancel {
+                /// The server-assigned job number from the `accepted` frame.
+                job: u64,
+            },
+            /// Ask the server to stop accepting work and exit cleanly.
+            Shutdown,
+        }
+
+        impl Request {
+            /// The job tag, for job-submitting requests that carry one.
+            pub fn id(&self) -> Option<&str> {
+                match self {
+                    $(Request::$variant(j) => j.id.as_deref(),)*
+                    _ => None,
+                }
+            }
+
+            /// Whether this request submits a job (as opposed to a control
+            /// message answered inline).
+            pub fn is_job(&self) -> bool {
+                matches!(self, $(Request::$variant(_))|*)
+            }
+
+            /// The fields a request of type `kind` reads, with their
+            /// command-line spellings; `None` for an unknown type.
+            fn fields(kind: &str) -> Option<&'static [(&'static str, Arg)]> {
+                match kind {
+                    $($kind => Some($job::FIELDS),)*
+                    "cancel" => Some(&[("job", Arg::Number)]),
+                    "stats" | "ping" | "shutdown" => Some(&[]),
+                    _ => None,
+                }
+            }
+
+            /// Decodes the members of a request of type `kind`.
+            fn decode(kind: &str, doc: &Json) -> Result<Request, ProtocolError> {
+                match kind {
+                    $($kind => $job::decode(doc).map(|job| Request::$variant(job.into())),)*
+                    "stats" => Ok(Request::Stats),
+                    "ping" => Ok(Request::Ping),
+                    "cancel" => match doc.get("job") {
+                        None | Some(Json::Null) => Err(ProtocolError::missing_field("job")),
+                        Some(_) => Ok(Request::Cancel {
+                            job: doc.field("job", 0)?,
+                        }),
+                    },
+                    "shutdown" => Ok(Request::Shutdown),
+                    other => Err(ProtocolError::new(
+                        "unknown_type",
+                        format!("unknown request type {other:?}"),
+                    )),
+                }
+            }
+
+            /// Serialises the request as one frame (no trailing newline).
+            /// `Request::parse` of the result reproduces the request
+            /// exactly.
+            pub fn to_json(&self) -> String {
+                let mut m = Members::default();
+                match self {
+                    $(Request::$variant(j) => {
+                        m.member("type", &json_string($kind));
+                        j.encode(&mut m);
+                    })*
+                    Request::Stats => m.member("type", "\"stats\""),
+                    Request::Ping => m.member("type", "\"ping\""),
+                    Request::Cancel { job } => {
+                        m.member("type", "\"cancel\"");
+                        m.field("job", job);
+                    }
+                    Request::Shutdown => m.member("type", "\"shutdown\""),
+                }
+                m.finish()
+            }
+        }
+    };
+}
+
+// Defaults shared by several job types: the paper's original design
+// (4 MHz, 320 s, 5 s), its scenario (75 Hz for one hour), its 10-run
+// D-optimal plan and the fleet defaults.
+const DOE_SEED: u64 = 12;
+const DOE_RUNS: u64 = 10;
+const F0_HZ: f64 = 75.0;
+const HORIZON_S: f64 = 3600.0;
+const CLOCK_HZ: f64 = 4e6;
+const WATCHDOG_S: f64 = 320.0;
+const INTERVAL_S: f64 = 5.0;
+const FLEET_SEED: u64 = 99;
+const FREQ_SPREAD_HZ: f64 = 2.0;
+const PHASE_SPREAD_S: f64 = 30.0;
+const RING_RADIUS_M: f64 = 10.0;
+
+requests! {
+    /// A single-node DSE job: the paper flow end to end
+    /// (`DseFlow::run()`), the CLI's `run --json`.
+    Run(RunJob) = "run" {
+        /// DOE seed.
+        seed: u64 = DOE_SEED,
+        /// D-optimal design runs.
+        runs: u64 = DOE_RUNS,
+        /// Base vibration frequency in Hz.
+        f0: f64 = F0_HZ,
+        /// Simulated horizon in seconds.
+        horizon: f64 = HORIZON_S,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope,
+        /// The full engine's analogue step in seconds (0: its default).
+        dt: f64 = 0.0 => NON_NEGATIVE,
+        /// Fault-injection seed.
+        fault_seed: u64 = 0,
+        /// Fault-injection rate in `[0, 1]` (0: nominal).
+        fault_rate: f64 = 0.0 => RATE,
+    }
+
+    /// A single simulation of one node configuration (the CLI's
+    /// `simulate --json`).
+    Simulate(SimulateJob) = "simulate" {
+        /// MCU clock in Hz.
+        clock: f64 = CLOCK_HZ,
+        /// Watchdog period in seconds.
+        watchdog: f64 = WATCHDOG_S,
+        /// Transmission interval in seconds.
+        interval: f64 = INTERVAL_S,
+        /// Base vibration frequency in Hz.
+        f0: f64 = F0_HZ,
+        /// Simulated horizon in seconds.
+        horizon: f64 = HORIZON_S,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope,
+        /// The full engine's analogue step in seconds (0: its default).
+        dt: f64 = 0.0 => NON_NEGATIVE,
+        /// Fault-injection seed.
+        fault_seed: u64 = 0,
+        /// Fault-injection rate in `[0, 1]` (0: nominal).
+        fault_rate: f64 = 0.0 => RATE,
+    }
+
+    /// A fault-injection robustness ensemble (the CLI's `faults --json`).
+    Faults(FaultsJob) = "faults" {
+        /// MCU clock in Hz.
+        clock: f64 = CLOCK_HZ,
+        /// Watchdog period in seconds.
+        watchdog: f64 = WATCHDOG_S,
+        /// Transmission interval in seconds.
+        interval: f64 = INTERVAL_S,
+        /// Base vibration frequency in Hz.
+        f0: f64 = F0_HZ,
+        /// Simulated horizon in seconds.
+        horizon: f64 = HORIZON_S,
+        /// Seed of the first realisation.
+        fault_seed: u64 = 0,
+        /// Fault-injection rate in `(0, 1]`.
+        fault_rate: f64 = 0.1 => ENSEMBLE_RATE,
+        /// Independent fault realisations.
+        seeds: u64 = 8 => SEEDS,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope,
+        /// The full engine's analogue step in seconds (0: its default).
+        dt: f64 = 0.0 => NON_NEGATIVE,
+    }
+
+    /// A fleet job: plain evaluation (`dse: false`, the CLI's
+    /// `network --json`) or fleet-level DSE (`dse: true`, the CLI's
+    /// `network --dse --json`).
+    Network(NetworkJob) = "network", boxed {
+        /// Fleet size.
+        nodes: u64 = 16 => NODES,
+        /// Fleet heterogeneity seed.
+        fleet_seed: u64 = FLEET_SEED,
+        /// Base vibration frequency in Hz.
+        f0: f64 = F0_HZ,
+        /// Simulated horizon in seconds.
+        horizon: f64 = HORIZON_S,
+        /// Per-node frequency spread in Hz.
+        freq_spread: f64 = FREQ_SPREAD_HZ => NON_NEGATIVE,
+        /// Per-node phase spread in seconds.
+        phase_spread: f64 = PHASE_SPREAD_S => NON_NEGATIVE,
+        /// Use the ideal (collision-free) channel.
+        ideal: bool = false,
+        /// Channel slot in seconds (absent: the channel's own).
+        slot: Option<f64> = None => POSITIVE,
+        /// Interference range in metres (absent: the channel's own).
+        interference: Option<f64> = None => NON_NEGATIVE,
+        /// Delivery range in metres (absent: the channel's own).
+        delivery: Option<f64> = None => NON_NEGATIVE,
+        /// Ring topology radius in metres.
+        ring_radius: f64 = RING_RADIUS_M,
+        /// Grid topology pitch in metres (present: a grid, not a ring).
+        grid_pitch: Option<f64> = None,
+        /// Run the fleet-level DSE instead of a single evaluation.
+        dse: bool = false,
+        /// DOE seed (DSE only).
+        seed: u64 = DOE_SEED,
+        /// D-optimal design runs (DSE only).
+        runs: u64 = DOE_RUNS,
+        /// MCU clock in Hz (plain evaluation only).
+        clock: f64 = CLOCK_HZ,
+        /// Watchdog period in seconds (plain evaluation only).
+        watchdog: f64 = WATCHDOG_S,
+        /// Transmission interval in seconds (plain evaluation only).
+        interval: f64 = INTERVAL_S,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope,
+        /// The full engine's analogue step in seconds (0: its default).
+        dt: f64 = 0.0 => NON_NEGATIVE,
+        /// Fault-injection seed.
+        fault_seed: u64 = 0,
+        /// Fault-injection rate in `[0, 1]` (0: nominal).
+        fault_rate: f64 = 0.0 => RATE,
+    }
+
+    /// A multi-objective Pareto DSE job: the CLI's `pareto --json`
+    /// (single-node) or `pareto --fleet --json`. The fleet fields are
+    /// those of [`NetworkJob`] and apply with `fleet` only.
+    Pareto(ParetoJob) = "pareto", boxed {
+        /// Optimise the fleet objective vector instead of the
+        /// single-node one.
+        fleet: bool = false,
+        /// Fleet size.
+        nodes: u64 = 5 => NODES,
+        /// Fleet heterogeneity seed.
+        fleet_seed: u64 = FLEET_SEED,
+        /// Base vibration frequency in Hz.
+        f0: f64 = F0_HZ,
+        /// Simulated horizon in seconds.
+        horizon: f64 = HORIZON_S,
+        /// Per-node frequency spread in Hz.
+        freq_spread: f64 = FREQ_SPREAD_HZ => NON_NEGATIVE,
+        /// Per-node phase spread in seconds.
+        phase_spread: f64 = PHASE_SPREAD_S => NON_NEGATIVE,
+        /// Use the ideal (collision-free) channel.
+        ideal: bool = false,
+        /// Channel slot in seconds (absent: the channel's own).
+        slot: Option<f64> = None => POSITIVE,
+        /// Interference range in metres (absent: the channel's own).
+        interference: Option<f64> = None => NON_NEGATIVE,
+        /// Delivery range in metres (absent: the channel's own).
+        delivery: Option<f64> = None => NON_NEGATIVE,
+        /// Ring topology radius in metres.
+        ring_radius: f64 = RING_RADIUS_M,
+        /// Grid topology pitch in metres (present: a grid, not a ring).
+        grid_pitch: Option<f64> = None,
+        /// Fault-injection seed.
+        fault_seed: u64 = 0,
+        /// Fault-injection rate in `[0, 1]` (0: nominal).
+        fault_rate: f64 = 0.0 => RATE,
+        /// Comma-separated objective-axis subset (absent: the full
+        /// vector).
+        objectives: Option<String> = None,
+        /// Adaptive sequential DOE instead of the fixed D-optimal plan.
+        adaptive: bool = false,
+        /// Adaptive evaluation budget (design points).
+        budget: u64 = 18 => BUDGET,
+        /// Adaptive points acquired per round.
+        batch: u64 = 3,
+        /// Cap on the validated front's size.
+        front_cap: u64 = 12,
+        /// Acquisition exploration weight in `[0, 1]`.
+        explore: f64 = 0.5,
+        /// DOE / acquisition / NSGA-II seed.
+        seed: u64 = DOE_SEED,
+        /// Fixed plan's design size (non-adaptive only).
+        runs: u64 = DOE_RUNS,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope,
+        /// The full engine's analogue step in seconds (0: its default).
+        dt: f64 = 0.0 => NON_NEGATIVE,
+        /// Widen the space with the optional timer-quantum factor.
+        timer_space: bool = false,
+    }
 }
 
 impl Request {
-    /// The job tag, for job-submitting requests that carry one.
-    pub fn id(&self) -> Option<&str> {
-        match self {
-            Request::Run(j) => j.id.as_deref(),
-            Request::Simulate(j) => j.id.as_deref(),
-            Request::Faults(j) => j.id.as_deref(),
-            Request::Network(j) => j.id.as_deref(),
-            Request::Pareto(j) => j.id.as_deref(),
-            _ => None,
-        }
-    }
-
-    /// Whether this request submits a job (as opposed to a control
-    /// message answered inline).
-    pub fn is_job(&self) -> bool {
-        matches!(
-            self,
-            Request::Run(_)
-                | Request::Simulate(_)
-                | Request::Faults(_)
-                | Request::Network(_)
-                | Request::Pareto(_)
-        )
-    }
-
     /// Parses one request line.
     ///
     /// # Errors
@@ -810,353 +1036,127 @@ impl Request {
                 "a request frame must be a JSON object",
             ));
         }
-        let kind = doc
-            .get("type")
-            .ok_or_else(|| ProtocolError::missing_field("type"))?
-            .as_str()
-            .ok_or_else(|| ProtocolError::bad_field("type", "expected a string"))?
-            .to_owned();
-        match kind.as_str() {
-            "run" => Ok(Request::Run(RunJob {
-                id: opt_str(&doc, "id")?,
-                seed: u64_or(&doc, "seed", 12)?,
-                runs: u64_or(&doc, "runs", 10)?,
-                f0: f64_or(&doc, "f0", 75.0)?,
-                horizon: f64_or(&doc, "horizon", 3600.0)?,
-                engine: engine_or(&doc)?,
-                fault_seed: u64_or(&doc, "fault_seed", 0)?,
-                fault_rate: rate_or(&doc, "fault_rate", 0.0)?,
-                timeout_ms: opt_u64(&doc, "timeout_ms")?,
-            })),
-            "simulate" => Ok(Request::Simulate(SimulateJob {
-                id: opt_str(&doc, "id")?,
-                clock: f64_or(&doc, "clock", 4e6)?,
-                watchdog: f64_or(&doc, "watchdog", 320.0)?,
-                interval: f64_or(&doc, "interval", 5.0)?,
-                f0: f64_or(&doc, "f0", 75.0)?,
-                horizon: f64_or(&doc, "horizon", 3600.0)?,
-                engine: engine_or(&doc)?,
-                fault_seed: u64_or(&doc, "fault_seed", 0)?,
-                fault_rate: rate_or(&doc, "fault_rate", 0.0)?,
-                timeout_ms: opt_u64(&doc, "timeout_ms")?,
-            })),
-            "faults" => {
-                let job = FaultsJob {
-                    id: opt_str(&doc, "id")?,
-                    clock: f64_or(&doc, "clock", 4e6)?,
-                    watchdog: f64_or(&doc, "watchdog", 320.0)?,
-                    interval: f64_or(&doc, "interval", 5.0)?,
-                    f0: f64_or(&doc, "f0", 75.0)?,
-                    horizon: f64_or(&doc, "horizon", 3600.0)?,
-                    fault_seed: u64_or(&doc, "fault_seed", 0)?,
-                    fault_rate: rate_or(&doc, "fault_rate", 0.1)?,
-                    seeds: u64_or(&doc, "seeds", 8)?,
-                    engine: engine_or(&doc)?,
-                    timeout_ms: opt_u64(&doc, "timeout_ms")?,
-                };
-                if job.fault_rate <= 0.0 {
-                    return Err(ProtocolError::bad_field(
-                        "fault_rate",
-                        "a robustness ensemble needs a positive rate",
-                    ));
-                }
-                if job.seeds == 0 {
-                    return Err(ProtocolError::bad_field(
-                        "seeds",
-                        "expected at least one realisation",
-                    ));
-                }
-                Ok(Request::Faults(job))
-            }
-            "network" => {
-                let job = NetworkJob {
-                    id: opt_str(&doc, "id")?,
-                    nodes: u64_or(&doc, "nodes", 16)?,
-                    fleet_seed: u64_or(&doc, "fleet_seed", 99)?,
-                    f0: f64_or(&doc, "f0", 75.0)?,
-                    horizon: f64_or(&doc, "horizon", 3600.0)?,
-                    freq_spread: f64_or(&doc, "freq_spread", 2.0)?,
-                    phase_spread: f64_or(&doc, "phase_spread", 30.0)?,
-                    ideal: bool_or(&doc, "ideal", false)?,
-                    dse: bool_or(&doc, "dse", false)?,
-                    seed: u64_or(&doc, "seed", 12)?,
-                    runs: u64_or(&doc, "runs", 10)?,
-                    clock: f64_or(&doc, "clock", 4e6)?,
-                    watchdog: f64_or(&doc, "watchdog", 320.0)?,
-                    interval: f64_or(&doc, "interval", 5.0)?,
-                    engine: engine_or(&doc)?,
-                    fault_seed: u64_or(&doc, "fault_seed", 0)?,
-                    fault_rate: rate_or(&doc, "fault_rate", 0.0)?,
-                    timeout_ms: opt_u64(&doc, "timeout_ms")?,
-                };
-                if job.nodes == 0 {
-                    return Err(ProtocolError::bad_field(
-                        "nodes",
-                        "a fleet needs at least one node",
-                    ));
-                }
-                Ok(Request::Network(job))
-            }
-            "pareto" => {
-                let job = ParetoJob {
-                    id: opt_str(&doc, "id")?,
-                    fleet: bool_or(&doc, "fleet", false)?,
-                    nodes: u64_or(&doc, "nodes", 5)?,
-                    fleet_seed: u64_or(&doc, "fleet_seed", 99)?,
-                    f0: f64_or(&doc, "f0", 75.0)?,
-                    horizon: f64_or(&doc, "horizon", 3600.0)?,
-                    objectives: opt_str(&doc, "objectives")?,
-                    adaptive: bool_or(&doc, "adaptive", false)?,
-                    budget: u64_or(&doc, "budget", 18)?,
-                    seed: u64_or(&doc, "seed", 12)?,
-                    runs: u64_or(&doc, "runs", 10)?,
-                    engine: engine_or(&doc)?,
-                    timer_space: bool_or(&doc, "timer_space", false)?,
-                    timeout_ms: opt_u64(&doc, "timeout_ms")?,
-                };
-                if job.fleet && job.nodes == 0 {
-                    return Err(ProtocolError::bad_field(
-                        "nodes",
-                        "a fleet needs at least one node",
-                    ));
-                }
-                if job.budget < 4 {
-                    return Err(ProtocolError::bad_field(
-                        "budget",
-                        "the adaptive driver needs at least four evaluations",
-                    ));
-                }
-                Ok(Request::Pareto(job))
-            }
-            "stats" => Ok(Request::Stats),
-            "ping" => Ok(Request::Ping),
-            "cancel" => Ok(Request::Cancel {
-                job: doc
-                    .get("job")
-                    .ok_or_else(|| ProtocolError::missing_field("job"))?
-                    .as_u64()
-                    .ok_or_else(|| ProtocolError::bad_field("job", "expected a job number"))?,
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtocolError::new(
-                "unknown_type",
-                format!("unknown request type {other:?}"),
-            )),
-        }
+        let kind = match doc.get("type") {
+            None => return Err(ProtocolError::missing_field("type")),
+            Some(v) => String::decode(v).map_err(|e| ProtocolError::bad_field("type", e))?,
+        };
+        Request::decode(&kind, &doc)
     }
 
-    /// Serialises the request as one frame (no trailing newline).
-    /// `Request::parse` of the result reproduces the request exactly.
-    pub fn to_json(&self) -> String {
-        let mut m = Members::new();
-        match self {
-            Request::Run(j) => {
-                m.str_("type", "run");
-                m.opt_str("id", j.id.as_deref());
-                m.u64_("seed", j.seed);
-                m.u64_("runs", j.runs);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.str_("engine", j.engine.name());
-                m.u64_("fault_seed", j.fault_seed);
-                m.f64_("fault_rate", j.fault_rate);
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Simulate(j) => {
-                m.str_("type", "simulate");
-                m.opt_str("id", j.id.as_deref());
-                m.f64_("clock", j.clock);
-                m.f64_("watchdog", j.watchdog);
-                m.f64_("interval", j.interval);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.str_("engine", j.engine.name());
-                m.u64_("fault_seed", j.fault_seed);
-                m.f64_("fault_rate", j.fault_rate);
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Faults(j) => {
-                m.str_("type", "faults");
-                m.opt_str("id", j.id.as_deref());
-                m.f64_("clock", j.clock);
-                m.f64_("watchdog", j.watchdog);
-                m.f64_("interval", j.interval);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.u64_("fault_seed", j.fault_seed);
-                m.f64_("fault_rate", j.fault_rate);
-                m.u64_("seeds", j.seeds);
-                m.str_("engine", j.engine.name());
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Network(j) => {
-                m.str_("type", "network");
-                m.opt_str("id", j.id.as_deref());
-                m.u64_("nodes", j.nodes);
-                m.u64_("fleet_seed", j.fleet_seed);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.f64_("freq_spread", j.freq_spread);
-                m.f64_("phase_spread", j.phase_spread);
-                m.bool_("ideal", j.ideal);
-                m.bool_("dse", j.dse);
-                m.u64_("seed", j.seed);
-                m.u64_("runs", j.runs);
-                m.f64_("clock", j.clock);
-                m.f64_("watchdog", j.watchdog);
-                m.f64_("interval", j.interval);
-                m.str_("engine", j.engine.name());
-                m.u64_("fault_seed", j.fault_seed);
-                m.f64_("fault_rate", j.fault_rate);
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Pareto(j) => {
-                m.str_("type", "pareto");
-                m.opt_str("id", j.id.as_deref());
-                m.bool_("fleet", j.fleet);
-                m.u64_("nodes", j.nodes);
-                m.u64_("fleet_seed", j.fleet_seed);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.opt_str("objectives", j.objectives.as_deref());
-                m.bool_("adaptive", j.adaptive);
-                m.u64_("budget", j.budget);
-                m.u64_("seed", j.seed);
-                m.u64_("runs", j.runs);
-                m.str_("engine", j.engine.name());
-                m.bool_("timer_space", j.timer_space);
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Stats => m.str_("type", "stats"),
-            Request::Ping => m.str_("type", "ping"),
-            Request::Cancel { job } => {
-                m.str_("type", "cancel");
-                m.u64_("job", *job);
-            }
-            Request::Shutdown => m.str_("type", "shutdown"),
-        }
-        m.finish()
+    /// Decodes a command line into the request the same options would
+    /// make as JSON members: `wsn_dse` and `wsn_client` parse argv
+    /// through this, so both decode exactly as the server does.
+    ///
+    /// `kind` is the request type (`run`, `cancel`, …) and `argv` its
+    /// options. `extra` names the caller's own options, such as output
+    /// and context flags; their values come back in the returned
+    /// object. `submission` admits the per-submission fields `id` and
+    /// `timeout_ms`.
+    ///
+    /// # Errors
+    ///
+    /// `unknown_type` for an unknown `kind`, the errors of
+    /// [`argv_to_json`], and every error the JSON decoder reports.
+    pub fn from_argv(
+        kind: &str,
+        argv: &[String],
+        extra: &[(&str, Arg)],
+        submission: bool,
+    ) -> Result<(Request, Json), ProtocolError> {
+        let fields = Request::fields(kind).ok_or_else(|| {
+            ProtocolError::new("unknown_type", format!("unknown request type {kind:?}"))
+        })?;
+        let table: Vec<(&str, Arg)> = fields
+            .iter()
+            .copied()
+            .filter(|(name, _)| submission || !matches!(*name, "id" | "timeout_ms"))
+            .chain(extra.iter().copied())
+            .collect();
+        let doc = argv_to_json(argv, &table)?;
+        Ok((Request::decode(kind, &doc)?, doc))
     }
 }
 
+/// Decodes command-line options into a JSON object, by a table of the
+/// known options: `--kebab-name VALUE` becomes member `snake_name` (a
+/// number or a string, as the table says) and a bare `--flag` becomes
+/// `true`. Members keep the command line's order, so the first of two
+/// repeated options wins, as in a JSON object.
+///
+/// # Errors
+///
+/// Every error names the option: `unknown_option` for one the table
+/// lacks, `missing_value` for a value option without its value,
+/// `unexpected_argument` for a token that is neither option nor value,
+/// and `bad_field` for a number that does not parse or is not finite.
+pub fn argv_to_json(argv: &[String], table: &[(&str, Arg)]) -> Result<Json, ProtocolError> {
+    let mut members = Vec::new();
+    let mut tokens = argv.iter().peekable();
+    while let Some(token) = tokens.next() {
+        let Some(option) = token.strip_prefix("--") else {
+            return Err(ProtocolError::new(
+                "unexpected_argument",
+                format!("unexpected argument {token:?}"),
+            ));
+        };
+        let Some(&(name, arg)) = table
+            .iter()
+            .find(|(name, _)| name.replace('_', "-") == option)
+        else {
+            return Err(ProtocolError::new(
+                "unknown_option",
+                format!("unknown option --{option}"),
+            ));
+        };
+        let value = match arg {
+            Arg::Flag => Json::Bool(true),
+            Arg::Text | Arg::Number => {
+                let Some(text) = tokens.next_if(|t| !t.starts_with("--")) else {
+                    return Err(ProtocolError::new(
+                        "missing_value",
+                        format!("option --{option} needs a value"),
+                    ));
+                };
+                match (arg, text.parse::<f64>()) {
+                    (Arg::Text, _) => Json::Str(text.clone()),
+                    (_, Ok(v)) if v.is_finite() => Json::Num(v),
+                    _ => {
+                        return Err(ProtocolError::bad_field(
+                            name,
+                            format!("expected a finite number, got {text:?}"),
+                        ))
+                    }
+                }
+            }
+        };
+        members.push((name.to_owned(), value));
+    }
+    Ok(Json::Obj(members))
+}
+
 /// Incremental JSON-object writer for frames.
+#[derive(Default)]
 struct Members {
     out: String,
 }
 
 impl Members {
-    fn new() -> Self {
-        Members {
-            out: String::from("{"),
-        }
+    fn member(&mut self, key: &str, token: &str) {
+        self.out.push(if self.out.is_empty() { '{' } else { ',' });
+        self.out.push_str(&json_string(key));
+        self.out.push(':');
+        self.out.push_str(token);
     }
 
-    fn sep(&mut self) {
-        if self.out.len() > 1 {
-            self.out.push(',');
-        }
-    }
-
-    fn str_(&mut self, key: &str, value: &str) {
-        self.sep();
-        self.out
-            .push_str(&format!("\"{key}\":{}", json_string(value)));
-    }
-
-    fn u64_(&mut self, key: &str, value: u64) {
-        self.sep();
-        self.out.push_str(&format!("\"{key}\":{value}"));
-    }
-
-    fn f64_(&mut self, key: &str, value: f64) {
-        self.sep();
-        self.out.push_str(&format!("\"{key}\":{value}"));
-    }
-
-    fn bool_(&mut self, key: &str, value: bool) {
-        self.sep();
-        self.out.push_str(&format!("\"{key}\":{value}"));
-    }
-
-    fn opt_str(&mut self, key: &str, value: Option<&str>) {
-        if let Some(v) = value {
-            self.str_(key, v);
-        }
-    }
-
-    fn opt_u64(&mut self, key: &str, value: Option<u64>) {
-        if let Some(v) = value {
-            self.u64_(key, v);
+    fn field<T: Field>(&mut self, key: &str, value: &T) {
+        if let Some(token) = value.encode() {
+            self.member(key, &token);
         }
     }
 
     fn finish(mut self) -> String {
         self.out.push('}');
         self.out
-    }
-}
-
-fn opt_str(doc: &Json, field: &str) -> Result<Option<String>, ProtocolError> {
-    match doc.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(s.to_owned()))
-            .ok_or_else(|| ProtocolError::bad_field(field, "expected a string")),
-    }
-}
-
-fn opt_u64(doc: &Json, field: &str) -> Result<Option<u64>, ProtocolError> {
-    match doc.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::bad_field(field, "expected a non-negative integer")),
-    }
-}
-
-fn u64_or(doc: &Json, field: &str, default: u64) -> Result<u64, ProtocolError> {
-    Ok(opt_u64(doc, field)?.unwrap_or(default))
-}
-
-fn f64_or(doc: &Json, field: &str, default: f64) -> Result<f64, ProtocolError> {
-    match doc.get(field) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| ProtocolError::bad_field(field, "expected a number")),
-    }
-}
-
-fn rate_or(doc: &Json, field: &str, default: f64) -> Result<f64, ProtocolError> {
-    let rate = f64_or(doc, field, default)?;
-    if (0.0..=1.0).contains(&rate) {
-        Ok(rate)
-    } else {
-        Err(ProtocolError::bad_field(field, "expected a rate in [0, 1]"))
-    }
-}
-
-fn bool_or(doc: &Json, field: &str, default: bool) -> Result<bool, ProtocolError> {
-    match doc.get(field) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| ProtocolError::bad_field(field, "expected a boolean")),
-    }
-}
-
-fn engine_or(doc: &Json) -> Result<EngineKind, ProtocolError> {
-    match doc.get("engine") {
-        None | Some(Json::Null) => Ok(EngineKind::Envelope),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| ProtocolError::bad_field("engine", "expected a string"))?;
-            name.parse()
-                .map_err(|e| ProtocolError::bad_field("engine", e))
-        }
     }
 }
 
@@ -1355,28 +1355,28 @@ impl Frame {
         match event.as_str() {
             "accepted" => Ok(Frame::Accepted {
                 job: job("job")?,
-                id: opt_str(&doc, "id")?,
+                id: doc.field("id", None)?,
                 queue_depth: job("queue_depth")?,
             }),
             "running" => Ok(Frame::Running {
                 job: job("job")?,
-                id: opt_str(&doc, "id")?,
+                id: doc.field("id", None)?,
             }),
             "result" => Ok(Frame::Result {
                 job: job("job")?,
-                id: opt_str(&doc, "id")?,
+                id: doc.field("id", None)?,
                 report: extract_raw_field(trimmed, "report")
                     .ok_or_else(|| ProtocolError::missing_field("report"))?
                     .to_owned(),
             }),
             "error" => Ok(Frame::JobError {
                 job: job("job")?,
-                id: opt_str(&doc, "id")?,
+                id: doc.field("id", None)?,
                 message: text("message")?,
             }),
             "cancelled" => Ok(Frame::Cancelled {
                 job: job("job")?,
-                id: opt_str(&doc, "id")?,
+                id: doc.field("id", None)?,
                 state: text("state")?,
             }),
             "protocol_error" => Ok(Frame::ProtocolRejected {
@@ -1516,6 +1516,19 @@ mod tests {
         assert_eq!(Request::parse(&req.to_json()).unwrap(), req);
     }
 
+    /// `network` and `pareto` jobs are boxed, so a request is no larger
+    /// than the largest job it holds inline plus its tag.
+    #[test]
+    fn requests_box_their_largest_jobs() {
+        use std::mem::size_of;
+        let inline = size_of::<RunJob>()
+            .max(size_of::<SimulateJob>())
+            .max(size_of::<FaultsJob>());
+        assert!(size_of::<NetworkJob>() > inline && size_of::<ParetoJob>() > inline);
+        let size = size_of::<Request>();
+        assert!(size <= inline + 8, "a request takes {size} bytes");
+    }
+
     #[test]
     fn missing_fields_fall_back_to_cli_defaults() {
         let req = Request::parse(r#"{"type":"run"}"#).unwrap();
@@ -1525,8 +1538,8 @@ mod tests {
     #[test]
     fn pareto_request_round_trips_and_defaults() {
         let req = Request::parse(r#"{"type":"pareto"}"#).unwrap();
-        assert_eq!(req, Request::Pareto(ParetoJob::default()));
-        let full = Request::Pareto(ParetoJob {
+        assert_eq!(req, Request::Pareto(Box::default()));
+        let full = Request::Pareto(Box::new(ParetoJob {
             id: Some("front-1".to_owned()),
             fleet: true,
             nodes: 3,
@@ -1536,7 +1549,7 @@ mod tests {
             timer_space: true,
             timeout_ms: Some(9000),
             ..ParetoJob::default()
-        });
+        }));
         assert_eq!(Request::parse(&full.to_json()).unwrap(), full);
         assert!(full.is_job());
         assert_eq!(full.id(), Some("front-1"));
@@ -1548,6 +1561,177 @@ mod tests {
         assert_eq!(err.code, "bad_field");
         let err = Request::parse(r#"{"type":"pareto","fleet":true,"nodes":0}"#).unwrap_err();
         assert_eq!(err.code, "bad_field");
+    }
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| (*t).to_owned()).collect()
+    }
+
+    fn cli(kind: &str, tokens: &[&str]) -> Result<Request, ProtocolError> {
+        Request::from_argv(kind, &argv(tokens), &[], false).map(|(request, _)| request)
+    }
+
+    #[test]
+    fn argv_pairs_flags_and_defaults() {
+        let table = [
+            ("seed", Arg::Number),
+            ("json", Arg::Flag),
+            ("fault_rate", Arg::Number),
+            ("tag", Arg::Text),
+        ];
+        let tokens = argv(&[
+            "--seed",
+            "7",
+            "--json",
+            "--fault-rate",
+            "0.25",
+            "--tag",
+            "x y",
+        ]);
+        let opts = argv_to_json(&tokens, &table).unwrap();
+        assert_eq!(opts.field("seed", 12u64).unwrap(), 7);
+        assert_eq!(opts.field("runs", 10u64).unwrap(), 10);
+        assert_eq!(opts.field("fault_rate", 0.0).unwrap(), 0.25);
+        assert_eq!(
+            opts.field::<Option<String>>("tag", None)
+                .unwrap()
+                .as_deref(),
+            Some("x y")
+        );
+        assert!(opts.field("json", false).unwrap());
+        assert!(!opts.field("trace", false).unwrap());
+    }
+
+    #[test]
+    fn argv_positional_arguments_are_rejected() {
+        let err = argv_to_json(&argv(&["stray"]), &[]).unwrap_err();
+        assert_eq!(err.code, "unexpected_argument");
+        // A flag takes no value, so a token after it is positional.
+        let err = cli("run", &["--ideal", "yes"]).unwrap_err();
+        assert_eq!(err.code, "unknown_option");
+        let err = cli("network", &["--ideal", "yes"]).unwrap_err();
+        assert_eq!(err.code, "unexpected_argument");
+    }
+
+    #[test]
+    fn argv_and_json_decode_to_the_same_job() {
+        let from_argv = cli(
+            "network",
+            &[
+                "--grid-pitch",
+                "30",
+                "--interference",
+                "20",
+                "--ideal",
+                "--dt",
+                "1e-4",
+            ],
+        )
+        .unwrap();
+        let from_json = Request::parse(
+            r#"{"type":"network","grid_pitch":30,"interference":20,"ideal":true,"dt":0.0001}"#,
+        )
+        .unwrap();
+        assert_eq!(from_argv, from_json);
+        let Request::Network(job) = from_argv else {
+            panic!("not a network job")
+        };
+        assert_eq!(job.grid_pitch, Some(30.0));
+        assert_eq!(job.slot, None);
+        assert_eq!(job.horizon, 3600.0);
+    }
+
+    #[test]
+    fn rule_a_faults_defaults_to_the_protocol_rate() {
+        let expected = Request::Faults(FaultsJob::default());
+        assert_eq!(FaultsJob::default().fault_rate, 0.1);
+        assert_eq!(cli("faults", &[]).unwrap(), expected);
+        assert_eq!(Request::parse(r#"{"type":"faults"}"#).unwrap(), expected);
+        for zero in [
+            cli("faults", &["--fault-rate", "0"]),
+            Request::parse(r#"{"type":"faults","fault_rate":0}"#),
+        ] {
+            assert_eq!(zero.unwrap_err().code, "bad_field");
+        }
+    }
+
+    #[test]
+    fn rule_b_pareto_budgets_below_four_are_rejected() {
+        for err in [
+            cli("pareto", &["--budget", "3"]).unwrap_err(),
+            Request::parse(r#"{"type":"pareto","budget":3}"#).unwrap_err(),
+        ] {
+            assert_eq!(err.code, "bad_field");
+            assert!(err.message.contains("budget"), "{err}");
+        }
+        assert!(cli("pareto", &["--budget", "4"]).is_ok());
+    }
+
+    #[test]
+    fn rule_c_integers_are_exact_only_below_2_pow_53() {
+        for seed in ["9007199254740992", "9007199254740993"] {
+            let json = format!(r#"{{"type":"run","seed":{seed}}}"#);
+            assert_eq!(Request::parse(&json).unwrap_err().code, "bad_field");
+            assert_eq!(cli("run", &["--seed", seed]).unwrap_err().code, "bad_field");
+        }
+        let largest = Request::Run(RunJob {
+            seed: (1 << 53) - 1,
+            ..RunJob::default()
+        });
+        assert_eq!(Request::parse(&largest.to_json()).unwrap(), largest);
+        assert_eq!(
+            cli("run", &["--seed", "9007199254740991"]).unwrap(),
+            largest
+        );
+    }
+
+    #[test]
+    fn rule_d_numbers_must_be_finite() {
+        for token in ["inf", "-inf", "NaN", "1e999"] {
+            let err = cli("run", &["--horizon", token]).unwrap_err();
+            assert_eq!(err.code, "bad_field", "{token}");
+            assert!(err.message.contains("horizon"), "{err}");
+        }
+        let err = Request::parse(r#"{"type":"run","horizon":1e999}"#).unwrap_err();
+        assert_eq!(err.code, "invalid_json");
+    }
+
+    #[test]
+    fn rule_f_command_lines_reject_unknown_options_and_missing_values() {
+        let err = cli("simulate", &["--hoirzon", "60"]).unwrap_err();
+        assert_eq!(err.code, "unknown_option");
+        assert!(err.message.contains("--hoirzon"), "{err}");
+        let err = cli("run", &["--linalg", "bogus"]).unwrap_err();
+        assert!(err.message.contains("--linalg"), "{err}");
+        for tokens in [&["--seed"][..], &["--seed", "--horizon", "60"]] {
+            let err = cli("run", tokens).unwrap_err();
+            assert_eq!(err.code, "missing_value");
+            assert!(err.message.contains("--seed"), "{err}");
+        }
+        // Per-submission fields are for JSON and the client only.
+        assert_eq!(
+            cli("run", &["--id", "x"]).unwrap_err().code,
+            "unknown_option"
+        );
+        let (request, _) =
+            Request::from_argv("run", &argv(&["--id", "x", "--timeout-ms", "5"]), &[], true)
+                .unwrap();
+        assert_eq!(request.id(), Some("x"));
+        // JSON keeps ignoring unknown fields, for forward compatibility.
+        assert_eq!(
+            Request::parse(r#"{"type":"run","hoirzon":60}"#).unwrap(),
+            Request::Run(RunJob::default())
+        );
+    }
+
+    #[test]
+    fn control_requests_decode_from_argv() {
+        let (request, _) = Request::from_argv("cancel", &argv(&["--job", "3"]), &[], true).unwrap();
+        assert_eq!(request, Request::Cancel { job: 3 });
+        let err = Request::from_argv("cancel", &[], &[], true).unwrap_err();
+        assert_eq!(err.code, "missing_field");
+        let err = Request::from_argv("frobnicate", &[], &[], true).unwrap_err();
+        assert_eq!(err.code, "unknown_type");
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! `wsn_client` — scripting and test client for the `wsn-serve`
 //! DSE-as-a-service server.
 //!
-//! Job commands (`run`, `simulate`, `faults`, `network`, `pareto`)
-//! mirror the
-//! `wsn_dse` CLI's options, submit one job over the newline-delimited
-//! JSON protocol and print the job's **report document byte-for-byte**
-//! on stdout (framing stripped), so `wsn_client run ... > a.json` can
-//! be `cmp`'d against `wsn_dse run --json > b.json`. Failures print the
-//! server's structured message on stderr and exit non-zero.
+//! Job commands (`run`, `simulate`, `faults`, `network`, `pareto`) take
+//! exactly the `wsn_dse` job options — both binaries decode them with
+//! [`Request::from_argv`], by the protocol's one job spec — plus the
+//! per-submission `--id TAG` and `--timeout-ms N`. Each submits one job
+//! over the newline-delimited JSON protocol and prints the job's
+//! **report document byte-for-byte** on stdout (framing stripped), so
+//! `wsn_client run ... > a.json` can be `cmp`'d against
+//! `wsn_dse run --json > b.json`. Failures print the server's
+//! structured message on stderr and exit non-zero; so does an unknown
+//! option, before anything is sent.
 //!
 //! Control commands (`stats`, `ping`, `cancel --job N`, `shutdown`)
 //! print the server's reply frame verbatim.
@@ -24,33 +27,13 @@ use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use wsn_dse::protocol::{
-    write_frame, FaultsJob, Frame, NetworkJob, ParetoJob, Request, RunJob, SimulateJob,
-};
-use wsn_net::args::Args;
-use wsn_node::EngineKind;
+use wsn_dse::protocol::{argv_to_json, write_frame, Arg, Frame, Json, Request};
 
 fn usage() -> &'static str {
     "usage: wsn_client --addr HOST:PORT <command> [options]\n\
      \n\
-     run       [--id TAG] [--seed N] [--runs N] [--f0 HZ] [--horizon S]\n\
-               [--engine envelope|full] [--fault-seed N] [--fault-rate R]\n\
-               [--timeout-ms N] [--frames]\n\
-     simulate  [--id TAG] [--clock HZ] [--watchdog S] [--interval S] [--f0 HZ]\n\
-               [--horizon S] [--engine E] [--fault-seed N] [--fault-rate R]\n\
-               [--timeout-ms N] [--frames]\n\
-     faults    [--id TAG] [--clock HZ] [--watchdog S] [--interval S] [--f0 HZ]\n\
-               [--horizon S] [--fault-seed N] [--fault-rate R] [--seeds N]\n\
-               [--engine E] [--timeout-ms N] [--frames]\n\
-     network   [--id TAG] [--nodes N] [--fleet-seed N] [--f0 HZ] [--horizon S]\n\
-               [--freq-spread HZ] [--phase-spread S] [--ideal] [--dse]\n\
-               [--seed N] [--runs N] [--clock HZ] [--watchdog S] [--interval S]\n\
-               [--engine E] [--fault-seed N] [--fault-rate R] [--timeout-ms N]\n\
-               [--frames]\n\
-     pareto    [--id TAG] [--fleet] [--nodes N] [--fleet-seed N] [--f0 HZ]\n\
-               [--horizon S] [--objectives LIST] [--adaptive] [--budget N]\n\
-               [--seed N] [--runs N] [--engine E] [--timer-space]\n\
-               [--timeout-ms N] [--frames]\n\
+     run | simulate | faults | network | pareto\n\
+               [the wsn_dse job options] [--id TAG] [--timeout-ms N] [--frames]\n\
      stats | ping | shutdown\n\
      cancel    --job N\n\
      batch     (raw request lines on stdin; all frames to stdout)\n\
@@ -61,118 +44,15 @@ fn usage() -> &'static str {
      shared warm cache)."
 }
 
-fn engine_from(args: &Args) -> Result<EngineKind, String> {
-    match args.get("engine") {
-        Some(name) => name.parse().map_err(|e| format!("--engine: {e}")),
-        None => Ok(EngineKind::Envelope),
-    }
-}
+/// Options of every command besides the request's own fields.
+const CLIENT_OPTIONS: &[(&str, Arg)] = &[("addr", Arg::Text), ("frames", Arg::Flag)];
 
-fn timeout_from(args: &Args) -> Result<Option<u64>, String> {
-    match args.get("timeout-ms") {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("--timeout-ms: expected milliseconds, got {v}")),
-    }
-}
-
-fn build_request(command: &str, args: &Args) -> Result<Request, String> {
-    let id = args.get("id").map(str::to_owned);
-    match command {
-        "run" => Ok(Request::Run(RunJob {
-            id,
-            seed: args.get_u64("seed", 12)?,
-            runs: args.get_u64("runs", 10)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            engine: engine_from(args)?,
-            fault_seed: args.get_u64("fault-seed", 0)?,
-            fault_rate: args.get_f64("fault-rate", 0.0)?,
-            timeout_ms: timeout_from(args)?,
-        })),
-        "simulate" => Ok(Request::Simulate(SimulateJob {
-            id,
-            clock: args.get_f64("clock", 4e6)?,
-            watchdog: args.get_f64("watchdog", 320.0)?,
-            interval: args.get_f64("interval", 5.0)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            engine: engine_from(args)?,
-            fault_seed: args.get_u64("fault-seed", 0)?,
-            fault_rate: args.get_f64("fault-rate", 0.0)?,
-            timeout_ms: timeout_from(args)?,
-        })),
-        "faults" => Ok(Request::Faults(FaultsJob {
-            id,
-            clock: args.get_f64("clock", 4e6)?,
-            watchdog: args.get_f64("watchdog", 320.0)?,
-            interval: args.get_f64("interval", 5.0)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            fault_seed: args.get_u64("fault-seed", 0)?,
-            fault_rate: args.get_f64("fault-rate", 0.1)?,
-            seeds: args.get_u64("seeds", 8)?,
-            engine: engine_from(args)?,
-            timeout_ms: timeout_from(args)?,
-        })),
-        "network" => Ok(Request::Network(NetworkJob {
-            id,
-            nodes: args.get_u64("nodes", 16)?,
-            fleet_seed: args.get_u64("fleet-seed", 99)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            freq_spread: args.get_f64("freq-spread", 2.0)?,
-            phase_spread: args.get_f64("phase-spread", 30.0)?,
-            ideal: args.has_flag("ideal"),
-            dse: args.has_flag("dse"),
-            seed: args.get_u64("seed", 12)?,
-            runs: args.get_u64("runs", 10)?,
-            clock: args.get_f64("clock", 4e6)?,
-            watchdog: args.get_f64("watchdog", 320.0)?,
-            interval: args.get_f64("interval", 5.0)?,
-            engine: engine_from(args)?,
-            fault_seed: args.get_u64("fault-seed", 0)?,
-            fault_rate: args.get_f64("fault-rate", 0.0)?,
-            timeout_ms: timeout_from(args)?,
-        })),
-        "pareto" => Ok(Request::Pareto(ParetoJob {
-            id,
-            fleet: args.has_flag("fleet"),
-            nodes: args.get_u64("nodes", 5)?,
-            fleet_seed: args.get_u64("fleet-seed", 99)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            objectives: args.get("objectives").map(str::to_owned),
-            adaptive: args.has_flag("adaptive"),
-            budget: args.get_u64("budget", 18)?,
-            seed: args.get_u64("seed", 12)?,
-            runs: args.get_u64("runs", 10)?,
-            engine: engine_from(args)?,
-            timer_space: args.has_flag("timer-space"),
-            timeout_ms: timeout_from(args)?,
-        })),
-        "stats" => Ok(Request::Stats),
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        "cancel" => match args.get("job") {
-            Some(v) => Ok(Request::Cancel {
-                job: v
-                    .parse()
-                    .map_err(|_| format!("--job: expected a job number, got {v}"))?,
-            }),
-            None => Err("cancel: --job N is required".to_owned()),
-        },
-        other => Err(format!("unknown command {other}\n{}", usage())),
-    }
-}
-
-fn connect(args: &Args) -> Result<TcpStream, String> {
-    let addr = args
-        .get("addr")
+fn connect(opts: &Json) -> Result<TcpStream, String> {
+    let addr = opts
+        .field::<Option<String>>("addr", None)
+        .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("--addr HOST:PORT is required\n{}", usage()))?;
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let stream = TcpStream::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     stream
         .set_nodelay(true)
         .map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
@@ -185,10 +65,10 @@ fn send_line(stream: &mut TcpStream, line: &str) -> Result<(), String> {
 
 /// Runs one job to its terminal frame. Prints the raw report (or, with
 /// `--frames`, every frame) on stdout; failures go to stderr.
-fn run_job(request: &Request, args: &Args) -> Result<ExitCode, String> {
-    let mut stream = connect(args)?;
+fn run_job(request: &Request, opts: &Json) -> Result<ExitCode, String> {
+    let mut stream = connect(opts)?;
     send_line(&mut stream, &request.to_json())?;
-    let show_frames = args.has_flag("frames");
+    let show_frames = opts.field("frames", false).map_err(|e| e.to_string())?;
     let reader = BufReader::new(
         stream
             .try_clone()
@@ -225,8 +105,8 @@ fn run_job(request: &Request, args: &Args) -> Result<ExitCode, String> {
 }
 
 /// Sends one control request and prints the reply frame verbatim.
-fn run_control(request: &Request, args: &Args) -> Result<ExitCode, String> {
-    let mut stream = connect(args)?;
+fn run_control(request: &Request, opts: &Json) -> Result<ExitCode, String> {
+    let mut stream = connect(opts)?;
     send_line(&mut stream, &request.to_json())?;
     let mut reader = BufReader::new(
         stream
@@ -249,8 +129,8 @@ fn run_control(request: &Request, args: &Args) -> Result<ExitCode, String> {
 /// frame. (A `cancel` line's reply and the cancelled job's terminal
 /// frame both count, so mixing cancels into a batch can exit early —
 /// use dedicated connections to exercise cancellation precisely.)
-fn run_batch(args: &Args) -> Result<ExitCode, String> {
-    let mut stream = connect(args)?;
+fn run_batch(opts: &Json) -> Result<ExitCode, String> {
+    let mut stream = connect(opts)?;
     let stdin = std::io::stdin();
     let mut expected: usize = 0;
     for line in stdin.lock().lines() {
@@ -296,43 +176,43 @@ fn run_batch(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    // The command may appear after global options; find the first token
-    // that is not an option or an option's value.
+/// Splits the command from its options. Options may come before the
+/// command (`--addr HOST:PORT run`, `--id t --addr HOST:PORT run`): the
+/// command is the first token that is neither an option nor the value
+/// of one, and before it every `--option` takes the next token as its
+/// value unless that token is an option too.
+fn split_command(argv: Vec<String>) -> (Option<String>, Vec<String>) {
     let mut command = None;
     let mut rest = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        if command.is_none() && !argv[i].starts_with("--") {
-            command = Some(argv[i].clone());
+    let mut tokens = argv.into_iter().peekable();
+    while let Some(token) = tokens.next() {
+        if command.is_some() {
+            rest.push(token);
+        } else if token.starts_with("--") {
+            rest.push(token);
+            rest.extend(tokens.next_if(|value| !value.starts_with("--")));
         } else {
-            rest.push(argv[i].clone());
-            if argv[i].starts_with("--") && i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                rest.push(argv[i + 1].clone());
-                i += 1;
-            }
+            command = Some(token);
         }
-        i += 1;
     }
+    (command, rest)
+}
+
+fn main() -> ExitCode {
+    let (command, rest) = split_command(std::env::args().skip(1).collect());
     let Some(command) = command else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let args = match Args::parse(&rest) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
     let result = if command == "batch" {
-        run_batch(&args)
+        argv_to_json(&rest, &CLIENT_OPTIONS[..1])
+            .map_err(|e| e.to_string())
+            .and_then(|opts| run_batch(&opts))
     } else {
-        match build_request(&command, &args) {
-            Ok(request) if request.is_job() => run_job(&request, &args),
-            Ok(request) => run_control(&request, &args),
-            Err(e) => Err(e),
+        match Request::from_argv(&command, &rest, CLIENT_OPTIONS, true) {
+            Ok((request, opts)) if request.is_job() => run_job(&request, &opts),
+            Ok((request, opts)) => run_control(&request, &opts),
+            Err(e) => Err(e.to_string()),
         }
     };
     match result {
@@ -341,5 +221,34 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::split_command;
+
+    /// The command and the remaining tokens of `line`, space-joined.
+    fn split(line: &str) -> (Option<String>, String) {
+        let (command, rest) = split_command(line.split_whitespace().map(str::to_owned).collect());
+        (command, rest.join(" "))
+    }
+
+    #[test]
+    fn options_before_the_command_keep_their_values() {
+        let (command, rest) = split("--id t --timeout-ms 500 --addr A run --seed 3");
+        assert_eq!(command.as_deref(), Some("run"));
+        assert_eq!(rest, "--id t --timeout-ms 500 --addr A --seed 3");
+        let (command, rest) = split("--addr A --frames --id t ping");
+        assert_eq!(command.as_deref(), Some("ping"));
+        assert_eq!(rest, "--addr A --frames --id t");
+    }
+
+    #[test]
+    fn tokens_after_the_command_are_left_to_the_decoder() {
+        let (command, rest) = split("run --addr A --ideal x");
+        assert_eq!(command.as_deref(), Some("run"));
+        assert_eq!(rest, "--addr A --ideal x");
+        assert_eq!(split("--addr A").0, None);
     }
 }

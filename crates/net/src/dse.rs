@@ -269,23 +269,6 @@ impl FleetDseFlow {
         self
     }
 
-    /// Attaches a crash-safe persistent cache for the fleet-level
-    /// responses under `dir` (the same format and guarantees as
-    /// [`wsn_dse::DseFlow::cache_dir`]). Keys fold in the fleet
-    /// fingerprint and the engine instance, so entries can never leak
-    /// between fleets, spaces or engines. An unusable directory only
-    /// costs the cache: a warning is printed and the flow continues
-    /// unpersisted.
-    pub fn cache_dir(self, dir: impl AsRef<std::path::Path>) -> Self {
-        if let Err(e) = self.pool.cache().persist_to(dir.as_ref()) {
-            eprintln!(
-                "warning: cannot attach eval cache at {}: {e}; continuing without persistence",
-                dir.as_ref().display()
-            );
-        }
-        self
-    }
-
     /// Replaces the fleet pool's cache with a shared handle (see
     /// [`wsn_dse::SimPool::set_shared_cache`]): fleet-level responses are
     /// memoised in the cache every other holder sees. Keys fold in the

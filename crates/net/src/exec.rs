@@ -1,0 +1,450 @@
+//! One `execute` for every job: the CLI (`wsn_dse`) and the server both
+//! decode a [`Request`] and run it here, so a served report equals the
+//! CLI's by construction.
+//!
+//! [`Context`] says how a job runs, [`Request`] what it computes. The
+//! CLI fills the context from its context flags (`--jobs`, `--cache-dir`,
+//! `--eval-timeout`, `--eval-retries`), the server from its
+//! [`crate::ServeConfig`]. A shared cache is attached **last** to every
+//! flow: `with_template`, `faults`, `with_spec` and `with_space` clear
+//! whatever cache the flow holds at that moment.
+
+use std::fmt;
+use std::sync::Arc;
+use std::time::Duration;
+
+use harvester::VibrationProfile;
+use wsn_dse::pool::single_attempt;
+use wsn_dse::protocol::{
+    json_string, FaultsJob, NetworkJob, ParetoJob, Request, RunJob, SimulateJob,
+};
+use wsn_dse::robustness::{
+    evaluate_scenarios_with, fault_robustness_with, faults_json, RobustnessSummary,
+};
+use wsn_dse::{
+    paper_design_space_with_timer, DseError, DseFlow, DseReport, EvalCache, RetryPolicy, SimPool,
+};
+use wsn_node::{
+    EngineKind, FallbackEngine, FaultCounters, FaultPlan, NodeConfig, SimEngine, SimOutcome,
+    SystemConfig,
+};
+use wsn_pareto::{MultiObjective, NodeObjectives, ParetoDseFlow, ParetoReport};
+
+use crate::{
+    FleetDseFlow, FleetDseReport, FleetObjectives, FleetSpec, FleetTopology, NetworkReport,
+    NetworkSim, RadioChannel, Result,
+};
+
+/// How a job runs, as opposed to what it computes.
+#[derive(Default)]
+pub struct Context {
+    /// Simulation worker threads per flow (`0`: all cores).
+    pub jobs: usize,
+    /// Retry and backoff discipline of every evaluation.
+    pub retry: RetryPolicy,
+    /// Per-evaluation wall-clock budget; a request's `timeout_ms`
+    /// overrides it.
+    pub deadline: Option<Duration>,
+    /// Evaluation cache shared by every job's flow. `simulate` and plain
+    /// `network` never use it (see [`cache_dir_ignored_warning`]).
+    pub cache: Option<Arc<EvalCache>>,
+    /// Engine-degradation ladder that replaces every job's engine (the
+    /// server's chaos mode).
+    pub ladder: Option<Arc<FallbackEngine>>,
+    /// Keep `simulate`'s voltage trace (the CLI's `--trace`).
+    pub trace: bool,
+}
+
+impl Context {
+    /// The engine a job asking for `kind` (and analogue step `dt`, `0`
+    /// for the default) runs on: the ladder when one is armed.
+    fn engine(&self, kind: EngineKind, dt: f64) -> Arc<dyn SimEngine> {
+        match &self.ladder {
+            Some(ladder) => Arc::clone(ladder) as Arc<dyn SimEngine>,
+            None if dt > 0.0 => kind.engine_with_dt(dt),
+            None => kind.engine(),
+        }
+    }
+
+    fn deadline(&self, timeout_ms: Option<u64>) -> Option<Duration> {
+        timeout_ms.map(Duration::from_millis).or(self.deadline)
+    }
+}
+
+/// The retry-jitter seed of a `wsn_dse` job command, and of a server
+/// started with the default [`crate::ServeConfig`].
+pub const DEFAULT_JITTER_SEED: u64 = 7;
+
+/// The retry discipline of `--eval-retries`: absent, the default policy
+/// (the historical two attempts, no backoff); `Some(n)`, `n` retries
+/// after the first attempt with 25 ms exponential backoff and ±50%
+/// jitter seeded by `jitter_seed`. Jitter only shapes sleep times,
+/// never a result.
+pub fn retry_policy(retries: Option<u32>, jitter_seed: u64) -> RetryPolicy {
+    match retries {
+        None => RetryPolicy::default(),
+        Some(retries) => RetryPolicy::attempts(retries + 1)
+            .with_backoff(Duration::from_millis(25))
+            .with_jitter(0.5, jitter_seed),
+    }
+}
+
+/// The structured warning for a job given `--cache-dir` that never reads
+/// the evaluation cache; `None` for a job that does. `simulate` runs one
+/// configuration directly, and a plain fleet evaluation needs every
+/// node's full timestamp trace, which only a fresh simulation produces.
+/// One JSON object on one line, so scripted callers can detect the
+/// ignored option instead of matching prose.
+pub fn cache_dir_ignored_warning(request: &Request) -> Option<String> {
+    let (context, message) = match request {
+        Request::Simulate(_) => (
+            "simulate",
+            "--cache-dir does not apply to simulate, which runs one configuration \
+             directly and bypasses the cache",
+        ),
+        Request::Network(job) if !job.dse => (
+            "network",
+            "--cache-dir only applies to network --dse; a plain fleet evaluation needs \
+             full per-node traces, which the scalar cache cannot supply",
+        ),
+        _ => return None,
+    };
+    Some(format!(
+        "{{\"warning\":\"cache_dir_ignored\",\"context\":\"{context}\",\"message\":{}}}",
+        json_string(message)
+    ))
+}
+
+/// A job's answer, as the flow produced it.
+pub enum Report {
+    /// `run`.
+    Run(DseReport),
+    /// `simulate`.
+    Simulate(SimOutcome),
+    /// `faults`.
+    Faults(FaultsReport),
+    /// Plain `network`.
+    Network(NetworkReport),
+    /// `network` with `dse`.
+    FleetDse(FleetDseReport),
+    /// `pareto`, single-node or fleet.
+    Pareto(ParetoReport),
+}
+
+impl Report {
+    /// The report as one line of JSON: the CLI's `--json` output and the
+    /// payload of the server's `result` frame.
+    pub fn to_json(&self) -> String {
+        match self {
+            Report::Run(r) => r.to_json(),
+            Report::Simulate(r) => r.to_json(),
+            Report::Faults(r) => r.to_json(),
+            Report::Network(r) => r.to_json(),
+            Report::FleetDse(r) => r.to_json(),
+            Report::Pareto(r) => r.to_json(),
+        }
+    }
+}
+
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Report::Run(r) => write!(f, "{r}"),
+            Report::Simulate(r) => write!(f, "{r}"),
+            Report::Faults(r) => write!(f, "{r}"),
+            Report::Network(r) => write!(f, "{r}"),
+            Report::FleetDse(r) => write!(f, "{r}"),
+            Report::Pareto(r) => write!(f, "{r}"),
+        }
+    }
+}
+
+/// A `faults` job's answer: the nominal baseline, the ensemble summary
+/// and the first realisation's fault counters.
+pub struct FaultsReport {
+    plan: FaultPlan,
+    realisations: u64,
+    horizon: f64,
+    nominal_tx: f64,
+    summary: RobustnessSummary,
+    counters: FaultCounters,
+}
+
+impl FaultsReport {
+    /// The report as one line of JSON.
+    pub fn to_json(&self) -> String {
+        faults_json(&self.plan, self.nominal_tx, &self.summary, &self.counters)
+    }
+}
+
+impl fmt::Display for FaultsReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = &self.summary;
+        writeln!(
+            f,
+            "fault injection: seed {}, rate {}, {} realisations over {} s",
+            self.plan.seed(),
+            self.plan.tx_failure_rate(),
+            self.realisations,
+            self.horizon
+        )?;
+        writeln!(f, "nominal:     {:.0} tx", self.nominal_tx)?;
+        writeln!(
+            f,
+            "ensemble:    mean {:.1}, min {:.0}, max {:.0}, σ {:.1}",
+            s.mean, s.min, s.max, s.std_dev
+        )?;
+        writeln!(
+            f,
+            "tail:        p10 {:.1}, worst-case retention {:.3}, fragility {:.3}",
+            s.percentile(10.0),
+            s.worst_case_ratio(),
+            s.fragility()
+        )?;
+        write!(f, "counters[0]: {}", self.counters)
+    }
+}
+
+/// Runs one job.
+///
+/// # Errors
+///
+/// The flow's error, an invalid node configuration, or
+/// [`DseError::InvalidArgument`] for a control request.
+pub fn execute(request: &Request, ctx: &Context) -> Result<Report> {
+    Ok(match request {
+        Request::Run(job) => Report::Run(run_flow(job, ctx).run()?),
+        Request::Simulate(job) => Report::Simulate(simulate(job, ctx)?),
+        Request::Faults(job) => Report::Faults(faults(job, ctx)?),
+        Request::Network(job) if job.dse => Report::FleetDse(fleet_dse(job, ctx).run()?),
+        Request::Network(job) => Report::Network(network(job, ctx)?),
+        Request::Pareto(job) => Report::Pareto(pareto_flow(job, ctx).run()?),
+        _ => return Err(DseError::InvalidArgument("not a job request")),
+    })
+}
+
+/// The paper's scenario at base frequency `f0` over `horizon` seconds,
+/// around the original design, traces off.
+fn paper_template(f0: f64, horizon: f64) -> SystemConfig {
+    let mut template = SystemConfig::paper(NodeConfig::original())
+        .with_horizon(horizon)
+        .with_vibration(VibrationProfile::paper_profile(f0));
+    template.trace_interval = None;
+    template
+}
+
+/// The paper flow a `run` job describes; `wsn_dse sweep` and `refine`
+/// start from it too.
+pub fn run_flow(job: &RunJob, ctx: &Context) -> DseFlow {
+    let flow = DseFlow::paper()
+        .with_template(paper_template(job.f0, job.horizon))
+        .faults(FaultPlan::uniform(job.fault_seed, job.fault_rate))
+        .seed(job.seed)
+        .doe_runs(job.runs as usize)
+        .jobs(ctx.jobs)
+        .retry_policy(ctx.retry.clone())
+        .eval_deadline(ctx.deadline(job.timeout_ms))
+        .with_engine(ctx.engine(job.engine, job.dt));
+    match &ctx.cache {
+        Some(cache) => flow.shared_cache(Arc::clone(cache)),
+        None => flow,
+    }
+}
+
+/// One direct simulation, under the pool's deadline and panic handling.
+/// It bypasses the cache.
+fn simulate(job: &SimulateJob, ctx: &Context) -> Result<SimOutcome> {
+    let node = NodeConfig::new(job.clock, job.watchdog, job.interval)?;
+    let mut cfg = SystemConfig::paper(node)
+        .with_horizon(job.horizon)
+        .with_vibration(VibrationProfile::paper_profile(job.f0))
+        .with_faults(FaultPlan::uniform(job.fault_seed, job.fault_rate));
+    if !ctx.trace {
+        cfg.trace_interval = None;
+    }
+    let engine = ctx.engine(job.engine, job.dt);
+    single_attempt(ctx.deadline(job.timeout_ms), || Ok(engine.simulate(&cfg)?))
+}
+
+/// A nominal baseline plus `seeds` realisations of the fault plan, all
+/// through one pool.
+fn faults(job: &FaultsJob, ctx: &Context) -> Result<FaultsReport> {
+    let plan = FaultPlan::uniform(job.fault_seed, job.fault_rate);
+    let node = NodeConfig::new(job.clock, job.watchdog, job.interval)?;
+    let template = paper_template(job.f0, job.horizon);
+    let engine = ctx.engine(job.engine, job.dt);
+    let mut pool = SimPool::new(ctx.jobs);
+    pool.set_retry_policy(ctx.retry.clone());
+    pool.set_eval_deadline(ctx.deadline(job.timeout_ms));
+    if let Some(cache) = &ctx.cache {
+        pool.set_shared_cache(Arc::clone(cache));
+    }
+    let nominal = evaluate_scenarios_with(&engine, &pool, &template, node, &[template.scenario()])?;
+    let seeds: Vec<u64> = (0..job.seeds)
+        .map(|i| plan.seed().wrapping_add(i))
+        .collect();
+    let summary = fault_robustness_with(&engine, &pool, &template, node, plan, &seeds)?;
+    // Fault counters from the first realisation (the ensemble memoises
+    // only the response, so one direct deterministic re-run recovers
+    // them).
+    let mut counted = template.clone().with_faults(plan.reseeded(seeds[0]));
+    counted.node = node;
+    let counters = engine.simulate(&counted)?.faults;
+    Ok(FaultsReport {
+        plan,
+        realisations: job.seeds,
+        horizon: job.horizon,
+        nominal_tx: nominal.samples[0],
+        summary,
+        counters,
+    })
+}
+
+/// The fleet a `network` or `pareto` job describes. Both job types carry
+/// the same fleet fields under the same names, so one macro reads either.
+macro_rules! fleet_spec {
+    ($job:expr) => {{
+        let job = $job;
+        let mut channel = if job.ideal {
+            RadioChannel::ideal()
+        } else {
+            RadioChannel::paper_default()
+        };
+        if let Some(slot) = job.slot {
+            channel = channel.with_slot(slot);
+        }
+        if let Some(range) = job.interference {
+            channel = channel.with_interference_range(range);
+        }
+        if let Some(range) = job.delivery {
+            channel = channel.with_delivery_range(range);
+        }
+        let topology = match job.grid_pitch {
+            Some(pitch_m) => FleetTopology::Grid { pitch_m },
+            None => FleetTopology::Ring {
+                radius_m: job.ring_radius,
+            },
+        };
+        let spec = FleetSpec::paper(job.nodes as usize)
+            .with_seed(job.fleet_seed)
+            .with_template(paper_template(job.f0, job.horizon))
+            .with_spreads(job.freq_spread, job.phase_spread)
+            .with_channel(channel)
+            .with_topology(topology);
+        let plan = FaultPlan::uniform(job.fault_seed, job.fault_rate);
+        if plan.is_none() {
+            spec
+        } else {
+            spec.with_faults(plan)
+        }
+    }};
+}
+
+fn network_sim(ctx: &Context, engine: EngineKind, dt: f64, timeout_ms: Option<u64>) -> NetworkSim {
+    NetworkSim::new()
+        .jobs(ctx.jobs)
+        .with_engine(ctx.engine(engine, dt))
+        .retry_policy(ctx.retry.clone())
+        .eval_deadline(ctx.deadline(timeout_ms))
+}
+
+/// One evaluation of the fleet at one design. It needs every node's
+/// full transmission trace, which the scalar cache cannot supply.
+fn network(job: &NetworkJob, ctx: &Context) -> Result<NetworkReport> {
+    let node = NodeConfig::new(job.clock, job.watchdog, job.interval)?;
+    network_sim(ctx, job.engine, job.dt, job.timeout_ms).evaluate(&fleet_spec!(job), node)
+}
+
+/// The fleet-level DSE: the paper flow over the fleet's sink goodput.
+fn fleet_dse(job: &NetworkJob, ctx: &Context) -> FleetDseFlow {
+    let spec = fleet_spec!(job);
+    let flow = FleetDseFlow::paper(spec.nodes)
+        .with_spec(spec)
+        .seed(job.seed)
+        .doe_runs(job.runs as usize)
+        .jobs(ctx.jobs)
+        .retry_policy(ctx.retry.clone())
+        .eval_deadline(ctx.deadline(job.timeout_ms))
+        .with_engine(ctx.engine(job.engine, job.dt));
+    match &ctx.cache {
+        Some(cache) => flow.shared_cache(Arc::clone(cache)),
+        None => flow,
+    }
+}
+
+/// The multi-objective Pareto DSE over the Table V space, single-node or
+/// (with `fleet`) over the fleet objective vector.
+fn pareto_flow(job: &ParetoJob, ctx: &Context) -> ParetoDseFlow {
+    let objective: Arc<dyn MultiObjective> = if job.fleet {
+        let sim = network_sim(ctx, job.engine, job.dt, job.timeout_ms);
+        Arc::new(FleetObjectives::new(fleet_spec!(job)).with_sim(sim))
+    } else {
+        let template = paper_template(job.f0, job.horizon)
+            .with_faults(FaultPlan::uniform(job.fault_seed, job.fault_rate));
+        Arc::new(
+            NodeObjectives::paper()
+                .with_template(template)
+                .with_engine(ctx.engine(job.engine, job.dt)),
+        )
+    };
+    let mut flow = ParetoDseFlow::new(objective)
+        .seed(job.seed)
+        .adaptive(job.adaptive)
+        .budget(job.budget as usize)
+        .doe_runs(job.runs as usize)
+        .batch(job.batch as usize)
+        .front_cap(job.front_cap as usize)
+        .explore(job.explore)
+        .jobs(ctx.jobs)
+        .retry_policy(ctx.retry.clone())
+        .eval_deadline(ctx.deadline(job.timeout_ms));
+    if job.timer_space {
+        flow = flow.with_space(paper_design_space_with_timer());
+    }
+    if let Some(names) = &job.objectives {
+        flow = flow.objectives(names);
+    }
+    match &ctx.cache {
+        Some(cache) => flow.shared_cache(Arc::clone(cache)),
+        None => flow,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn timed_out(request: &Request, ctx: &Context) -> bool {
+        matches!(execute(request, ctx), Err(DseError::EvalTimedOut { .. }))
+    }
+
+    /// `simulate` runs under the pool's single-attempt deadline handling,
+    /// on both surfaces: the server's `timeout_ms` and the CLI's
+    /// `--eval-timeout` alike.
+    #[test]
+    fn simulate_runs_under_the_deadline() {
+        let job = SimulateJob {
+            horizon: 600.0,
+            ..SimulateJob::default()
+        };
+        let served = Request::Simulate(SimulateJob {
+            timeout_ms: Some(0),
+            ..job.clone()
+        });
+        assert!(timed_out(&served, &Context::default()));
+        let cli = Context {
+            deadline: Some(Duration::ZERO),
+            ..Context::default()
+        };
+        assert!(timed_out(&Request::Simulate(job.clone()), &cli));
+        assert!(execute(&Request::Simulate(job), &Context::default()).is_ok());
+    }
+
+    #[test]
+    fn control_requests_are_not_jobs() {
+        assert!(matches!(
+            execute(&Request::Ping, &Context::default()),
+            Err(DseError::InvalidArgument(_))
+        ));
+    }
+}

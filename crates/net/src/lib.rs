@@ -26,7 +26,9 @@
 //! * [`FleetDseFlow`] — the paper's RSM + SA/GA flow over the fleet
 //!   objective, memoised under [`wsn_dse::EvalKey`]s that fold in the
 //!   [`FleetSpec::fingerprint`] so fleet and single-node cache entries
-//!   never collide.
+//!   never collide;
+//! * [`execute`] — every job of the [`wsn_dse::protocol`], run one way
+//!   for the `wsn_dse` CLI and the [`Server`] alike.
 //!
 //! # Example
 //!
@@ -50,9 +52,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
 mod channel;
 mod dse;
+mod exec;
 mod fleet;
 mod pareto;
 mod report;
@@ -62,6 +64,10 @@ pub use channel::{
     distance, ChannelStats, NodeTrace, RadioChannel, DEFAULT_AIRTIME_S, DEFAULT_SLOT_S,
 };
 pub use dse::{FleetDseFlow, FleetDseReport, FleetEval};
+pub use exec::{
+    cache_dir_ignored_warning, execute, retry_policy, run_flow, Context, FaultsReport, Report,
+    DEFAULT_JITTER_SEED,
+};
 pub use fleet::{FleetSpec, FleetTopology, NetworkSim};
 pub use pareto::FleetObjectives;
 pub use report::{NetworkReport, NodeReport};

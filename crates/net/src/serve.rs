@@ -12,10 +12,11 @@
 //!
 //! # Cache-sharing semantics
 //!
-//! Every dispatched flow gets the server's cache via
-//! `shared_cache(...)` as the **last** builder step (the flow builders
-//! clear whatever cache the pool holds when the template changes — that
-//! must never hit the shared cache). Keys fold in the engine's cache
+//! Every job runs through [`crate::execute`] with the server's
+//! [`Context`], so a served report is the CLI's by construction. Each
+//! flow attaches the context's shared cache as its **last** builder
+//! step (earlier steps clear whatever cache the flow holds — that must
+//! never hit the shared cache). Keys fold in the engine's cache
 //! fingerprint and the scenario/fleet fingerprint, so concurrent jobs
 //! with different scenarios can never poison each other, while
 //! identical jobs coalesce: the second submission of the same job is
@@ -26,7 +27,6 @@
 
 use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -36,34 +36,13 @@ use doe::{DOptimal, ModelSpec};
 use harvester::VibrationProfile;
 use rsm::ResponseSurface;
 use wsn_dse::jobs::{EventSink, JobEvent, JobFn, JobQueue, JobState};
-use wsn_dse::protocol::{
-    self, json_array, FaultsJob, NetworkJob, ParetoJob, ProtocolError, Request, RunJob,
-    SimulateJob, MAX_FRAME_BYTES,
-};
-use wsn_dse::robustness::{evaluate_scenarios_with, fault_robustness_with, faults_json};
-use wsn_dse::{
-    coded_to_config, paper_design_space, paper_design_space_with_timer, DseFlow, EvalCache,
-    RetryPolicy, SimPool, SurrogateEngine,
-};
+use wsn_dse::protocol::{self, json_array, ProtocolError, Request, MAX_FRAME_BYTES};
+use wsn_dse::{coded_to_config, paper_design_space, EvalCache, SurrogateEngine};
 use wsn_node::{
-    ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, FaultPlan, NodeConfig, SimEngine,
-    SystemConfig,
+    ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, NodeConfig, SimEngine, SystemConfig,
 };
-use wsn_pareto::{MultiObjective, NodeObjectives, ParetoDseFlow};
 
-use crate::{FleetDseFlow, FleetObjectives, FleetSpec, FleetTopology, NetworkSim, RadioChannel};
-
-/// The structured stderr warning emitted when `network` (non-DSE) is
-/// given `--cache-dir`: a plain fleet evaluation needs every node's
-/// full timestamp trace, which only a fresh simulation produces, so a
-/// warm scalar cache cannot apply. One JSON object on one line, so
-/// scripted clients can detect it instead of pattern-matching prose.
-pub fn cache_dir_ignored_warning() -> String {
-    "{\"warning\":\"cache_dir_ignored\",\"context\":\"network\",\"message\":\
-     \"--cache-dir only applies to network --dse; a plain fleet evaluation needs \
-     full per-node traces, which the scalar cache cannot supply\"}"
-        .to_owned()
-}
+use crate::{execute, retry_policy, Context, DEFAULT_JITTER_SEED};
 
 /// Server construction options.
 #[derive(Debug, Clone)]
@@ -80,7 +59,8 @@ pub struct ServeConfig {
     /// job's engine in a seeded [`ChaosEngine`] backed by a calibrated
     /// surrogate tier (the soak-test configuration).
     pub chaos_rate: f64,
-    /// Seed for the chaos plan and the surrogate calibration design.
+    /// Seed for the chaos plan, the surrogate calibration design and
+    /// retry jitter.
     pub chaos_seed: u64,
     /// Default per-evaluation wall-clock budget (a request's
     /// `timeout_ms` overrides it per job).
@@ -97,7 +77,7 @@ impl Default for ServeConfig {
             jobs: 0,
             cache_dir: None,
             chaos_rate: 0.0,
-            chaos_seed: 7,
+            chaos_seed: DEFAULT_JITTER_SEED,
             eval_timeout: None,
             eval_retries: None,
         }
@@ -105,31 +85,13 @@ impl Default for ServeConfig {
 }
 
 struct ServerState {
-    config: ServeConfig,
-    cache: Arc<EvalCache>,
+    /// How every job runs: the pool width, the retry discipline, the
+    /// default deadline, the shared cache and the chaos ladder.
+    ctx: Context,
     queue: JobQueue,
-    ladder: Option<Arc<FallbackEngine>>,
-    retry: RetryPolicy,
     stop: AtomicBool,
     requests: AtomicU64,
     protocol_errors: AtomicU64,
-}
-
-impl ServerState {
-    /// The engine a job asking for `kind` actually gets: the chaos
-    /// ladder when one is armed, the plain engine otherwise.
-    fn engine_for(&self, kind: EngineKind) -> Arc<dyn SimEngine> {
-        match &self.ladder {
-            Some(ladder) => Arc::clone(ladder) as Arc<dyn SimEngine>,
-            None => kind.engine(),
-        }
-    }
-
-    fn deadline_for(&self, timeout_ms: Option<u64>) -> Option<Duration> {
-        timeout_ms
-            .map(Duration::from_millis)
-            .or(self.config.eval_timeout)
-    }
 }
 
 /// A bound, not-yet-serving `wsn-serve` instance. [`Server::run`]
@@ -177,18 +139,16 @@ impl Server {
         } else {
             None
         };
-        let retry = match config.eval_retries {
-            None => RetryPolicy::default(),
-            Some(retries) => RetryPolicy::attempts(retries + 1)
-                .with_backoff(Duration::from_millis(25))
-                .with_jitter(0.5, config.chaos_seed),
-        };
         let state = Arc::new(ServerState {
+            ctx: Context {
+                jobs: config.jobs,
+                retry: retry_policy(config.eval_retries, config.chaos_seed),
+                deadline: config.eval_timeout,
+                cache: Some(cache),
+                ladder,
+                trace: false,
+            },
             queue: JobQueue::new(config.workers),
-            config,
-            cache,
-            ladder,
-            retry,
             stop: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
@@ -225,7 +185,7 @@ impl Server {
             std::thread::spawn(move || handle_connection(&state, stream));
         }
         self.state.queue.shutdown();
-        if let Err(e) = self.state.cache.flush() {
+        if let Some(Err(e)) = self.state.ctx.cache.as_ref().map(|cache| cache.flush()) {
             eprintln!("warning: final eval cache flush failed: {e}");
         }
     }
@@ -398,7 +358,11 @@ fn dispatch(state: &Arc<ServerState>, writer: &FrameWriter, request: Request) ->
             let id = job_request.id().map(str::to_owned);
             let events = frame_events(Arc::clone(writer), id.clone());
             let exec_state = Arc::clone(state);
-            let work: JobFn = Box::new(move || execute(&exec_state, &job_request));
+            let work: JobFn = Box::new(move || {
+                execute(&job_request, &exec_state.ctx)
+                    .map(|report| report.to_json())
+                    .map_err(|e| e.to_string())
+            });
             match state.queue.submit(work, events) {
                 Some(job) => {
                     let depth = state.queue.depth();
@@ -439,7 +403,7 @@ fn frame_events(writer: FrameWriter, id: Option<String>) -> EventSink {
 
 fn stats_frame(state: &ServerState) -> String {
     let q = state.queue.stats();
-    let (degraded, tiers) = match &state.ladder {
+    let (degraded, tiers) = match &state.ctx.ladder {
         Some(ladder) => (
             ladder.degraded_served(),
             json_array(
@@ -465,194 +429,12 @@ fn stats_frame(state: &ServerState) -> String {
         q.cancelled,
         q.queued,
         q.running,
-        state.cache.stats().to_json(),
+        state
+            .ctx
+            .cache
+            .as_ref()
+            .map(|cache| cache.stats())
+            .unwrap_or_default()
+            .to_json(),
     )
-}
-
-// ---------------------------------------------------------------------------
-// Request execution: each job builds the same flow the CLI would, so
-// served reports are byte-identical to CLI ones (the single-node
-// report's shared-cache counters excepted).
-// ---------------------------------------------------------------------------
-
-fn execute(state: &ServerState, request: &Request) -> Result<String, String> {
-    match request {
-        Request::Run(job) => run_report(state, job),
-        Request::Simulate(job) => simulate_report(state, job),
-        Request::Faults(job) => faults_report(state, job),
-        Request::Network(job) => network_report(state, job),
-        Request::Pareto(job) => pareto_report(state, job),
-        _ => Err("not a job request".to_owned()),
-    }
-}
-
-fn paper_template(f0: f64, horizon: f64) -> SystemConfig {
-    SystemConfig::paper(NodeConfig::original())
-        .with_horizon(horizon)
-        .with_vibration(VibrationProfile::paper_profile(f0))
-}
-
-fn run_report(state: &ServerState, job: &RunJob) -> Result<String, String> {
-    let flow = DseFlow::paper()
-        .with_template(paper_template(job.f0, job.horizon))
-        .faults(FaultPlan::uniform(job.fault_seed, job.fault_rate))
-        .seed(job.seed)
-        .doe_runs(job.runs as usize)
-        .jobs(state.config.jobs)
-        .retry_policy(state.retry.clone())
-        .eval_deadline(state.deadline_for(job.timeout_ms))
-        .with_engine(state.engine_for(job.engine))
-        .shared_cache(Arc::clone(&state.cache));
-    flow.run()
-        .map(|report| report.to_json())
-        .map_err(|e| e.to_string())
-}
-
-fn simulate_report(state: &ServerState, job: &SimulateJob) -> Result<String, String> {
-    let node = NodeConfig::new(job.clock, job.watchdog, job.interval).map_err(|e| e.to_string())?;
-    let mut cfg = SystemConfig::paper(node)
-        .with_horizon(job.horizon)
-        .with_vibration(VibrationProfile::paper_profile(job.f0))
-        .with_faults(FaultPlan::uniform(job.fault_seed, job.fault_rate));
-    cfg.trace_interval = None;
-    let engine = state.engine_for(job.engine);
-    let deadline = state.deadline_for(job.timeout_ms);
-    // The pool's deadline discipline, inlined for a single direct run:
-    // cooperative aborts and late completions both fail cleanly.
-    let started = std::time::Instant::now();
-    let outcome = wsn_node::deadline::with_budget(deadline, || {
-        std::panic::catch_unwind(AssertUnwindSafe(|| engine.simulate(&cfg)))
-    });
-    match outcome {
-        Ok(Ok(out)) => match deadline {
-            Some(budget) if started.elapsed() > budget => {
-                Err(format!("evaluation timed out after {budget:?}"))
-            }
-            _ => Ok(out.to_json()),
-        },
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => {
-            if wsn_node::deadline::payload_is_deadline(payload.as_ref()) {
-                Err(format!(
-                    "evaluation timed out after {:?}",
-                    deadline.unwrap_or_default()
-                ))
-            } else {
-                Err("evaluation panicked".to_owned())
-            }
-        }
-    }
-}
-
-fn faults_report(state: &ServerState, job: &FaultsJob) -> Result<String, String> {
-    let plan = FaultPlan::uniform(job.fault_seed, job.fault_rate);
-    let node = NodeConfig::new(job.clock, job.watchdog, job.interval).map_err(|e| e.to_string())?;
-    let mut template = paper_template(job.f0, job.horizon);
-    template.trace_interval = None;
-
-    let engine = state.engine_for(job.engine);
-    let mut pool = SimPool::new(state.config.jobs);
-    pool.set_retry_policy(state.retry.clone());
-    pool.set_eval_deadline(state.deadline_for(job.timeout_ms));
-    pool.set_shared_cache(Arc::clone(&state.cache));
-    let nominal = evaluate_scenarios_with(&engine, &pool, &template, node, &[template.scenario()])
-        .map_err(|e| e.to_string())?;
-    let nominal_tx = nominal.samples[0];
-
-    let seeds: Vec<u64> = (0..job.seeds)
-        .map(|i| plan.seed().wrapping_add(i))
-        .collect();
-    let summary = fault_robustness_with(&engine, &pool, &template, node, plan, &seeds)
-        .map_err(|e| e.to_string())?;
-    let mut counted = template.clone().with_faults(plan.reseeded(seeds[0]));
-    counted.node = node;
-    let outcome = engine.simulate(&counted).map_err(|e| e.to_string())?;
-
-    Ok(faults_json(&plan, nominal_tx, &summary, &outcome.faults))
-}
-
-fn pareto_report(state: &ServerState, job: &ParetoJob) -> Result<String, String> {
-    let objective: Arc<dyn MultiObjective> = if job.fleet {
-        // Same spec the CLI's `pareto --fleet` builds with its defaults:
-        // FleetSpec::paper already carries the paper channel, the ±2 Hz /
-        // 30 s spreads and the 10 m ring.
-        let spec = FleetSpec::paper(job.nodes as usize)
-            .with_seed(job.fleet_seed)
-            .with_template(paper_template(job.f0, job.horizon));
-        let sim = NetworkSim::new()
-            .jobs(state.config.jobs)
-            .with_engine(state.engine_for(job.engine))
-            .retry_policy(state.retry.clone())
-            .eval_deadline(state.deadline_for(job.timeout_ms));
-        Arc::new(FleetObjectives::new(spec).with_sim(sim))
-    } else {
-        Arc::new(
-            NodeObjectives::paper()
-                .with_template(paper_template(job.f0, job.horizon))
-                .with_engine(state.engine_for(job.engine)),
-        )
-    };
-    let mut flow = ParetoDseFlow::new(objective)
-        .seed(job.seed)
-        .adaptive(job.adaptive)
-        .budget(job.budget as usize)
-        .doe_runs(job.runs as usize)
-        .jobs(state.config.jobs)
-        .retry_policy(state.retry.clone())
-        .eval_deadline(state.deadline_for(job.timeout_ms));
-    if job.timer_space {
-        flow = flow.with_space(paper_design_space_with_timer());
-    }
-    if let Some(names) = &job.objectives {
-        flow = flow.objectives(names);
-    }
-    // The shared cache comes last: `with_space` clears whatever cache
-    // the flow holds when it runs.
-    flow.shared_cache(Arc::clone(&state.cache))
-        .run()
-        .map(|report| report.to_json())
-        .map_err(|e| e.to_string())
-}
-
-fn network_report(state: &ServerState, job: &NetworkJob) -> Result<String, String> {
-    let channel = if job.ideal {
-        RadioChannel::ideal()
-    } else {
-        RadioChannel::paper_default()
-    };
-    let mut spec = FleetSpec::paper(job.nodes as usize)
-        .with_seed(job.fleet_seed)
-        .with_template(paper_template(job.f0, job.horizon))
-        .with_spreads(job.freq_spread, job.phase_spread)
-        .with_channel(channel)
-        .with_topology(FleetTopology::Ring { radius_m: 10.0 });
-    let plan = FaultPlan::uniform(job.fault_seed, job.fault_rate);
-    if !plan.is_none() {
-        spec = spec.with_faults(plan);
-    }
-    if job.dse {
-        let flow = FleetDseFlow::paper(spec.nodes)
-            .with_spec(spec)
-            .seed(job.seed)
-            .doe_runs(job.runs as usize)
-            .jobs(state.config.jobs)
-            .retry_policy(state.retry.clone())
-            .eval_deadline(state.deadline_for(job.timeout_ms))
-            .with_engine(state.engine_for(job.engine))
-            .shared_cache(Arc::clone(&state.cache));
-        flow.run()
-            .map(|report| report.to_json())
-            .map_err(|e| e.to_string())
-    } else {
-        let node =
-            NodeConfig::new(job.clock, job.watchdog, job.interval).map_err(|e| e.to_string())?;
-        NetworkSim::new()
-            .jobs(state.config.jobs)
-            .with_engine(state.engine_for(job.engine))
-            .retry_policy(state.retry.clone())
-            .eval_deadline(state.deadline_for(job.timeout_ms))
-            .evaluate(&spec, node)
-            .map(|report| report.to_json())
-            .map_err(|e| e.to_string())
-    }
 }

@@ -421,22 +421,66 @@ fn queued_jobs_cancel_before_running() {
 }
 
 /// Satellite of the serving layer: the warning the CLI prints when a
-/// plain (non-DSE) `network` run is given `--cache-dir` must be one
-/// structured JSON object on one line, so scripted clients can detect
-/// it without pattern-matching prose.
+/// job that never reads the cache (`simulate`, plain `network`) is given
+/// `--cache-dir` must be one structured JSON object on one line, so
+/// scripted clients can detect it without pattern-matching prose. Jobs
+/// that use the cache get no warning.
 #[test]
 fn cache_dir_ignored_warning_is_one_line_of_structured_json() {
-    let warning = wsn_net::serve::cache_dir_ignored_warning();
-    assert!(!warning.contains('\n'), "warning spans lines: {warning:?}");
-    let doc = wsn_dse::protocol::parse_json(&warning).expect("warning parses as JSON");
-    assert_eq!(
-        doc.get("warning").and_then(|v| v.as_str()),
-        Some("cache_dir_ignored")
-    );
-    assert_eq!(doc.get("context").and_then(|v| v.as_str()), Some("network"));
-    let message = doc
-        .get("message")
-        .and_then(|v| v.as_str())
-        .expect("warning carries a message");
-    assert!(message.contains("--cache-dir"));
+    let ignored = [
+        (Request::Network(Box::default()), "network"),
+        (Request::Simulate(Default::default()), "simulate"),
+    ];
+    for (request, context) in ignored {
+        let warning = wsn_net::cache_dir_ignored_warning(&request).expect("a warning");
+        assert!(!warning.contains('\n'), "warning spans lines: {warning:?}");
+        let doc = wsn_dse::protocol::parse_json(&warning).expect("warning parses as JSON");
+        assert_eq!(
+            doc.get("warning").and_then(|v| v.as_str()),
+            Some("cache_dir_ignored")
+        );
+        assert_eq!(doc.get("context").and_then(|v| v.as_str()), Some(context));
+        let message = doc
+            .get("message")
+            .and_then(|v| v.as_str())
+            .expect("warning carries a message");
+        assert!(message.contains("--cache-dir"));
+    }
+    let dse = Request::Network(Box::new(wsn_dse::protocol::NetworkJob {
+        dse: true,
+        ..Default::default()
+    }));
+    for uses_cache in [Request::Run(Default::default()), dse] {
+        assert_eq!(wsn_net::cache_dir_ignored_warning(&uses_cache), None);
+    }
+}
+
+/// A served `pareto` job with a bad objective name fails with a message
+/// that names it and the known names, so the client learns what was
+/// wrong instead of reading a fixed string.
+#[test]
+fn unknown_objective_error_frame_names_the_objective() {
+    let (addr, handle) = start_server(ServeConfig {
+        workers: 1,
+        jobs: 1,
+        ..Default::default()
+    });
+    let mut client = Client::connect(addr);
+    let request = Request::Pareto(Box::new(wsn_dse::protocol::ParetoJob {
+        id: Some("bad".to_owned()),
+        objectives: Some("tx_per_hour,bogus".to_owned()),
+        horizon: 600.0,
+        ..Default::default()
+    }));
+    client.send(&request.to_json());
+    let message = loop {
+        match client.next_frame() {
+            Frame::JobError { message, .. } => break message,
+            Frame::Result { .. } => panic!("a bogus objective produced a report"),
+            _ => {}
+        }
+    };
+    assert!(message.contains("\"bogus\""), "{message}");
+    assert!(message.contains("tx_per_hour"), "{message}");
+    shutdown(addr, handle);
 }

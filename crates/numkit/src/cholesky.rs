@@ -73,29 +73,6 @@ impl Cholesky {
         self.l.la_cholesky_ln_det()
     }
 
-    /// Rank-1 update: replaces the stored factor of `A` with the factor
-    /// of `A + v vᵀ` in O(n²) instead of the O(n³) refactorisation —
-    /// the incremental determinant update a DOE exchange loop needs
-    /// when one design row joins the information matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::ShapeMismatch`] if `v.len()` differs from
-    /// the matrix dimension.
-    pub fn rank1_update(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(NumError::ShapeMismatch {
-                op: "cholesky rank-1 update",
-                lhs: (n, n),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut w = v.to_vec();
-        self.l.la_cholesky_rank1_update(&mut w);
-        Ok(())
-    }
-
     /// Solves `A x = b`.
     ///
     /// # Errors

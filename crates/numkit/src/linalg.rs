@@ -6,8 +6,8 @@
 //! const-generic stack matrix ([`crate::SMat`]). This module provides:
 //!
 //! * [`LinAlg`] — a storage-agnostic trait whose *provided* methods are
-//!   the factorisation and solve kernels (Householder QR, Cholesky with
-//!   rank-1 determinant update, LU with partial pivoting, Gram products).
+//!   the factorisation and solve kernels (Householder QR, Cholesky, LU
+//!   with partial pivoting, Gram products).
 //!   Both `Matrix` and `SMat` implement the four accessor methods and
 //!   inherit the kernels, so the two storages execute the *same*
 //!   floating-point operations in the same order — results are
@@ -276,29 +276,6 @@ pub trait LinAlg {
         }
     }
 
-    /// Rank-1 determinant update of a Cholesky factor (`self` = L):
-    /// after the call, `self` is the factor of `A + w wᵀ` in O(n²)
-    /// instead of the O(n³) refactorisation. `w` is destroyed.
-    ///
-    /// This is the incremental update an adaptive DOE exchange loop
-    /// needs when one design row is added to the information matrix.
-    fn la_cholesky_rank1_update(&mut self, w: &mut [f64]) {
-        let n = self.la_rows();
-        debug_assert_eq!(w.len(), n);
-        for k in 0..n {
-            let lkk = self.la_get(k, k);
-            let r = lkk.hypot(w[k]);
-            let c = r / lkk;
-            let s = w[k] / lkk;
-            self.la_set(k, k, r);
-            for i in (k + 1)..n {
-                let lik = (self.la_get(i, k) + s * w[i]) / c;
-                self.la_set(i, k, lik);
-                w[i] = c * w[i] - s * lik;
-            }
-        }
-    }
-
     /// In-place LU factorisation with partial pivoting: on return
     /// `self` holds L (strict lower, unit diagonal implied) and U;
     /// `perm[i]` records the source row of factored row `i`. Returns
@@ -542,37 +519,6 @@ mod tests {
             gram_inverse(&x).unwrap_err(),
             x.gram().inverse().unwrap_err()
         );
-    }
-
-    #[test]
-    fn rank1_update_matches_refactorisation() {
-        let x = design_matrix(8, 4);
-        let mut gram = Matrix::zeros(4, 4);
-        x.la_gram_into(&mut gram);
-        let mut l = Matrix::zeros(4, 4);
-        l.la_cholesky_factor_from(&gram).unwrap();
-        let w = [0.5, -1.25, 2.0, 0.75];
-        // Updated factor...
-        let mut w_buf = w;
-        l.la_cholesky_rank1_update(&mut w_buf);
-        // ...must match factoring A + w wᵀ from scratch.
-        for i in 0..4 {
-            for j in 0..4 {
-                gram[(i, j)] += w[i] * w[j];
-            }
-        }
-        let mut l_ref = Matrix::zeros(4, 4);
-        l_ref.la_cholesky_factor_from(&gram).unwrap();
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!(
-                    (l[(i, j)] - l_ref[(i, j)]).abs() < 1e-10,
-                    "L[{i}][{j}]: {} vs {}",
-                    l[(i, j)],
-                    l_ref[(i, j)]
-                );
-            }
-        }
     }
 
     #[test]

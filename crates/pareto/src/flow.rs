@@ -195,19 +195,6 @@ impl ParetoDseFlow {
         &self.space
     }
 
-    /// Attaches a crash-safe persistent evaluation cache under `dir`
-    /// (see [`wsn_dse::DseFlow::cache_dir`]; an unusable directory only
-    /// costs persistence, never the flow).
-    pub fn cache_dir(self, dir: impl AsRef<std::path::Path>) -> Self {
-        if let Err(e) = self.pool.cache().persist_to(dir.as_ref()) {
-            eprintln!(
-                "warning: cannot attach eval cache at {}: {e}; continuing without persistence",
-                dir.as_ref().display()
-            );
-        }
-        self
-    }
-
     /// Replaces the pool's cache with a shared handle (how a server
     /// multiplexes many flows onto one warm cache). Apply after
     /// [`with_space`](Self::with_space), which clears whatever cache the
@@ -248,13 +235,10 @@ impl ParetoDseFlow {
             .filter(|s| !s.is_empty())
         {
             let Some(j) = specs.iter().position(|s| s.name == name) else {
-                eprintln!(
-                    "unknown objective {name:?}; known: {:?}",
-                    specs.iter().map(|s| s.name).collect::<Vec<_>>()
-                );
-                return Err(wsn_dse::DseError::InvalidArgument(
-                    "unknown objective name in --objectives selection",
-                ));
+                return Err(wsn_dse::DseError::UnknownObjective {
+                    name: name.to_owned(),
+                    known: specs.iter().map(|s| s.name).collect(),
+                });
             };
             if !slots.contains(&j) {
                 slots.push(j);

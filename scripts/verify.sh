@@ -75,9 +75,6 @@ for jobs in 1 2 8; do
 done
 cmp "$FLEET_DIR/dse-1.json" "$FLEET_DIR/dse-2.json"
 cmp "$FLEET_DIR/dse-1.json" "$FLEET_DIR/dse-8.json"
-# The fleet DSE baseline the serving gate compares against.
-target/release/wsn_dse network --nodes 4 --horizon 900 --dse --json \
-  > "$FLEET_DIR/fleet-dse.json"
 
 echo "== linalg gate: hot-path bench smoke (asserts batch scoring agreement) =="
 target/release/linalg_hot_path --quick --out "$FLEET_DIR/BENCH_linalg.json"
@@ -185,46 +182,73 @@ for _ in $(seq 1 100); do
 done
 [ -s "$ADDR_FILE" ] || { echo "verify: wsn-serve never announced its address" >&2; exit 1; }
 ADDR="$(cat "$ADDR_FILE")"
-# Cold pass: the served single-node report must match the CLI baseline
-# from the determinism gate byte for byte outside the cache counters.
-target/release/wsn_client --addr "$ADDR" run --horizon 900 \
-  > "$FLEET_DIR/served-run-cold.json"
-cmp <(strip_cache "$FLEET_DIR/served-run-cold.json") \
-    <(strip_cache "$FLEET_DIR/dse-1.json")
-# Fleet DSE reports carry no cache counters: strict byte equality.
-target/release/wsn_client --addr "$ADDR" network --nodes 4 --horizon 900 --dse \
-  > "$FLEET_DIR/served-fleet-dse.json"
-cmp "$FLEET_DIR/served-fleet-dse.json" "$FLEET_DIR/fleet-dse.json"
-# The served pareto front must match the CLI's, single-node and fleet,
-# outside the shared-cache counters.
-target/release/wsn_client --addr "$ADDR" pareto --horizon 900 \
-  > "$FLEET_DIR/served-pareto.json"
-cmp <(strip_cache "$FLEET_DIR/served-pareto.json") \
-    <(strip_cache "$FLEET_DIR/pareto-jobs1.json")
-target/release/wsn_client --addr "$ADDR" pareto --fleet --nodes 3 --horizon 900 \
-  > "$FLEET_DIR/served-pareto-fleet.json"
-cmp <(strip_cache "$FLEET_DIR/served-pareto-fleet.json") \
-    <(strip_cache "$FLEET_DIR/pareto-fleet1.json")
-# Warm pass: same answer again, now served from the shared cache.
-target/release/wsn_client --addr "$ADDR" run --horizon 900 \
+# served_equals_cli ARGS...: the served report of a job equals
+# `wsn_dse ARGS --json` byte for byte; single-node run and pareto
+# reports outside their shared-cache counters.
+served_equals_cli() {
+  target/release/wsn_dse "$@" --json > "$FLEET_DIR/cli.json"
+  target/release/wsn_client --addr "$ADDR" "$@" > "$FLEET_DIR/served.json"
+  case "$1" in
+    run | pareto) cmp <(strip_cache "$FLEET_DIR/served.json") \
+                      <(strip_cache "$FLEET_DIR/cli.json") ;;
+    *) cmp "$FLEET_DIR/served.json" "$FLEET_DIR/cli.json" ;;
+  esac
+}
+# Every job type, including the channel, topology, fault and adaptive
+# options a server once ignored.
+served_equals_cli run --horizon 900
+served_equals_cli simulate --clock 125000 --watchdog 60 --interval 0.005 --horizon 900
+served_equals_cli faults --horizon 900 --fault-seed 3 --fault-rate 0.2
+served_equals_cli network --nodes 4 --horizon 600 --grid-pitch 30 --interference 20 \
+  --delivery 50
+served_equals_cli network --nodes 4 --horizon 900 --dse
+served_equals_cli pareto --horizon 900
+served_equals_cli pareto --fleet --nodes 3 --horizon 900
+served_equals_cli pareto --horizon 600 --fault-seed 3 --fault-rate 0.2
+served_equals_cli pareto --fleet --nodes 3 --horizon 600 --slot 0.05 --adaptive
+# Warm pass: the same answer again, now served from the shared cache.
+# Options may precede the command, values included.
+target/release/wsn_client --id warm --timeout-ms 600000 --addr "$ADDR" run --horizon 900 \
   > "$FLEET_DIR/served-run-warm.json"
 cmp <(strip_cache "$FLEET_DIR/served-run-warm.json") \
-    <(strip_cache "$FLEET_DIR/served-run-cold.json")
+    <(strip_cache "$FLEET_DIR/dse-1.json")
 target/release/wsn_client --addr "$ADDR" stats > "$FLEET_DIR/serve-stats.json"
 if grep -o '"hits":[0-9]*' "$FLEET_DIR/serve-stats.json" \
     | grep -q '"hits":0$'; then
   echo "verify: warm served run never hit the shared cache" >&2
   exit 1
 fi
+
+echo "== serving gate: unknown options and missing values are errors =="
+# must_reject OPTION CMD...: CMD exits non-zero, prints nothing on
+# stdout and names OPTION in its error.
+must_reject() {
+  local option="$1"
+  shift
+  if "$@" > "$FLEET_DIR/rejected.out" 2> "$FLEET_DIR/rejected.err"; then
+    echo "verify: accepted a bad command line: $*" >&2
+    exit 1
+  fi
+  [ ! -s "$FLEET_DIR/rejected.out" ] || { echo "verify: stdout from: $*" >&2; exit 1; }
+  grep -qF -- "$option" "$FLEET_DIR/rejected.err"
+}
+must_reject --hoirzon target/release/wsn_dse simulate --hoirzon 60
+must_reject --linalg target/release/wsn_dse run --linalg bogus
+must_reject --seed target/release/wsn_dse run --seed
+must_reject --bogus target/release/wsn_client --addr "$ADDR" run --bogus
 target/release/wsn_client --addr "$ADDR" shutdown > /dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
 
-echo "== serving gate: non-DSE --cache-dir warning is structured JSON =="
+echo "== serving gate: an ignored --cache-dir warns in structured JSON =="
 target/release/wsn_dse network --nodes 2 --horizon 600 --json \
   --cache-dir "$FLEET_DIR/nevercache" \
   > /dev/null 2> "$FLEET_DIR/cache-warning.log"
-grep -q '"warning":"cache_dir_ignored"' "$FLEET_DIR/cache-warning.log"
+grep -q '"warning":"cache_dir_ignored","context":"network"' "$FLEET_DIR/cache-warning.log"
+target/release/wsn_dse simulate --horizon 600 --json --cache-dir "$FLEET_DIR/nevercache" \
+  > /dev/null 2> "$FLEET_DIR/cache-warning.log"
+grep -q '"warning":"cache_dir_ignored","context":"simulate"' "$FLEET_DIR/cache-warning.log"
+[ ! -e "$FLEET_DIR/nevercache" ] || { echo "verify: an ignored cache dir was created" >&2; exit 1; }
 
 echo "== serving gate: load bench smoke (asserts warm hit rate > 90%) =="
 target/release/serve_load --quick --out "$FLEET_DIR/BENCH_serve.json"

@@ -15,7 +15,9 @@ use std::time::{Duration, Instant};
 use doe::{Design, ModelSpec};
 use harvester::VibrationProfile;
 use rsm::ResponseSurface;
-use wsn_dse::{paper_design_space, DseError, DseFlow, EvalKey, SimPool, SurrogateEngine};
+use wsn_dse::{
+    paper_design_space, DseError, DseFlow, EvalCache, EvalKey, SimPool, SurrogateEngine,
+};
 use wsn_node::{ChaosEngine, ChaosPlan, EngineKind, NodeConfig, Scenario, SimEngine, SystemConfig};
 
 /// A unique scratch directory per test (cleaned on entry so a previous
@@ -263,16 +265,19 @@ fn ladder_converges_to_the_surrogate_under_total_tier0_failure() {
 /// The same flow, run cold and then warm from the persistent cache,
 /// produces byte-identical reports once the (intentionally
 /// warmth-dependent) cache counters are stripped — and the warm run
-/// really is served from disk.
+/// really is served from disk. Each run attaches a fresh cache to the
+/// directory last, as `wsn_dse --cache-dir` does.
 #[test]
 fn flow_reports_are_identical_cold_and_warm() {
     let dir = scratch("cold-warm");
     let flow = || {
+        let cache = EvalCache::new();
+        cache.persist_to(&dir).expect("attach the persistent cache");
         DseFlow::paper()
             .with_template(fast_template())
             .seed(12)
             .jobs(2)
-            .cache_dir(&dir)
+            .shared_cache(Arc::new(cache))
     };
     let strip = |json: &str| {
         let start = json

@@ -1,6 +1,7 @@
 //! Property-based tests for the `wsn-serve` wire protocol codec
-//! (`wsn_dse::protocol`): request round-trips, torn/partial/garbage
-//! lines, oversized frames and byte-exact report recovery.
+//! (`wsn_dse::protocol`): request round-trips through JSON and through
+//! the command-line decoder, torn/partial/garbage lines, oversized
+//! frames and byte-exact report recovery.
 //!
 //! The robustness contract under test: **parsing never panics** — every
 //! malformed line maps to a structured [`ProtocolError`] with a stable
@@ -8,8 +9,8 @@
 
 use proptest::prelude::*;
 use wsn_dse::protocol::{
-    extract_raw_field, result_frame, running_frame, FaultsJob, Frame, NetworkJob, Request, RunJob,
-    SimulateJob, MAX_FRAME_BYTES,
+    extract_raw_field, parse_json, result_frame, running_frame, FaultsJob, Frame, Json, NetworkJob,
+    ParetoJob, Request, RunJob, SimulateJob, MAX_FRAME_BYTES,
 };
 use wsn_node::EngineKind;
 
@@ -36,13 +37,22 @@ fn timeout_strategy() -> impl Strategy<Value = Option<u64>> {
     prop::sample::select(vec![None, Some(0), Some(1), Some(250), Some(86_400_000)])
 }
 
+/// Strategy: an optional value drawn from `values`.
+fn optional<T: Clone>(values: &[T]) -> impl Strategy<Value = Option<T>> {
+    prop::sample::select(
+        std::iter::once(None)
+            .chain(values.iter().cloned().map(Some))
+            .collect::<Vec<_>>(),
+    )
+}
+
 /// Strategy: one request of any type, fields drawn across their valid
 /// ranges (floats restricted to exactly-representable round-trip-safe
 /// grids so `PartialEq` comparison after a text round-trip is exact).
 fn request_strategy() -> impl Strategy<Value = Request> {
     (
         (
-            0usize..8,
+            0usize..9,
             id_strategy(),
             engine_strategy(),
             timeout_strategy(),
@@ -52,6 +62,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             prop::sample::select(vec![25.0f64, 75.0, 120.5, 200.25]),
             prop::sample::select(vec![60.0f64, 600.0, 3600.0, 7200.5]),
             prop::sample::select(vec![0.0f64, 0.125, 0.5, 1.0]),
+            prop::sample::select(vec![0.0f64, 1e-5, 0.000125]),
         ),
         (
             (1u64..40, 0u64..500),
@@ -60,6 +71,16 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                 prop::sample::select(vec![0.0f64, 1.5, 30.0]),
                 any::<bool>(),
                 any::<bool>(),
+                any::<bool>(),
+            ),
+            (
+                optional(&[0.02f64, 0.05]),
+                optional(&[0.0f64, 20.0]),
+                optional(&[5.0f64, 30.0]),
+                optional(&[
+                    "tx_per_hour".to_owned(),
+                    "goodput_per_hour,collision_rate".to_owned(),
+                ]),
             ),
         ),
     )
@@ -67,8 +88,13 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             |(
                 (kind, id, engine, timeout_ms),
                 (seed, runs, fault_seed, seeds),
-                (f0, horizon, fault_rate),
-                ((nodes, fleet_seed), clock, (spread, ideal, dse)),
+                (f0, horizon, fault_rate, dt),
+                (
+                    (nodes, fleet_seed),
+                    clock,
+                    (spread, ideal, dse, adaptive),
+                    (slot, range, grid_pitch, objectives),
+                ),
             )| {
                 match kind {
                     0 => Request::Run(RunJob {
@@ -78,6 +104,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         f0,
                         horizon,
                         engine,
+                        dt,
                         fault_seed,
                         fault_rate,
                         timeout_ms,
@@ -90,6 +117,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         f0,
                         horizon,
                         engine,
+                        dt,
                         fault_seed,
                         fault_rate,
                         timeout_ms,
@@ -105,9 +133,10 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         fault_rate: fault_rate.max(0.125),
                         seeds,
                         engine,
+                        dt,
                         timeout_ms,
                     }),
-                    3 => Request::Network(NetworkJob {
+                    3 => Request::Network(Box::new(NetworkJob {
                         id,
                         nodes,
                         fleet_seed,
@@ -116,6 +145,11 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         freq_spread: spread,
                         phase_spread: spread * 2.0,
                         ideal,
+                        slot,
+                        interference: range,
+                        delivery: range.map(|r| r + 10.0),
+                        ring_radius: 10.0 + spread,
+                        grid_pitch,
                         dse,
                         seed,
                         runs,
@@ -123,17 +157,71 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         watchdog: 320.0,
                         interval: 5.0,
                         engine,
+                        dt,
                         fault_seed,
                         fault_rate,
                         timeout_ms,
-                    }),
-                    4 => Request::Cancel { job: seed },
-                    5 => Request::Stats,
-                    6 => Request::Ping,
+                    })),
+                    4 => Request::Pareto(Box::new(ParetoJob {
+                        id,
+                        fleet: dse,
+                        nodes,
+                        fleet_seed,
+                        f0,
+                        horizon,
+                        freq_spread: spread,
+                        phase_spread: spread * 2.0,
+                        ideal,
+                        slot,
+                        interference: range,
+                        delivery: range.map(|r| r + 10.0),
+                        ring_radius: 10.0 + spread,
+                        grid_pitch,
+                        fault_seed,
+                        fault_rate,
+                        objectives,
+                        adaptive,
+                        budget: 4 + runs,
+                        batch: seeds,
+                        front_cap: 2 + seeds,
+                        explore: fault_rate,
+                        seed,
+                        runs,
+                        engine,
+                        dt,
+                        timer_space: ideal && adaptive,
+                        timeout_ms,
+                    })),
+                    5 => Request::Cancel { job: seed },
+                    6 => Request::Stats,
+                    7 => Request::Ping,
                     _ => Request::Shutdown,
                 }
             },
         )
+}
+
+/// The command line a client would type for `req`: every member of its
+/// JSON form but `type` as an option (`fault_rate` → `--fault-rate`),
+/// `true` as a bare flag and `false` left out.
+fn argv_form(req: &Request) -> (String, Vec<String>) {
+    let Ok(Json::Obj(members)) = parse_json(&req.to_json()) else {
+        panic!("a request encodes as a JSON object");
+    };
+    let mut kind = String::new();
+    let mut argv = Vec::new();
+    for (name, value) in members {
+        let option = format!("--{}", name.replace('_', "-"));
+        match value {
+            Json::Str(text) if name == "type" => kind = text,
+            Json::Str(text) => argv.extend([option, text]),
+            Json::Num(v) => argv.extend([option, v.to_string()]),
+            Json::Bool(true) => argv.push(option),
+            Json::Bool(false) => {}
+            other => panic!("unexpected member {name}: {other:?}"),
+        }
+    }
+    (kind, argv)
 }
 
 /// Strategy: a line of protocol-hostile characters (JSON structural
@@ -188,6 +276,17 @@ proptest! {
         prop_assert_eq!(back.as_ref().ok(), Some(&req), "line: {}", line);
         // A second round-trip is byte-stable (canonical form).
         prop_assert_eq!(back.unwrap().to_json(), line);
+    }
+
+    /// A command line and its JSON form decode to the same request: the
+    /// argv form of every request, decoded as `wsn_client` decodes it,
+    /// gives the request back.
+    #[test]
+    fn argv_and_json_decode_alike(req in request_strategy()) {
+        let (kind, argv) = argv_form(&req);
+        let back = Request::from_argv(&kind, &argv, &[], true).map(|(request, _)| request);
+        prop_assert_eq!(back.as_ref().ok(), Some(&req), "argv: {:?}", argv);
+        prop_assert_eq!(Request::parse(&req.to_json()).ok(), Some(req));
     }
 
     /// Garbage never panics and never yields an unstructured error, on
