@@ -11,9 +11,11 @@
 //! p50/p99 job latency.
 //!
 //! The warm pass must be answered almost entirely from the shared
-//! cache — the run **fails** (non-zero exit) if its hit rate is ≤ 90%,
-//! making this bench double as the serving layer's cache regression
-//! gate.
+//! cache, and its repeated jobs take their D-optimal design and SA/GA
+//! optima from the cache's step memo. The run **fails** (non-zero exit)
+//! if the warm hit rate is ≤ 90% or the warm p50 is less than 3× below
+//! the cold p50, making this bench double as the serving layer's cache
+//! and memo regression gate.
 //!
 //! All measurements are written as one JSON line (default
 //! `BENCH_serve.json`, override with `--out PATH`). `--quick` shrinks
@@ -235,11 +237,16 @@ fn main() {
     std::fs::write(&out, format!("{doc}\n")).expect("write bench output");
     println!("{doc}");
 
-    // The regression gate: a warm pass that misses the shared cache
-    // defeats the serving layer's purpose.
+    // The regression gates: a warm pass that misses the shared cache, or
+    // that reruns the design search and the optimisers, defeats the
+    // serving layer's purpose.
     assert!(
         warm.hit_rate() > 0.90,
         "warm hit rate {:.1}% is not > 90%",
         warm.hit_rate() * 100.0
+    );
+    assert!(
+        speedup >= 3.0,
+        "warm p50 is only {speedup:.2}x faster than cold, not >= 3x"
     );
 }

@@ -1,13 +1,13 @@
 use std::sync::Arc;
 
-use doe::{DOptimal, Design, DesignSpace, ModelSpec};
+use doe::{DOptimal, Design, DesignSpace, ModelSpec, Term};
 use optim::{Bounds, GeneticAlgorithm, Optimizer, SimulatedAnnealing};
 use rsm::ResponseSurface;
 use wsn_node::{
     EngineKind, FaultCounters, FaultPlan, NodeConfig, SimEngine, SimOutcome, SystemConfig,
 };
 
-use crate::pool::{EvalKey, RetryPolicy, SimPool};
+use crate::pool::{EvalCache, EvalKey, RetryPolicy, SimPool};
 use crate::report::{DesignEval, DseReport};
 use crate::space::{coded_to_config, config_to_coded, paper_design_space, space_fingerprint};
 use crate::Result;
@@ -36,6 +36,143 @@ pub struct SweepSeries {
     pub name: String,
     /// The sweep samples in coded order.
     pub points: Vec<SweepPoint>,
+}
+
+/// Labels of the optimisers [`surface_optima`] runs, in report order.
+const OPTIMISERS: [&str; 2] = ["simulated annealing", "genetic algorithm"];
+
+/// Simulated annealing's moves per temperature in [`surface_optima`].
+const SA_MOVES_PER_TEMPERATURE: usize = 80;
+
+/// Kind tags that open the memo keys of the two surface steps.
+const DESIGN_STEP: u64 = u64::from_le_bytes(*b"step:doe");
+const OPTIMA_STEP: u64 = u64::from_le_bytes(*b"step:opt");
+
+/// The model as memo key words: its dimension, its term count, then one
+/// word per term (the kind in the top two bits, the factor indices in
+/// two 31-bit fields). `None` when an index does not fit its field; the
+/// step then runs unmemoised.
+fn model_words(model: &ModelSpec) -> Option<Vec<u64>> {
+    const FIELD: u64 = 1 << 31;
+    let mut words = vec![model.dimension() as u64, model.num_terms() as u64];
+    for term in model.terms() {
+        let (kind, i, j) = match *term {
+            Term::Intercept => (0, 0, 0),
+            Term::Linear(i) => (1, i, 0),
+            Term::Quadratic(i) => (2, i, 0),
+            Term::Interaction(i, j) => (3, i, j),
+        };
+        let (i, j) = (i as u64, j as u64);
+        if i >= FIELD || j >= FIELD {
+            return None;
+        }
+        words.push(kind << 62 | i << 31 | j);
+    }
+    Some(words)
+}
+
+/// The design step's memo key: its tag, `dimension`, `runs`, `seed` and
+/// the model.
+fn design_key(dimension: usize, model: &ModelSpec, runs: usize, seed: u64) -> Option<Vec<u64>> {
+    let mut key = vec![DESIGN_STEP, dimension as u64, runs as u64, seed];
+    key.extend(model_words(model)?);
+    Some(key)
+}
+
+/// The optima step's memo key: its tag, `dimension`, `seed`, the model
+/// and the bits of every coefficient, so `-0.0` and `0.0`, or two
+/// coefficients one ulp apart, are different keys.
+fn optima_key(
+    dimension: usize,
+    model: &ModelSpec,
+    coefficients: &[f64],
+    seed: u64,
+) -> Option<Vec<u64>> {
+    let mut key = vec![OPTIMA_STEP, dimension as u64, seed];
+    key.extend(model_words(model)?);
+    key.extend(coefficients.iter().map(|c| c.to_bits()));
+    Some(key)
+}
+
+/// Step 2 of the flow: the `runs`-run D-optimal design for `model` over
+/// `dimension` coded factors, seeded by `seed`.
+///
+/// With a `memo`, the design comes from [`EvalCache::memoise`] under the
+/// exact inputs: a kind tag, `dimension`, `runs`, `seed` and the model's
+/// terms. The design reads no simulation, so nothing else belongs in
+/// the key.
+///
+/// # Errors
+///
+/// Propagates infeasible-design errors.
+pub fn d_optimal_design(
+    memo: Option<&EvalCache>,
+    dimension: usize,
+    model: &ModelSpec,
+    runs: usize,
+    seed: u64,
+) -> Result<Design> {
+    let build = || -> Result<Design> {
+        Ok(DOptimal::new(dimension, model.clone())
+            .runs(runs)
+            .seed(seed)
+            .build()?)
+    };
+    let Some((memo, key)) = memo.zip(design_key(dimension, model, runs, seed)) else {
+        return build();
+    };
+    // A built design has `dimension >= 1`, and failures are never stored.
+    let points = memo.memoise(key, || Ok(build()?.points().concat()))?;
+    Ok(Design::from_points(
+        dimension,
+        points.chunks(dimension).map(<[f64]>::to_vec).collect(),
+    )?)
+}
+
+/// Step 5 of the flow: maximises `surface` over the coded box
+/// `[-1, 1]^dimension` with the paper's two optimisers, seeded by
+/// `seed`, returning `(label, coded_optimum, predicted)` pairs.
+///
+/// With a `memo`, the optima come from [`EvalCache::memoise`] under the
+/// exact inputs: a kind tag, `dimension`, `seed`, the model's terms and
+/// the bits of every coefficient. The coefficients fold in whatever
+/// responses produced them, so the key needs no engine or scenario.
+///
+/// # Errors
+///
+/// Propagates optimiser failures.
+pub fn surface_optima(
+    memo: Option<&EvalCache>,
+    dimension: usize,
+    surface: &ResponseSurface,
+    seed: u64,
+) -> Result<Vec<(String, Vec<f64>, f64)>> {
+    // Stored flat as `[x_SA…, ŷ_SA, x_GA…, ŷ_GA]`.
+    let search = || -> Result<Vec<f64>> {
+        let bounds = Bounds::symmetric(dimension, 1.0)?;
+        let objective = crate::SurfaceObjective::new(surface);
+        let sa = SimulatedAnnealing::new()
+            .seed(seed)
+            .moves_per_temperature(SA_MOVES_PER_TEMPERATURE)
+            .maximize_batch(&bounds, &objective)?;
+        let ga = GeneticAlgorithm::new()
+            .seed(seed)
+            .maximize_batch(&bounds, &objective)?;
+        Ok([sa.x, vec![sa.value], ga.x, vec![ga.value]].concat())
+    };
+    let key = optima_key(dimension, surface.model(), surface.coefficients(), seed);
+    let flat = match memo.zip(key) {
+        Some((memo, key)) => memo.memoise(key, search)?,
+        None => search()?,
+    };
+    Ok(OPTIMISERS
+        .iter()
+        .zip(flat.chunks(dimension + 1))
+        .map(|(label, optimum)| {
+            let (x, value) = optimum.split_at(dimension);
+            ((*label).to_owned(), x.to_vec(), value[0])
+        })
+        .collect())
 }
 
 /// The paper's RSM-based design space exploration flow.
@@ -263,10 +400,13 @@ impl DseFlow {
     ///
     /// Propagates infeasible-design errors.
     pub fn build_design(&self) -> Result<Design> {
-        Ok(DOptimal::new(self.space.dimension(), self.model.clone())
-            .runs(self.doe_runs)
-            .seed(self.seed)
-            .build()?)
+        d_optimal_design(
+            None,
+            self.space.dimension(),
+            &self.model,
+            self.doe_runs,
+            self.seed,
+        )
     }
 
     /// Simulates every run of a design (step 3), fanning the independent
@@ -298,30 +438,24 @@ impl DseFlow {
     ///
     /// Propagates optimiser failures.
     pub fn optimise(&self, surface: &ResponseSurface) -> Result<Vec<(String, Vec<f64>, f64)>> {
-        let bounds = Bounds::symmetric(self.space.dimension(), 1.0)?;
-        let objective = crate::SurfaceObjective::new(surface);
-
-        let sa = SimulatedAnnealing::new()
-            .seed(self.seed)
-            .moves_per_temperature(80)
-            .maximize_batch(&bounds, &objective)?;
-        let ga = GeneticAlgorithm::new()
-            .seed(self.seed)
-            .maximize_batch(&bounds, &objective)?;
-
-        Ok(vec![
-            ("simulated annealing".to_owned(), sa.x, sa.value),
-            ("genetic algorithm".to_owned(), ga.x, ga.value),
-        ])
+        surface_optima(None, self.space.dimension(), surface, self.seed)
     }
 
     /// Runs the complete flow and assembles the report (steps 1–6).
+    ///
+    /// The design and the optima come through the pool cache's step memo
+    /// (see [`d_optimal_design`] and [`surface_optima`]), so a flow that
+    /// repeats an earlier one on a shared cache skips both searches.
+    /// [`build_design`](Self::build_design) and
+    /// [`optimise`](Self::optimise) always compute.
     ///
     /// # Errors
     ///
     /// Propagates any stage's failure.
     pub fn run(&self) -> Result<DseReport> {
-        let design = self.build_design()?;
+        let memo = Some(self.pool.cache());
+        let dimension = self.space.dimension();
+        let design = d_optimal_design(memo, dimension, &self.model, self.doe_runs, self.seed)?;
         let responses = self.simulate_design(&design)?;
         let surface = self.fit(&design, &responses)?;
         let d_efficiency = doe::diagnostics::d_efficiency(&design, &self.model)?;
@@ -334,7 +468,7 @@ impl DseFlow {
         // candidates run concurrently, and a candidate that coincides
         // with a design point (or with the other optimiser's candidate)
         // reuses the cached simulation.
-        let optima = self.optimise(&surface)?;
+        let optima = surface_optima(memo, dimension, &surface, self.seed)?;
         let mut candidates: Vec<Vec<f64>> = vec![original_coded.clone()];
         candidates.extend(optima.iter().map(|(_, coded, _)| coded.clone()));
         let mut validated = self
@@ -548,6 +682,7 @@ impl DseFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoStats;
     use harvester::VibrationProfile;
 
     /// A fast scenario for unit tests: 10-minute horizon.
@@ -653,6 +788,62 @@ mod tests {
         let a = fast_flow().run().unwrap().to_json();
         let b = fast_flow().run().unwrap().to_json();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_repeated_run_takes_the_design_and_the_optima_from_the_memo() {
+        let flow = fast_flow();
+        let cold = flow.run().unwrap();
+        let stats = || {
+            let MemoStats {
+                entries,
+                hits,
+                misses,
+            } = flow.pool().cache().memo_stats();
+            [entries, hits, misses]
+        };
+        assert_eq!(stats(), [2, 0, 2]);
+        let mut warm = flow.run().unwrap();
+        assert_eq!(stats(), [2, 2, 2]);
+        // Only the evaluation-cache counters may differ.
+        assert_ne!(warm.cache, cold.cache);
+        warm.cache = cold.cache;
+        assert_eq!(warm.to_json(), cold.to_json());
+        // The plain steps never consult the memo.
+        flow.build_design().unwrap();
+        flow.optimise(&cold.surface).unwrap();
+        assert_eq!(stats(), [2, 2, 2]);
+    }
+
+    #[test]
+    fn changed_inputs_miss_the_memo() {
+        let cache = Arc::new(EvalCache::new());
+        let report = fast_flow().shared_cache(Arc::clone(&cache)).run().unwrap();
+        let variants = [
+            fast_flow().seed(13),
+            fast_flow().doe_runs(11),
+            fast_flow().with_space(crate::paper_design_space_with_timer()),
+        ];
+        for flow in variants {
+            let before = cache.memo_stats();
+            flow.shared_cache(Arc::clone(&cache)).run().unwrap();
+            let after = cache.memo_stats();
+            assert_eq!(after.hits, before.hits, "a changed input hit the memo");
+            assert_eq!(after.misses, before.misses + 2);
+        }
+        // One coefficient one ulp away is a different surface.
+        let surface = &report.surface;
+        let mut nudged = surface.coefficients().to_vec();
+        nudged[4] = f64::from_bits(nudged[4].to_bits() + 1);
+        let lookup = |coefficients: &[f64]| {
+            let key = optima_key(3, surface.model(), coefficients, 12).unwrap();
+            cache.memoise(key, || Ok(Vec::new())).unwrap()
+        };
+        let hits = cache.memo_stats().hits;
+        assert_eq!(lookup(surface.coefficients()).len(), 8, "the stored optima");
+        assert_eq!(cache.memo_stats().hits, hits + 1);
+        assert!(lookup(&nudged).is_empty(), "a nudged coefficient missed");
+        assert_eq!(cache.memo_stats().hits, hits + 1);
     }
 
     #[test]

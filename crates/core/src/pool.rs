@@ -16,7 +16,9 @@
 //!   different engines or scenarios never collide;
 //! * [`EvalCache`] — a thread-safe memo table over [`EvalKey`]s, with
 //!   optional crash-safe on-disk persistence ([`EvalCache::persist_to`])
-//!   and observability counters ([`EvalCache::stats`]);
+//!   and observability counters ([`EvalCache::stats`]); beside it, held
+//!   in memory only, a bounded memo of pure flow steps keyed by their
+//!   exact inputs ([`EvalCache::memoise`], [`EvalCache::memo_stats`]);
 //! * [`RetryPolicy`] — how many attempts a failing evaluation gets and
 //!   how long to back off between them (exponential, with seeded,
 //!   deterministic jitter);
@@ -76,6 +78,11 @@ pub const MAX_EVAL_ATTEMPTS: u32 = 2;
 /// coordinates quantise on the same grid; their magnitudes are so much
 /// larger that the two key families occupy disjoint integer ranges.)
 const KEY_QUANTUM: f64 = 1e-9;
+
+/// Most step outputs [`EvalCache::memoise`] holds. A full memo is cleared
+/// before its next insert, so a server that sees a fresh seed on every
+/// request stays bounded.
+pub const MEMO_CAPACITY: usize = 4096;
 
 /// Salt folded into the backoff jitter stream so it can never collide
 /// with any other seeded stream in the workspace.
@@ -186,6 +193,33 @@ impl CacheStats {
     }
 }
 
+/// The step memo's table: the exact inputs of a pure flow step, as
+/// words, to its flat output.
+type StepMemo = HashMap<Box<[u64]>, Box<[f64]>>;
+
+/// A point-in-time snapshot of the step memo's counters (see
+/// [`EvalCache::memoise`]). Reset by [`EvalCache::clear`]; the server's
+/// `stats` frame reports them, no report does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemoStats {
+    /// Step outputs currently held.
+    pub entries: usize,
+    /// Lookups answered from the memo.
+    pub hits: usize,
+    /// Lookups that ran the step.
+    pub misses: usize,
+}
+
+impl MemoStats {
+    /// The counters as a flat JSON object.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"entries\":{},\"hits\":{},\"misses\":{}}}",
+            self.entries, self.hits, self.misses
+        )
+    }
+}
+
 /// Thread-safe memo table for engine evaluations.
 ///
 /// Keys are [`EvalKey`]s; values are the simulated response. The cache
@@ -230,6 +264,11 @@ pub struct EvalCache {
     quarantined: AtomicUsize,
     /// Inserts since the last successful flush.
     dirty: AtomicUsize,
+    /// Outputs of pure flow steps keyed by their exact inputs (see
+    /// [`EvalCache::memoise`]); never persisted.
+    memo: Mutex<StepMemo>,
+    memo_hits: AtomicUsize,
+    memo_misses: AtomicUsize,
 }
 
 impl Clone for EvalCache {
@@ -247,6 +286,9 @@ impl Clone for EvalCache {
             disk_loads: AtomicUsize::new(self.disk_loads.load(Ordering::Relaxed)),
             quarantined: AtomicUsize::new(self.quarantined.load(Ordering::Relaxed)),
             dirty: AtomicUsize::new(self.dirty.load(Ordering::Relaxed)),
+            memo: Mutex::new(self.lock_memo().clone()),
+            memo_hits: AtomicUsize::new(self.memo_hits.load(Ordering::Relaxed)),
+            memo_misses: AtomicUsize::new(self.memo_misses.load(Ordering::Relaxed)),
         }
     }
 }
@@ -262,6 +304,12 @@ impl EvalCache {
     /// while the guard is held.
     fn lock_entries(&self) -> MutexGuard<'_, HashMap<EvalKey, f64>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the step memo, recovering from poisoning: no step ever runs
+    /// while the guard is held.
+    fn lock_memo(&self) -> MutexGuard<'_, StepMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The attached persistent file path, when any.
@@ -318,6 +366,48 @@ impl EvalCache {
             inserts: self.inserts.load(Ordering::Relaxed),
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The output of a pure flow step whose exact inputs are `key`: the
+    /// memoised copy when there is one (a hit), otherwise `step`'s
+    /// output (a miss), which is then stored.
+    ///
+    /// `step` runs without any lock held, and its errors are returned,
+    /// never stored. Two threads that miss the same key both run `step`
+    /// and get the same output, since equal keys mean equal inputs. A
+    /// memo holding [`MEMO_CAPACITY`] outputs is cleared before the next
+    /// insert.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `step`'s error.
+    pub fn memoise(
+        &self,
+        key: Vec<u64>,
+        step: impl FnOnce() -> Result<Vec<f64>>,
+    ) -> Result<Vec<f64>> {
+        let found = self.lock_memo().get(key.as_slice()).map(|v| v.to_vec());
+        if let Some(value) = found {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(value);
+        }
+        self.memo_misses.fetch_add(1, Ordering::Relaxed);
+        let value = step()?;
+        let mut memo = self.lock_memo();
+        if memo.len() >= MEMO_CAPACITY {
+            memo.clear();
+        }
+        memo.insert(key.into_boxed_slice(), value.as_slice().into());
+        Ok(value)
+    }
+
+    /// Snapshot of the step memo's counters.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            entries: self.lock_memo().len(),
+            hits: self.memo_hits.load(Ordering::Relaxed),
+            misses: self.memo_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -443,11 +533,12 @@ impl EvalCache {
         self.get(key)
     }
 
-    /// Drops all entries and resets the counters (used when the design
-    /// space changes and cached responses become stale; engine and
-    /// scenario changes are already kept apart by the key). The attached
-    /// persistent file, if any, stays attached and is **not** truncated —
-    /// flushing is a union, so earlier sessions' records survive.
+    /// Drops all entries and step outputs and resets every counter (used
+    /// when the design space changes and cached responses become stale;
+    /// engine and scenario changes are already kept apart by the key).
+    /// The attached persistent file, if any, stays attached and is
+    /// **not** truncated — flushing is a union, so earlier sessions'
+    /// records survive.
     pub fn clear(&self) {
         self.lock_entries().clear();
         self.hits.store(0, Ordering::Relaxed);
@@ -456,6 +547,9 @@ impl EvalCache {
         self.disk_loads.store(0, Ordering::Relaxed);
         self.quarantined.store(0, Ordering::Relaxed);
         self.dirty.store(0, Ordering::Relaxed);
+        self.lock_memo().clear();
+        self.memo_hits.store(0, Ordering::Relaxed);
+        self.memo_misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1397,11 +1491,93 @@ mod tests {
         let pool = SimPool::new(1);
         let (_, calls) = count_evals(&pool, &[vec![1.0]]);
         assert_eq!(calls, 1);
+        let step = || Ok(vec![2.5]);
+        pool.cache().memoise(vec![1], step).unwrap();
+        pool.cache().memoise(vec![1], step).unwrap();
+        assert_eq!(pool.cache().memo_stats().hits, 1);
         pool.cache().clear();
         assert!(pool.cache().is_empty());
         assert_eq!(pool.cache().stats(), CacheStats::default());
+        assert_eq!(pool.cache().memo_stats(), MemoStats::default());
         let (_, calls) = count_evals(&pool, &[vec![1.0]]);
         assert_eq!(calls, 1, "cleared cache must re-simulate");
+        pool.cache().memoise(vec![1], step).unwrap();
+        assert_eq!(
+            pool.cache().memo_stats().misses,
+            1,
+            "cleared memo must recompute"
+        );
+    }
+
+    /// `[entries, hits, misses]` of the step memo.
+    fn memo_counts(cache: &EvalCache) -> [usize; 3] {
+        let MemoStats {
+            entries,
+            hits,
+            misses,
+        } = cache.memo_stats();
+        [entries, hits, misses]
+    }
+
+    /// Runs the step for `key` through the memo, counting step runs.
+    fn memoised(cache: &EvalCache, key: u64, runs: &AtomicUsize) -> Result<Vec<f64>> {
+        cache.memoise(vec![7, key], || {
+            runs.fetch_add(1, Ordering::Relaxed);
+            Ok(vec![key as f64, -0.0])
+        })
+    }
+
+    #[test]
+    fn memo_returns_stored_outputs_and_never_stores_errors() {
+        let cache = EvalCache::new();
+        let runs = AtomicUsize::new(0);
+        let failed = cache.memoise(vec![7, 1], || Err(DseError::InvalidArgument("step failed")));
+        assert!(failed.is_err());
+        assert_eq!(memo_counts(&cache), [0, 0, 1]);
+        let first = memoised(&cache, 1, &runs).unwrap();
+        let again = memoised(&cache, 1, &runs).unwrap();
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            1,
+            "a stored output is not recomputed"
+        );
+        assert_eq!(first, again);
+        assert_eq!(
+            again[1].to_bits(),
+            (-0.0f64).to_bits(),
+            "values keep their bits"
+        );
+        assert_eq!(memo_counts(&cache), [1, 1, 2]);
+        // A copy carries the memo, and the evaluation counters never see it.
+        assert_eq!(cache.clone().memo_stats(), cache.memo_stats());
+        assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn a_full_memo_is_cleared_before_the_next_insert() {
+        let cache = EvalCache::new();
+        let runs = AtomicUsize::new(0);
+        for key in 0..MEMO_CAPACITY as u64 {
+            memoised(&cache, key, &runs).unwrap();
+        }
+        assert_eq!(cache.memo_stats().entries, MEMO_CAPACITY);
+        memoised(&cache, 0, &runs).unwrap();
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            MEMO_CAPACITY,
+            "the hot key hits"
+        );
+        memoised(&cache, MEMO_CAPACITY as u64, &runs).unwrap();
+        assert_eq!(
+            cache.memo_stats().entries,
+            1,
+            "one past capacity clears the memo"
+        );
+        // The hot key is recomputed once, then hits again.
+        memoised(&cache, 0, &runs).unwrap();
+        memoised(&cache, 0, &runs).unwrap();
+        assert_eq!(runs.load(Ordering::Relaxed), MEMO_CAPACITY + 2);
+        assert_eq!(cache.memo_stats().entries, 2);
     }
 
     #[test]

@@ -13,13 +13,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use doe::{DOptimal, Design, DesignSpace, ModelSpec};
-use optim::{Bounds, GeneticAlgorithm, Optimizer, SimulatedAnnealing};
+use doe::{Design, DesignSpace, ModelSpec};
 use rsm::ResponseSurface;
 use wsn_dse::protocol::{json_array, json_f64, json_string};
 use wsn_dse::{
-    coded_to_config, config_to_coded, paper_design_space, DseError, EvalKey, SimPool,
-    SurfaceObjective,
+    coded_to_config, config_to_coded, d_optimal_design, paper_design_space, surface_optima,
+    DseError, EvalKey, SimPool,
 };
 use wsn_node::{EngineKind, NodeConfig, SimEngine};
 
@@ -364,20 +363,27 @@ impl FleetDseFlow {
     ///
     /// Propagates infeasible-design errors.
     pub fn build_design(&self) -> Result<Design> {
-        Ok(DOptimal::new(self.space.dimension(), self.model.clone())
-            .runs(self.doe_runs)
-            .seed(self.seed)
-            .build()?)
+        d_optimal_design(
+            None,
+            self.space.dimension(),
+            &self.model,
+            self.doe_runs,
+            self.seed,
+        )
     }
 
     /// Runs the complete fleet flow: design → fleet simulations →
-    /// surface fit → SA/GA maximisation → fleet validation.
+    /// surface fit → SA/GA maximisation → fleet validation. The design
+    /// and the optima come through the pool cache's step memo, as in
+    /// [`wsn_dse::DseFlow::run`].
     ///
     /// # Errors
     ///
     /// Propagates any stage's failure.
     pub fn run(&self) -> Result<FleetDseReport> {
-        let design = self.build_design()?;
+        let memo = Some(self.pool.cache());
+        let dimension = self.space.dimension();
+        let design = d_optimal_design(memo, dimension, &self.model, self.doe_runs, self.seed)?;
         let points = design.points();
         let responses = self
             .pool
@@ -388,19 +394,7 @@ impl FleetDseFlow {
         let original_cfg = NodeConfig::original();
         let original_coded = config_to_coded(&self.space, &original_cfg)?;
 
-        let bounds = Bounds::symmetric(self.space.dimension(), 1.0)?;
-        let objective = SurfaceObjective::new(&surface);
-        let sa = SimulatedAnnealing::new()
-            .seed(self.seed)
-            .moves_per_temperature(80)
-            .maximize_batch(&bounds, &objective)?;
-        let ga = GeneticAlgorithm::new()
-            .seed(self.seed)
-            .maximize_batch(&bounds, &objective)?;
-        let optima = vec![
-            ("simulated annealing".to_owned(), sa.x, sa.value),
-            ("genetic algorithm".to_owned(), ga.x, ga.value),
-        ];
+        let optima = surface_optima(memo, dimension, &surface, self.seed)?;
 
         let mut candidates: Vec<Vec<f64>> = vec![original_coded.clone()];
         candidates.extend(optima.iter().map(|(_, coded, _)| coded.clone()));

@@ -416,11 +416,15 @@ fn stats_frame(state: &ServerState) -> String {
         ),
         None => (0, "[]".to_owned()),
     };
+    let (cache, memo) = match &state.ctx.cache {
+        Some(cache) => (cache.stats(), cache.memo_stats()),
+        None => Default::default(),
+    };
     format!(
         "{{\"event\":\"stats\",\"requests\":{},\"protocol_errors\":{},\
          \"jobs\":{{\"submitted\":{},\"done\":{},\"failed\":{},\"cancelled\":{},\
          \"queued\":{},\"running\":{}}},\
-         \"cache\":{},\"degraded_served\":{degraded},\"tiers\":{tiers}}}",
+         \"cache\":{},\"memo\":{},\"degraded_served\":{degraded},\"tiers\":{tiers}}}",
         state.requests.load(Ordering::Relaxed),
         state.protocol_errors.load(Ordering::Relaxed),
         q.submitted,
@@ -429,12 +433,7 @@ fn stats_frame(state: &ServerState) -> String {
         q.cancelled,
         q.queued,
         q.running,
-        state
-            .ctx
-            .cache
-            .as_ref()
-            .map(|cache| cache.stats())
-            .unwrap_or_default()
-            .to_json(),
+        cache.to_json(),
+        memo.to_json(),
     )
 }

@@ -1,8 +1,13 @@
 //! Integration tests for the network layer: parallel determinism of the
-//! fleet evaluator and exact reduction to the single-node simulator.
+//! fleet evaluator, exact reduction to the single-node simulator, and
+//! warm DSE runs on a shared cache equal to cold ones.
+
+use std::sync::Arc;
 
 use harvester::VibrationProfile;
-use wsn_net::{FleetSpec, NetworkSim, RadioChannel};
+use proptest::prelude::*;
+use wsn_dse::{DseFlow, EvalCache};
+use wsn_net::{FleetDseFlow, FleetSpec, NetworkSim, RadioChannel};
 use wsn_node::{EngineKind, NodeConfig, SystemConfig};
 
 /// A short-horizon fleet template so the tests stay fast; everything else
@@ -97,4 +102,40 @@ fn full_engine_fleet_is_parallel_deterministic() {
         a.attempted(),
         a.delivered() + a.collided() + a.out_of_range()
     );
+}
+
+proptest! {
+    /// On one shared cache, a second run of the same flow takes its
+    /// simulations, its design and its optima from memory, and its report
+    /// equals the cold one: outside the `"cache"` counters for the node
+    /// flow, byte for byte for the 2-node fleet flow.
+    #[test]
+    fn warm_dse_runs_equal_cold_runs_on_a_shared_cache(seed in 0..u64::MAX) {
+        let template = SystemConfig::paper(NodeConfig::original())
+            .with_horizon(300.0)
+            .with_vibration(VibrationProfile::stepped(0.5886, vec![(0.0, 75.0), (150.0, 80.0)]));
+        let cache = Arc::new(EvalCache::new());
+        let node = DseFlow::paper()
+            .with_template(template.clone())
+            .seed(seed)
+            .jobs(1)
+            .shared_cache(Arc::clone(&cache));
+        let cold = node.run().expect("cold node flow");
+        let mut warm = node.run().expect("warm node flow");
+        prop_assert_eq!(cache.memo_stats().hits, 2);
+        warm.cache = cold.cache;
+        prop_assert_eq!(warm.to_json(), cold.to_json());
+
+        let fleet = FleetDseFlow::paper(2)
+            .with_spec(FleetSpec::paper(2).with_template(template))
+            .seed(seed)
+            .jobs(1)
+            .shared_cache(Arc::clone(&cache));
+        let cold = fleet.run().expect("cold fleet flow").to_json();
+        let warm = fleet.run().expect("warm fleet flow").to_json();
+        // The fleet's first run reuses the node flow's design (same
+        // inputs), and its second run hits both steps.
+        prop_assert_eq!(cache.memo_stats().hits, 5);
+        prop_assert_eq!(warm, cold);
+    }
 }

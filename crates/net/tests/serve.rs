@@ -96,6 +96,22 @@ impl Client {
         }
     }
 
+    /// `[entries, hits, misses]` of the `stats` frame's `section`
+    /// object (`"cache"` or `"memo"`).
+    fn counters(&mut self, section: &str) -> [u64; 3] {
+        self.send(&Request::Stats.to_json());
+        let Frame::Stats { raw } = self.next_frame() else {
+            panic!("expected stats frame")
+        };
+        let doc = wsn_dse::protocol::parse_json(&raw).expect("stats json");
+        ["entries", "hits", "misses"].map(|name| {
+            doc.get(section)
+                .and_then(|c| c.get(name))
+                .and_then(|v| v.as_u64())
+                .unwrap_or_else(|| panic!("no {section}.{name} in {raw}"))
+        })
+    }
+
     /// Submits one tagged job and runs it to completion.
     fn run_job(&mut self, request: &Request) -> String {
         let id = request.id().expect("tagged job").to_owned();
@@ -218,21 +234,25 @@ fn concurrent_identical_jobs_coalesce_on_the_shared_cache() {
     // The shared cache saw real coalescing: at least one side's
     // evaluations were answered from memory.
     let mut client = Client::connect(addr);
-    client.send(&Request::Stats.to_json());
-    let Frame::Stats { raw } = client.next_frame() else {
-        panic!("expected stats frame")
-    };
-    let hits = wsn_dse::protocol::parse_json(&raw)
-        .expect("stats json")
-        .get("cache")
-        .and_then(|c| c.get("hits"))
-        .and_then(|h| h.as_u64())
-        .expect("cache.hits");
-    assert!(hits > 0, "no cache hits across identical jobs: {raw}");
+    let hits = client.counters("cache")[1];
+    assert!(hits > 0, "no cache hits across identical jobs");
 
     // A third submission of the same job is answered warm and matches.
     let warm = client.run_job(&tagged(run_request(12, 600.0), "warm"));
     assert_eq!(strip_cache(&warm), strip_cache(&report_a));
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_repeated_run_takes_its_design_and_optima_from_the_step_memo() {
+    let (addr, handle) = start_server(ServeConfig::default());
+    let mut client = Client::connect(addr);
+    let first = client.run_job(&tagged(run_request(12, 600.0), "first"));
+    assert_eq!(client.counters("memo"), [2, 0, 2]);
+    let second = client.run_job(&tagged(run_request(12, 600.0), "second"));
+    assert_eq!(strip_cache(&second), strip_cache(&first));
+    // One hit for the D-optimal design, one for the SA/GA optima.
+    assert_eq!(client.counters("memo"), [2, 2, 2]);
     shutdown(addr, handle);
 }
 

@@ -206,18 +206,26 @@ served_equals_cli pareto --horizon 900
 served_equals_cli pareto --fleet --nodes 3 --horizon 900
 served_equals_cli pareto --horizon 600 --fault-seed 3 --fault-rate 0.2
 served_equals_cli pareto --fleet --nodes 3 --horizon 600 --slot 0.05 --adaptive
-# Warm pass: the same answer again, now served from the shared cache.
+# Warm pass: the same answer again, now served from the shared cache
+# and, for the D-optimal design and the SA/GA optima, the step memo.
 # Options may precede the command, values included.
+# stats_hits SECTION FILE: the hits of a stats frame's "cache" or "memo"
+# object (fails when the object is missing).
+stats_hits() { grep -o "\"$1\":{\"entries\":[0-9]*,\"hits\":[0-9]*" "$2" | sed 's/.*://'; }
+target/release/wsn_client --addr "$ADDR" stats > "$FLEET_DIR/serve-stats-cold.json"
+MEMO_HITS_COLD="$(stats_hits memo "$FLEET_DIR/serve-stats-cold.json")"
 target/release/wsn_client --id warm --timeout-ms 600000 --addr "$ADDR" run --horizon 900 \
   > "$FLEET_DIR/served-run-warm.json"
 cmp <(strip_cache "$FLEET_DIR/served-run-warm.json") \
     <(strip_cache "$FLEET_DIR/dse-1.json")
 target/release/wsn_client --addr "$ADDR" stats > "$FLEET_DIR/serve-stats.json"
-if grep -o '"hits":[0-9]*' "$FLEET_DIR/serve-stats.json" \
-    | grep -q '"hits":0$'; then
-  echo "verify: warm served run never hit the shared cache" >&2
+CACHE_HITS="$(stats_hits cache "$FLEET_DIR/serve-stats.json")"
+MEMO_HITS="$(stats_hits memo "$FLEET_DIR/serve-stats.json")"
+[ "$CACHE_HITS" -gt 0 ] || { echo "verify: warm served run never hit the shared cache" >&2; exit 1; }
+[ "$MEMO_HITS" -ge $((MEMO_HITS_COLD + 2)) ] || {
+  echo "verify: warm served run took its design and optima from no memo" >&2
   exit 1
-fi
+}
 
 echo "== serving gate: unknown options and missing values are errors =="
 # must_reject OPTION CMD...: CMD exits non-zero, prints nothing on
@@ -250,7 +258,7 @@ target/release/wsn_dse simulate --horizon 600 --json --cache-dir "$FLEET_DIR/nev
 grep -q '"warning":"cache_dir_ignored","context":"simulate"' "$FLEET_DIR/cache-warning.log"
 [ ! -e "$FLEET_DIR/nevercache" ] || { echo "verify: an ignored cache dir was created" >&2; exit 1; }
 
-echo "== serving gate: load bench smoke (asserts warm hit rate > 90%) =="
+echo "== serving gate: load bench smoke (asserts warm hit rate > 90%, warm p50 >= 3x faster) =="
 target/release/serve_load --quick --out "$FLEET_DIR/BENCH_serve.json"
 
 echo "== benchmark gate: wsn_perf unit tests and smoke runs of every workload =="
