@@ -27,16 +27,6 @@ pub enum DseError {
     /// (see [`crate::SimPool::evaluate_batch_partial`]), which converts
     /// worker panics into errors instead of tearing the batch down.
     EvalPanicked(String),
-    /// A batch evaluation returned a different number of responses than
-    /// it was asked for. Flows that pair requests with responses
-    /// positionally check this explicitly instead of truncating with
-    /// `zip` or panicking on a short iterator.
-    ResponseCount {
-        /// How many responses the caller requested.
-        expected: usize,
-        /// How many the batch actually produced.
-        got: usize,
-    },
     /// An evaluation exceeded its per-evaluation wall-clock budget (see
     /// [`crate::SimPool::eval_deadline`]) and was abandoned. Carried in
     /// [`crate::BatchReport::failures`]; timed-out keys are never cached,
@@ -59,9 +49,6 @@ impl fmt::Display for DseError {
                 write!(f, "unknown objective {name:?}; known: {}", known.join(", "))
             }
             DseError::EvalPanicked(msg) => write!(f, "evaluation panicked: {msg}"),
-            DseError::ResponseCount { expected, got } => {
-                write!(f, "batch returned {got} responses, expected {expected}")
-            }
             DseError::EvalTimedOut { budget } => {
                 write!(
                     f,
@@ -83,7 +70,6 @@ impl std::error::Error for DseError {
             DseError::InvalidArgument(_) => None,
             DseError::UnknownObjective { .. } => None,
             DseError::EvalPanicked(_) => None,
-            DseError::ResponseCount { .. } => None,
             DseError::EvalTimedOut { .. } => None,
         }
     }
@@ -124,12 +110,6 @@ mod tests {
         let e: DseError = optim::OptimError::InvalidBounds("y").into();
         assert!(e.to_string().contains("optimisation"));
         let e = DseError::InvalidArgument("z");
-        assert!(std::error::Error::source(&e).is_none());
-        let e = DseError::ResponseCount {
-            expected: 3,
-            got: 2,
-        };
-        assert_eq!(e.to_string(), "batch returned 2 responses, expected 3");
         assert!(std::error::Error::source(&e).is_none());
     }
 }

@@ -3,11 +3,9 @@ use std::sync::Arc;
 use doe::{DOptimal, Design, DesignSpace, ModelSpec, Term};
 use optim::{Bounds, GeneticAlgorithm, Optimizer, SimulatedAnnealing};
 use rsm::ResponseSurface;
-use wsn_node::{
-    EngineKind, FaultCounters, FaultPlan, NodeConfig, SimEngine, SimOutcome, SystemConfig,
-};
+use wsn_node::{EngineKind, FaultPlan, NodeConfig, SimEngine, SimOutcome, SystemConfig};
 
-use crate::pool::{EvalCache, EvalKey, RetryPolicy, SimPool};
+use crate::pool::{fold_fingerprint, EvalCache, EvalKey, EvalRecord, RetryPolicy, SimPool};
 use crate::report::{DesignEval, DseReport};
 use crate::space::{coded_to_config, config_to_coded, paper_design_space, space_fingerprint};
 use crate::Result;
@@ -173,6 +171,39 @@ pub fn surface_optima(
             ((*label).to_owned(), x.to_vec(), value[0])
         })
         .collect())
+}
+
+/// Steps 3 and 6 of the flow: simulates coded points of `space` under
+/// `template` on `engine` through `pool`, one summary [`EvalRecord`]
+/// per point, in point order. Every flow over one template and space
+/// (the paper flow, the single-node Pareto objective) shares them.
+///
+/// Keys mix the design space's fingerprint into the scenario's: coded
+/// coordinates mean different designs in different spaces, so two
+/// spaces must never exchange entries, above all through a persistent
+/// `--cache-dir`.
+///
+/// # Errors
+///
+/// Propagates decode, configuration and engine errors (the first in
+/// point order).
+pub fn simulate_coded(
+    pool: &SimPool,
+    engine: &dyn SimEngine,
+    template: &SystemConfig,
+    space: &DesignSpace,
+    points: &[Vec<f64>],
+) -> Result<Vec<Arc<EvalRecord>>> {
+    let scenario = fold_fingerprint(template.scenario().fingerprint(), space_fingerprint(space));
+    let keys: Vec<EvalKey> = points
+        .iter()
+        .map(|p| EvalKey::for_engine(engine, scenario, p))
+        .collect();
+    pool.evaluate_batch(&keys, |i| {
+        let mut config = template.clone();
+        config.node = coded_to_config(space, &points[i])?;
+        Ok(EvalRecord::summary(engine.simulate(&config)?))
+    })
 }
 
 /// The paper's RSM-based design space exploration flow.
@@ -372,26 +403,16 @@ impl DseFlow {
         Ok(self.evaluate(node)?.transmissions as f64)
     }
 
-    /// Memoisation keys for a batch of coded points: the installed
-    /// engine's cache fingerprint, the template scenario's fingerprint
-    /// mixed with the design space's, and the quantised coordinates.
-    ///
-    /// The space fingerprint matters because the coordinates are *coded*:
-    /// `[0, 0, 0]` is the centre of whatever space is installed, so two
-    /// flows over different bounds must never exchange entries — in
-    /// memory, and above all through a persistent `--cache-dir` shared
-    /// across sessions with different `--lower`/`--upper` settings.
-    fn keys_for(&self, points: &[Vec<f64>]) -> Vec<EvalKey> {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut scenario = self.template.scenario().fingerprint();
-        for byte in space_fingerprint(&self.space).to_le_bytes() {
-            scenario ^= u64::from(byte);
-            scenario = scenario.wrapping_mul(FNV_PRIME);
-        }
-        points
-            .iter()
-            .map(|p| EvalKey::for_engine(self.engine.as_ref(), scenario, p))
-            .collect()
+    /// The records of a batch of coded points, through the pool (see
+    /// [`simulate_coded`]).
+    fn records(&self, points: &[Vec<f64>]) -> Result<Vec<Arc<EvalRecord>>> {
+        simulate_coded(
+            &self.pool,
+            self.engine.as_ref(),
+            &self.template,
+            &self.space,
+            points,
+        )
     }
 
     /// Builds the D-optimal experimental design (step 2 of the flow).
@@ -417,9 +438,11 @@ impl DseFlow {
     ///
     /// Propagates decode/validation errors.
     pub fn simulate_design(&self, design: &Design) -> Result<Vec<f64>> {
-        let points = design.points();
-        self.pool
-            .evaluate_batch(&self.keys_for(points), |i| self.evaluate_coded(&points[i]))
+        Ok(self
+            .records(design.points())?
+            .iter()
+            .map(|r| r.transmissions as f64)
+            .collect())
     }
 
     /// Fits the response surface to simulated responses (step 4).
@@ -467,52 +490,30 @@ impl DseFlow {
         // back in the simulator (step 6) through the pool: independent
         // candidates run concurrently, and a candidate that coincides
         // with a design point (or with the other optimiser's candidate)
-        // reuses the cached simulation.
+        // reuses the cached record, fault counters and tier included.
         let optima = surface_optima(memo, dimension, &surface, self.seed)?;
         let mut candidates: Vec<Vec<f64>> = vec![original_coded.clone()];
         candidates.extend(optima.iter().map(|(_, coded, _)| coded.clone()));
-        let mut validated = self
-            .pool
-            .evaluate_batch(&self.keys_for(&candidates), |i| {
-                self.evaluate_coded(&candidates[i])
-            })?
-            .into_iter();
-        // The pool memoises only the response (transmissions); fault
-        // counters and the degradation tier come from one direct
-        // deterministic re-run per validated candidate, and only when
-        // there is something to audit — faults injected or a degradation
-        // ladder installed — so the nominal path stays exactly as cheap
-        // as before.
-        let audit_for = |config: NodeConfig| -> Result<(FaultCounters, u8)> {
-            if self.template.faults.is_none() && self.engine.as_fallback().is_none() {
-                Ok((FaultCounters::default(), 0))
-            } else {
-                let out = self.evaluate(config)?;
-                Ok((out.faults, out.tier))
-            }
-        };
-        let (original_faults, original_tier) = audit_for(original_cfg)?;
+        let validated = self.records(&candidates)?;
         let original = DesignEval {
             label: "original".to_owned(),
             coded: original_coded,
             predicted: None,
-            simulated: validated.next().expect("one response per candidate") as u64,
-            faults: original_faults,
-            tier: original_tier,
+            simulated: validated[0].transmissions,
+            faults: validated[0].faults,
+            tier: validated[0].tier,
             config: original_cfg,
         };
         let mut optimised = Vec::new();
-        for ((label, coded, predicted), simulated) in optima.into_iter().zip(validated) {
-            let config = coded_to_config(&self.space, &coded)?;
-            let (faults, tier) = audit_for(config)?;
+        for ((label, coded, predicted), record) in optima.into_iter().zip(&validated[1..]) {
             optimised.push(DesignEval {
                 label,
-                config,
+                config: coded_to_config(&self.space, &coded)?,
                 coded,
                 predicted: Some(predicted),
-                simulated: simulated as u64,
-                faults,
-                tier,
+                simulated: record.transmissions,
+                faults: record.faults,
+                tier: record.tier,
             });
         }
 
@@ -651,12 +652,9 @@ impl DseFlow {
         // through the pool (the centre point is usually already cached
         // from the design or a previous sweep).
         let simulated: Vec<Option<f64>> = if validate {
-            self.pool
-                .evaluate_batch(&self.keys_for(&sample_points), |i| {
-                    self.evaluate_coded(&sample_points[i])
-                })?
-                .into_iter()
-                .map(Some)
+            self.records(&sample_points)?
+                .iter()
+                .map(|r| Some(r.transmissions as f64))
                 .collect()
         } else {
             vec![None; samples]
@@ -914,6 +912,26 @@ mod tests {
         assert!(nominal.original.faults.is_nominal());
         // Counters reach the JSON report.
         assert!(faulty.to_json().contains("\"tx_failures\":"));
+    }
+
+    #[test]
+    fn validation_takes_counters_and_tier_from_the_records() {
+        // A one-rung ladder over the envelope engine counts every run.
+        let ladder = Arc::new(wsn_node::FallbackEngine::new(vec![
+            EngineKind::Envelope.engine()
+        ]));
+        let plan = FaultPlan::seeded(5).with_tx_failure_rate(0.4);
+        let flow = fast_flow().faults(plan).jobs(1).with_engine(ladder.clone());
+        let report = flow.run().unwrap();
+        assert_eq!(
+            ladder.tier_stats()[0].served as usize,
+            flow.pool().cache().stats().inserts,
+            "no validated candidate is simulated twice"
+        );
+        let direct = flow.evaluate(report.original.config).unwrap();
+        assert_eq!(report.original.faults, direct.faults);
+        assert!(!report.original.faults.is_nominal());
+        assert_eq!(report.original.tier, 0);
     }
 
     #[test]

@@ -50,11 +50,13 @@ mod space;
 mod surrogate;
 
 pub use error::DseError;
-pub use flow::{d_optimal_design, surface_optima, DseFlow, SweepPoint, SweepSeries};
+pub use flow::{
+    d_optimal_design, simulate_coded, surface_optima, DseFlow, SweepPoint, SweepSeries,
+};
 pub use objective::SurfaceObjective;
 pub use pool::{
-    BatchFailure, BatchReport, CacheStats, EvalCache, EvalKey, MemoStats, RetryPolicy, SimPool,
-    MAX_EVAL_ATTEMPTS, MEMO_CAPACITY,
+    fold_fingerprint, BatchFailure, BatchReport, CacheStats, EvalCache, EvalKey, EvalRecord,
+    MemoStats, RetryPolicy, SimPool, MAX_EVAL_ATTEMPTS, MEMO_CAPACITY,
 };
 pub use report::{DesignEval, DseReport};
 pub use space::{

@@ -14,8 +14,13 @@
 //!   floating-point noise (below ~1e-9 in coded units, far under any
 //!   physical resolution) hit the same entry while evaluations from
 //!   different engines or scenarios never collide;
-//! * [`EvalCache`] — a thread-safe memo table over [`EvalKey`]s, with
-//!   optional crash-safe on-disk persistence ([`EvalCache::persist_to`])
+//! * [`EvalRecord`] — what the cache keeps of one engine run: the
+//!   transmission count, final voltage, energy breakdown, fault counters
+//!   and degradation tier, plus the transmission timestamps for fleet
+//!   node runs only;
+//! * [`EvalCache`] — a thread-safe table from [`EvalKey`]s to
+//!   [`EvalRecord`]s, with optional crash-safe on-disk persistence
+//!   ([`EvalCache::persist_to`])
 //!   and observability counters ([`EvalCache::stats`]); beside it, held
 //!   in memory only, a bounded memo of pure flow steps keyed by their
 //!   exact inputs ([`EvalCache::memoise`], [`EvalCache::memo_stats`]);
@@ -41,7 +46,10 @@
 //! via `catch_unwind`), retried per the pool's [`RetryPolicy`], and
 //! reported in a structured [`BatchReport`] while every other point
 //! completes. Failed keys are never cached, so a later batch re-attempts
-//! them from scratch.
+//! them from scratch. Neither are records a degradation ladder served
+//! from a lower tier (`tier > 0`): they are returned to the caller but a
+//! value must depend only on its key, and a degraded answer depends on
+//! the ladder's breaker state.
 //!
 //! # Deadlines
 //!
@@ -62,7 +70,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use wsn_node::SimEngine;
+use wsn_node::{EnergyBreakdown, FaultCounters, SimEngine, SimOutcome};
 
 use crate::{persist, DseError, Result};
 
@@ -138,23 +146,71 @@ impl EvalKey {
     }
 }
 
+/// `fingerprint` with `word` folded in, one FNV-1a step per byte: how a
+/// key family keeps its scenario component apart from the plain
+/// scenario fingerprints (the design space of coded keys, the tag of
+/// fleet node keys).
+pub fn fold_fingerprint(fingerprint: u64, word: u64) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    word.to_le_bytes().iter().fold(fingerprint, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
+
 /// FNV-1a hash of a key, used to seed per-key jitter streams.
 fn key_hash(key: &EvalKey) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut words: Vec<u64> = Vec::with_capacity(3 + key.point.len());
-    words.push(key.engine);
-    words.push(key.scenario);
-    words.push(key.point.len() as u64);
-    words.extend(key.point.iter().map(|&c| c as u64));
-    for word in words {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
+    [key.engine, key.scenario, key.point.len() as u64]
+        .into_iter()
+        .chain(key.point.iter().map(|&c| c as u64))
+        .fold(FNV_OFFSET, fold_fingerprint)
+}
+
+/// One engine run as the cache keeps it: every field of a
+/// [`SimOutcome`] a flow reads, and nothing else (no voltage trace).
+///
+/// Single-node callers store summary records ([`EvalRecord::summary`],
+/// no timestamps). Only fleet node runs keep the transmission timestamps
+/// the shared channel arbitrates over ([`EvalRecord::with_times`]), under
+/// keys of their own, so a summary can never answer a fleet lookup.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct EvalRecord {
+    /// Completed transmissions.
+    pub transmissions: u64,
+    /// Final supercapacitor voltage (V).
+    pub final_voltage: f64,
+    /// Per-consumer energy accounting (J).
+    pub energy: EnergyBreakdown,
+    /// Injected-fault counters.
+    pub faults: FaultCounters,
+    /// Degradation-ladder tier that produced the run (0: the requested
+    /// engine answered). Only tier-0 records are ever stored.
+    pub tier: u8,
+    /// Start time (s) of every completed transmission; empty in a
+    /// summary record.
+    pub tx_times: Vec<f64>,
+}
+
+impl EvalRecord {
+    /// The record of `outcome`, its timestamps moved in, not copied.
+    pub fn with_times(outcome: SimOutcome) -> Self {
+        EvalRecord {
+            transmissions: outcome.transmissions,
+            final_voltage: outcome.final_voltage,
+            energy: outcome.energy,
+            faults: outcome.faults,
+            tier: outcome.tier,
+            tx_times: outcome.tx_times,
         }
     }
-    h
+
+    /// The record of `outcome` without its timestamps.
+    pub fn summary(outcome: SimOutcome) -> Self {
+        EvalRecord {
+            tx_times: Vec::new(),
+            ..Self::with_times(outcome)
+        }
+    }
 }
 
 /// A point-in-time snapshot of [`EvalCache`] observability counters.
@@ -171,9 +227,9 @@ pub struct CacheStats {
     pub hits: usize,
     /// Lookups that fell through to simulation.
     pub misses: usize,
-    /// Fresh values stored by evaluations this session.
+    /// Fresh records stored by evaluations this session.
     pub inserts: usize,
-    /// Values adopted from the persistent file by
+    /// Records adopted from the persistent file by
     /// [`EvalCache::persist_to`].
     pub disk_loads: usize,
     /// Corrupt persistent records detected and skipped (never trusted,
@@ -222,10 +278,11 @@ impl MemoStats {
 
 /// Thread-safe memo table for engine evaluations.
 ///
-/// Keys are [`EvalKey`]s; values are the simulated response. The cache
-/// counts hits, misses, inserts, disk loads and quarantined records (see
-/// [`CacheStats`]) so callers (and tests) can verify that repeated
-/// probes do not re-simulate.
+/// Keys are [`EvalKey`]s; values are shared [`EvalRecord`]s, so a lookup
+/// never copies a record's timestamps. Only tier-0 records are stored
+/// ([`EvalCache::insert`]). The cache counts hits, misses, inserts, disk
+/// loads and quarantined records (see [`CacheStats`]) so callers (and
+/// tests) can verify that repeated probes do not re-simulate.
 ///
 /// # Persistence
 ///
@@ -248,7 +305,7 @@ impl MemoStats {
 /// threads keep the batch alive rather than cascading the crash.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    entries: Mutex<HashMap<EvalKey, f64>>,
+    entries: Mutex<HashMap<EvalKey, Arc<EvalRecord>>>,
     /// Path of the attached persistent file, when any.
     persist: Mutex<Option<PathBuf>>,
     /// Keys currently being computed by some thread (single-flight
@@ -302,7 +359,7 @@ impl EvalCache {
     /// Locks the entry map, recovering from poisoning: the map's
     /// invariants hold after any panic because no user code ever runs
     /// while the guard is held.
-    fn lock_entries(&self) -> MutexGuard<'_, HashMap<EvalKey, f64>> {
+    fn lock_entries(&self) -> MutexGuard<'_, HashMap<EvalKey, Arc<EvalRecord>>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -321,8 +378,8 @@ impl EvalCache {
     }
 
     /// Looks up a key, counting the hit or miss.
-    pub fn get(&self, key: &EvalKey) -> Option<f64> {
-        let found = self.lock_entries().get(key).copied();
+    pub fn get(&self, key: &EvalKey) -> Option<Arc<EvalRecord>> {
+        let found = self.lock_entries().get(key).cloned();
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -330,9 +387,15 @@ impl EvalCache {
         found
     }
 
-    /// Stores the response for a key.
-    pub fn insert(&self, key: EvalKey, value: f64) {
-        self.lock_entries().insert(key, value);
+    /// Stores the record for a key, unless a degraded tier produced it
+    /// (`tier > 0`): such a record depends on the ladder's breaker
+    /// state, not only on its key, so it is neither stored nor
+    /// persisted.
+    pub fn insert(&self, key: EvalKey, record: Arc<EvalRecord>) {
+        if record.tier > 0 {
+            return;
+        }
+        self.lock_entries().insert(key, record);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         self.dirty.fetch_add(1, Ordering::Relaxed);
     }
@@ -438,17 +501,14 @@ impl EvalCache {
         }
         // Later duplicates on disk supersede earlier ones; in-memory
         // entries supersede both.
-        let mut from_disk: HashMap<EvalKey, f64> = HashMap::new();
-        for (key, value) in outcome.records {
-            from_disk.insert(key, value);
-        }
+        let from_disk: HashMap<EvalKey, Arc<EvalRecord>> = outcome.records.into_iter().collect();
         let mut adopted = 0;
         {
             let mut entries = self.lock_entries();
-            for (key, value) in from_disk {
+            for (key, record) in from_disk {
                 entries.entry(key).or_insert_with(|| {
                     adopted += 1;
-                    value
+                    record
                 });
             }
         }
@@ -480,9 +540,9 @@ impl EvalCache {
         }
         let result = (|| {
             let on_disk = persist::read_cache_file(&path)?.records;
-            let mut union: HashMap<EvalKey, f64> = on_disk.into_iter().collect();
-            for (key, value) in self.lock_entries().iter() {
-                union.insert(key.clone(), *value);
+            let mut union: HashMap<EvalKey, Arc<EvalRecord>> = on_disk.into_iter().collect();
+            for (key, record) in self.lock_entries().iter() {
+                union.insert(key.clone(), Arc::clone(record));
             }
             persist::write_cache_file(&path, &union)
         })();
@@ -516,9 +576,9 @@ impl EvalCache {
 
     /// Blocks until no thread holds a claim on `key`, then looks the
     /// key up. `Some` (counted as a hit) when the claimant cached a
-    /// value; `None` when it failed — the caller should claim and
-    /// compute the key itself.
-    pub fn wait_for(&self, key: &EvalKey) -> Option<f64> {
+    /// record; `None` when it failed or was served degraded — the caller
+    /// should claim and compute the key itself.
+    pub fn wait_for(&self, key: &EvalKey) -> Option<Arc<EvalRecord>> {
         let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         while inflight.contains(key) {
             // The timeout is only a safety net against a lost wakeup;
@@ -662,9 +722,9 @@ pub struct BatchFailure {
 /// results in submission order plus a description of every failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
-    /// One slot per input key, in input order: `Some(response)` when the
+    /// One slot per input key, in input order: `Some(record)` when the
     /// evaluation succeeded, `None` when it failed.
-    pub results: Vec<Option<f64>>,
+    pub results: Vec<Option<Arc<EvalRecord>>>,
     /// Every failed distinct key, in first-appearance (input) order.
     pub failures: Vec<BatchFailure>,
 }
@@ -686,13 +746,13 @@ impl BatchReport {
         self.results.len() - self.succeeded()
     }
 
-    /// Converts to the all-or-nothing view: the full response vector, or
-    /// the first failure's error (in input order).
+    /// Converts to the all-or-nothing view: one record per input key,
+    /// or the first failure's error (in input order).
     ///
     /// # Errors
     ///
     /// Returns the first [`BatchFailure::error`] when any point failed.
-    pub fn into_complete(self) -> Result<Vec<f64>> {
+    pub fn into_complete(self) -> Result<Vec<Arc<EvalRecord>>> {
         match self.failures.into_iter().next() {
             Some(failure) => Err(failure.error),
             None => Ok(self
@@ -815,10 +875,10 @@ impl SimPool {
 
     /// Evaluates the batch identified by `keys`, in parallel and memoised.
     ///
-    /// `eval(i)` must compute the response of `keys[i]`; the pool invokes
+    /// `eval(i)` must compute the record of `keys[i]`; the pool invokes
     /// it once per *distinct* uncached key (at that key's first batch
     /// index), even if the key appears several times. The output has one
-    /// response per input key, in input order, bit-identical for any
+    /// record per input key, in input order, bit-identical for any
     /// `jobs` setting.
     ///
     /// This is the all-or-nothing view of
@@ -829,9 +889,9 @@ impl SimPool {
     /// # Errors
     ///
     /// Returns the first (by input order) evaluation error, if any.
-    pub fn evaluate_batch<F>(&self, keys: &[EvalKey], eval: F) -> Result<Vec<f64>>
+    pub fn evaluate_batch<F>(&self, keys: &[EvalKey], eval: F) -> Result<Vec<Arc<EvalRecord>>>
     where
-        F: Fn(usize) -> Result<f64> + Sync,
+        F: Fn(usize) -> Result<EvalRecord> + Sync,
     {
         self.evaluate_batch_partial(keys, eval).into_complete()
     }
@@ -855,7 +915,8 @@ impl SimPool {
     ///   [`BatchReport::failures`] with its first input index, attempt
     ///   count and final error ([`DseError::EvalPanicked`] for panics);
     /// * failed keys are **never cached** — a later batch re-attempts
-    ///   them — while every successful point is cached as usual.
+    ///   them — and neither are degraded (`tier > 0`) records, while
+    ///   every other successful point is cached as usual.
     ///
     /// When the cache is attached to a directory
     /// ([`EvalCache::persist_to`]), the batch ends with a best-effort
@@ -863,11 +924,11 @@ impl SimPool {
     /// never fails the batch.
     pub fn evaluate_batch_partial<F>(&self, keys: &[EvalKey], eval: F) -> BatchReport
     where
-        F: Fn(usize) -> Result<f64> + Sync,
+        F: Fn(usize) -> Result<EvalRecord> + Sync,
     {
         // Resolve what the cache already knows and collect the distinct
         // misses in first-appearance order (batch-level deduplication).
-        let mut outputs: Vec<Option<f64>> = Vec::with_capacity(keys.len());
+        let mut outputs: Vec<Option<Arc<EvalRecord>>> = Vec::with_capacity(keys.len());
         let mut pending: Vec<usize> = Vec::new();
         let mut pending_index: HashMap<&EvalKey, usize> = HashMap::new();
         for (i, key) in keys.iter().enumerate() {
@@ -882,7 +943,7 @@ impl SimPool {
         }
 
         let max_attempts = self.retry.max_attempts.max(1);
-        let run_one = |input: usize| -> std::result::Result<f64, (u32, DseError)> {
+        let run_one = |input: usize| -> std::result::Result<EvalRecord, (u32, DseError)> {
             let mut attempts = 0;
             loop {
                 attempts += 1;
@@ -904,23 +965,24 @@ impl SimPool {
         // computing a key, wait for its result instead of duplicating
         // the work. Claims are per-key and the claimant always releases
         // (success, failure or panic — `run_one` catches panics), so
-        // the wait graph is acyclic and a failed claimant just hands
-        // the key to the next waiter. Values are deterministic in the
-        // key, so coalescing never changes a result.
-        let run_coalesced = |input: usize| -> std::result::Result<f64, (u32, DseError)> {
+        // the wait graph is acyclic and a failed (or degraded) claimant
+        // just hands the key to the next waiter. Stored records are
+        // deterministic in the key, so coalescing never changes a result.
+        type Outcome = std::result::Result<Arc<EvalRecord>, (u32, DseError)>;
+        let run_coalesced = |input: usize| -> Outcome {
             let key = &keys[input];
             loop {
                 if self.cache.claim(key) {
-                    let outcome = run_one(input);
-                    if let Ok(value) = &outcome {
-                        // Insert before release so waiters see the value.
-                        self.cache.insert(key.clone(), *value);
+                    let outcome = run_one(input).map(Arc::new);
+                    if let Ok(record) = &outcome {
+                        // Insert before release so waiters see the record.
+                        self.cache.insert(key.clone(), Arc::clone(record));
                     }
                     self.cache.release(key);
                     return outcome;
                 }
-                if let Some(value) = self.cache.wait_for(key) {
-                    return Ok(value);
+                if let Some(record) = self.cache.wait_for(key) {
+                    return Ok(record);
                 }
                 // The claimant failed; take the key over ourselves.
             }
@@ -928,11 +990,11 @@ impl SimPool {
         let fresh =
             numkit::pool::par_map_ordered(self.jobs, &pending, |_, &input| run_coalesced(input));
 
-        let mut fresh_values: Vec<Option<f64>> = Vec::with_capacity(fresh.len());
+        let mut fresh_values: Vec<Option<Arc<EvalRecord>>> = Vec::with_capacity(fresh.len());
         let mut failures = Vec::new();
         for (&input, outcome) in pending.iter().zip(fresh) {
             match outcome {
-                Ok(value) => fresh_values.push(Some(value)),
+                Ok(record) => fresh_values.push(Some(record)),
                 Err((attempts, error)) => {
                     failures.push(BatchFailure {
                         index: input,
@@ -952,7 +1014,7 @@ impl SimPool {
         let results = keys
             .iter()
             .zip(outputs)
-            .map(|(key, cached)| cached.or_else(|| fresh_values[pending_index[key]]))
+            .map(|(key, cached)| cached.or_else(|| fresh_values[pending_index[key]].clone()))
             .collect();
         BatchReport { results, failures }
     }
@@ -1027,16 +1089,38 @@ mod tests {
             .collect()
     }
 
+    /// A record carrying `value` as its final voltage.
+    fn rec(value: f64) -> EvalRecord {
+        EvalRecord {
+            final_voltage: value,
+            ..EvalRecord::default()
+        }
+    }
+
+    /// The values the records of a batch carry.
+    fn values(records: &[Arc<EvalRecord>]) -> Vec<f64> {
+        records.iter().map(|r| r.final_voltage).collect()
+    }
+
+    /// The value each slot of a partial batch carries, if any.
+    fn slots(report: &BatchReport) -> Vec<Option<f64>> {
+        report
+            .results
+            .iter()
+            .map(|r| r.as_ref().map(|r| r.final_voltage))
+            .collect()
+    }
+
     fn count_evals(pool: &SimPool, points: &[Vec<f64>]) -> (Vec<f64>, usize) {
         let keys = keys_of(points);
         let calls = AtomicUsize::new(0);
         let out = pool
             .evaluate_batch(&keys, |i| {
                 calls.fetch_add(1, Ordering::Relaxed);
-                Ok(points[i].iter().sum::<f64>())
+                Ok(rec(points[i].iter().sum::<f64>()))
             })
             .unwrap();
-        (out, calls.load(Ordering::Relaxed))
+        (values(&out), calls.load(Ordering::Relaxed))
     }
 
     #[test]
@@ -1086,8 +1170,8 @@ mod tests {
 
     #[test]
     fn plain_engine_keys_carry_the_kind_discriminant() {
-        // Keys in persisted `evalcache.v1.bin` files were written with
-        // the plain engine's kind discriminant as their engine component.
+        // Keys in persisted cache files are written with the plain
+        // engine's kind discriminant as their engine component.
         let p = [0.25, -0.5, 1.0];
         for kind in [EngineKind::Envelope, EngineKind::Full] {
             let key = EvalKey::for_engine(kind.engine().as_ref(), 42, &p);
@@ -1135,9 +1219,9 @@ mod tests {
         let p = vec![0.5, 0.5];
         let envelope = vec![plain_key(EngineKind::Envelope, 9, &p)];
         let full = vec![plain_key(EngineKind::Full, 9, &p)];
-        let a = pool.evaluate_batch(&envelope, |_| Ok(1.0)).unwrap();
-        let b = pool.evaluate_batch(&full, |_| Ok(2.0)).unwrap();
-        assert_eq!((a[0], b[0]), (1.0, 2.0));
+        let a = pool.evaluate_batch(&envelope, |_| Ok(rec(1.0))).unwrap();
+        let b = pool.evaluate_batch(&full, |_| Ok(rec(2.0))).unwrap();
+        assert_eq!((values(&a)[0], values(&b)[0]), (1.0, 2.0));
         assert_eq!(pool.cache().len(), 2, "engines must not share entries");
     }
 
@@ -1151,7 +1235,7 @@ mod tests {
                 if points[i][0] >= 2.0 {
                     Err(crate::DseError::InvalidArgument("boom"))
                 } else {
-                    Ok(points[i][0])
+                    Ok(rec(points[i][0]))
                 }
             })
             .unwrap_err();
@@ -1169,14 +1253,14 @@ mod tests {
             if i == 3 {
                 Err(crate::DseError::InvalidArgument("bad point"))
             } else {
-                Ok(points[i][0])
+                Ok(rec(points[i][0]))
             }
         });
         assert!(!report.is_complete());
         assert_eq!(report.succeeded(), 5);
         assert_eq!(report.failed(), 1);
-        assert_eq!(report.results[0], Some(0.0));
-        assert_eq!(report.results[3], None, "the failing point has no slot");
+        assert_eq!(slots(&report)[0], Some(0.0));
+        assert_eq!(slots(&report)[3], None, "the failing point has no slot");
         let failure = &report.failures[0];
         assert_eq!(failure.index, 3);
         assert_eq!(failure.key, keys[3]);
@@ -1194,16 +1278,16 @@ mod tests {
         let calls2 = AtomicUsize::new(0);
         let report2 = pool.evaluate_batch_partial(&keys, |i| {
             calls2.fetch_add(1, Ordering::Relaxed);
-            Ok(points[i][0] * 10.0)
+            Ok(rec(points[i][0] * 10.0))
         });
         assert!(report2.is_complete());
         assert_eq!(
-            report2.results[3],
+            slots(&report2)[3],
             Some(30.0),
             "a previously failed key must re-evaluate from scratch"
         );
         assert_eq!(
-            report2.results[0],
+            slots(&report2)[0],
             Some(0.0),
             "successful keys answer from the cache"
         );
@@ -1219,7 +1303,7 @@ mod tests {
             if i == 1 {
                 panic!("degenerate design point");
             }
-            Ok(points[i][0])
+            Ok(rec(points[i][0]))
         });
         assert_eq!(report.succeeded(), 3);
         assert_eq!(report.failures.len(), 1);
@@ -1230,7 +1314,7 @@ mod tests {
         assert_eq!(pool.cache().len(), 3, "panicked key must not be cached");
         // The all-or-nothing wrapper surfaces the same panic as an error.
         let err = pool
-            .evaluate_batch(&keys_of(&[vec![100.0]]), |_| -> Result<f64> {
+            .evaluate_batch(&keys_of(&[vec![100.0]]), |_| -> Result<EvalRecord> {
                 panic!("boom {}", 2)
             })
             .unwrap_err();
@@ -1246,13 +1330,42 @@ mod tests {
             if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
                 Err(crate::DseError::InvalidArgument("transient"))
             } else {
-                Ok(7.0)
+                Ok(rec(7.0))
             }
         });
         assert!(report.is_complete());
-        assert_eq!(report.results[0], Some(7.0));
+        assert_eq!(slots(&report)[0], Some(7.0));
         assert_eq!(attempts.load(Ordering::Relaxed), 2);
         assert_eq!(pool.cache().len(), 1);
+    }
+
+    #[test]
+    fn degraded_records_are_returned_but_never_stored() {
+        let pool = SimPool::new(2);
+        let points: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64]).collect();
+        let keys = keys_of(&points);
+        let calls = AtomicUsize::new(0);
+        let degraded = |i: usize| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Ok(EvalRecord {
+                tier: 1,
+                ..rec(points[i][0])
+            })
+        };
+        let first = pool.evaluate_batch(&keys, degraded).unwrap();
+        assert_eq!(values(&first), vec![0.0, 1.0, 2.0]);
+        assert!(
+            first.iter().all(|r| r.tier == 1),
+            "the caller sees the tier"
+        );
+        assert!(pool.cache().is_empty());
+        assert_eq!(pool.cache().stats().inserts, 0);
+        pool.evaluate_batch(&keys, degraded).unwrap();
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            6,
+            "a second batch re-evaluates"
+        );
     }
 
     #[test]
@@ -1265,11 +1378,11 @@ mod tests {
             if attempts.fetch_add(1, Ordering::Relaxed) < 3 {
                 Err(crate::DseError::InvalidArgument("still flaky"))
             } else {
-                Ok(11.0)
+                Ok(rec(11.0))
             }
         });
         assert!(report.is_complete());
-        assert_eq!(report.results[0], Some(11.0));
+        assert_eq!(slots(&report)[0], Some(11.0));
         assert_eq!(attempts.load(Ordering::Relaxed), 4);
 
         // And a stricter budget gives up sooner.
@@ -1322,9 +1435,9 @@ mod tests {
         // value late — the pool must discard it.
         let report = pool.evaluate_batch_partial(&keys, |_| {
             std::thread::sleep(Duration::from_millis(25));
-            Ok(1.0)
+            Ok(rec(1.0))
         });
-        assert_eq!(report.results[0], None);
+        assert_eq!(slots(&report)[0], None);
         assert!(matches!(
             report.failures[0].error,
             crate::DseError::EvalTimedOut { .. }
@@ -1335,7 +1448,7 @@ mod tests {
         let report = pool.evaluate_batch_partial(&keys, |_| {
             std::thread::sleep(Duration::from_millis(25));
             wsn_node::deadline::check()?;
-            Ok(2.0)
+            Ok(rec(2.0))
         });
         assert!(matches!(
             report.failures[0].error,
@@ -1346,7 +1459,7 @@ mod tests {
         let report = pool.evaluate_batch_partial(&keys, |_| {
             std::thread::sleep(Duration::from_millis(25));
             wsn_node::deadline::check_or_abort();
-            Ok(3.0)
+            Ok(rec(3.0))
         });
         assert!(matches!(
             report.failures[0].error,
@@ -1355,8 +1468,8 @@ mod tests {
 
         // Disarming the deadline lets the same key succeed and cache.
         pool.set_eval_deadline(None);
-        let report = pool.evaluate_batch_partial(&keys, |_| Ok(4.0));
-        assert_eq!(report.results[0], Some(4.0));
+        let report = pool.evaluate_batch_partial(&keys, |_| Ok(rec(4.0)));
+        assert_eq!(slots(&report)[0], Some(4.0));
         assert_eq!(pool.cache().len(), 1);
     }
 
@@ -1376,7 +1489,7 @@ mod tests {
     fn poisoned_cache_mutex_recovers_instead_of_cascading() {
         let cache = EvalCache::new();
         let key = plain_key(EngineKind::Envelope, 1, &[0.5]);
-        cache.insert(key.clone(), 9.0);
+        cache.insert(key.clone(), Arc::new(rec(9.0)));
 
         // Poison the entries mutex the only way possible: panic while
         // holding the guard (white-box — no public API holds the lock
@@ -1392,10 +1505,10 @@ mod tests {
         );
 
         // Every operation keeps working on the recovered map.
-        assert_eq!(cache.get(&key), Some(9.0));
+        assert_eq!(cache.get(&key).map(|r| r.final_voltage), Some(9.0));
         let key2 = plain_key(EngineKind::Envelope, 1, &[0.75]);
-        cache.insert(key2.clone(), 10.0);
-        assert_eq!(cache.get(&key2), Some(10.0));
+        cache.insert(key2.clone(), Arc::new(rec(10.0)));
+        assert_eq!(cache.get(&key2).map(|r| r.final_voltage), Some(10.0));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().entries, 2);
         let cloned = cache.clone();
@@ -1477,9 +1590,13 @@ mod tests {
         let points: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 * 0.05, -0.3]).collect();
         let run = |jobs: usize| {
             let keys = keys_of(&points);
-            SimPool::new(jobs)
-                .evaluate_batch(&keys, |i| Ok(points[i][0] * points[i][0] - points[i][1]))
-                .unwrap()
+            values(
+                &SimPool::new(jobs)
+                    .evaluate_batch(&keys, |i| {
+                        Ok(rec(points[i][0] * points[i][0] - points[i][1]))
+                    })
+                    .unwrap(),
+            )
         };
         let sequential = run(1);
         assert_eq!(sequential, run(2));
@@ -1598,7 +1715,7 @@ mod tests {
                     claimed.store(true, Ordering::SeqCst);
                     calls.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(Duration::from_millis(150));
-                    Ok(42.0)
+                    Ok(rec(42.0))
                 })
                 .unwrap()
             });
@@ -1610,11 +1727,15 @@ mod tests {
             let second = b
                 .evaluate_batch(&keys, |_| {
                     calls.fetch_add(1, Ordering::SeqCst);
-                    Ok(99.0)
+                    Ok(rec(99.0))
                 })
                 .unwrap();
-            assert_eq!(first.join().unwrap(), vec![42.0]);
-            assert_eq!(second, vec![42.0], "waiter must adopt the claimant's value");
+            assert_eq!(values(&first.join().unwrap()), vec![42.0]);
+            assert_eq!(
+                values(&second),
+                vec![42.0],
+                "waiter must adopt the claimant's value"
+            );
         });
         assert_eq!(
             calls.load(Ordering::SeqCst),
@@ -1648,8 +1769,8 @@ mod tests {
             }
             // The waiter outlives the claimant's failure and computes
             // the key itself rather than inheriting the error.
-            let rescued = b.evaluate_batch(&keys, |_| Ok(7.0)).unwrap();
-            assert_eq!(rescued, vec![7.0]);
+            let rescued = b.evaluate_batch(&keys, |_| Ok(rec(7.0))).unwrap();
+            assert_eq!(values(&rescued), vec![7.0]);
             let report = failing.join().unwrap();
             assert_eq!(report.failed(), 1);
         });

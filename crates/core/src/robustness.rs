@@ -24,7 +24,7 @@ use wsn_node::{
     EngineKind, FaultCounters, FaultPlan, NodeConfig, Scenario, SimEngine, SystemConfig,
 };
 
-use crate::pool::{EvalKey, SimPool};
+use crate::pool::{EvalKey, EvalRecord, SimPool};
 use crate::Result;
 
 /// Distribution summary of an ensemble of scenario evaluations.
@@ -51,6 +51,11 @@ impl RobustnessSummary {
             max: stats::max(&samples),
             samples,
         }
+    }
+
+    /// The summary of the records' transmission counts.
+    pub fn of_records(records: &[Arc<EvalRecord>]) -> Self {
+        Self::of(records.iter().map(|r| r.transmissions as f64).collect())
     }
 
     /// Coefficient of variation (`σ / µ`); a scale-free fragility score.
@@ -95,11 +100,11 @@ impl RobustnessSummary {
     }
 }
 
-/// Evaluates `config` across a list of complete [`Scenario`]s (vibration
-/// profile, horizon and fault plan) on `engine`, through `pool`
-/// (parallelism and memoisation). This is the most general ensemble
-/// primitive — every other entry point builds scenarios and delegates
-/// here.
+/// Simulates `config` under each of a list of complete [`Scenario`]s
+/// (vibration profile, horizon and fault plan) on `engine`, through
+/// `pool` (parallelism and memoisation), one summary [`EvalRecord`] per
+/// scenario. This is the most general ensemble primitive — every other
+/// entry point builds scenarios and delegates here.
 ///
 /// The design point is keyed in *natural* units (clock, watchdog,
 /// interval) together with the engine discriminant and each scenario's
@@ -117,19 +122,18 @@ pub fn evaluate_scenarios_with(
     template: &SystemConfig,
     config: NodeConfig,
     scenarios: &[Scenario],
-) -> Result<RobustnessSummary> {
+) -> Result<Vec<Arc<EvalRecord>>> {
     let point = [config.clock_hz, config.watchdog_s, config.tx_interval_s];
     let keys: Vec<EvalKey> = scenarios
         .iter()
         .map(|s| EvalKey::for_engine(engine.as_ref(), s.fingerprint(), &point))
         .collect();
-    let samples = pool.evaluate_batch(&keys, |i| {
+    pool.evaluate_batch(&keys, |i| {
         let mut cfg = template.clone().with_scenario(scenarios[i].clone());
         cfg.node = config;
         cfg.trace_interval = None;
-        Ok(engine.simulate(&cfg)?.transmissions as f64)
-    })?;
-    Ok(RobustnessSummary::of(samples))
+        Ok(EvalRecord::summary(engine.simulate(&cfg)?))
+    })
 }
 
 /// Evaluates `config` across a list of vibration profiles on `engine`,
@@ -151,7 +155,9 @@ pub fn evaluate_ensemble_with(
         .iter()
         .map(|s| Scenario::new(s.clone(), template.horizon).with_faults(template.faults))
         .collect();
-    evaluate_scenarios_with(engine, pool, template, config, &scenarios)
+    Ok(RobustnessSummary::of_records(&evaluate_scenarios_with(
+        engine, pool, template, config, &scenarios,
+    )?))
 }
 
 /// Evaluates `config` across a list of fully specified scenarios on the
@@ -250,29 +256,23 @@ pub fn fault_robustness(
     seeds: &[u64],
     jobs: usize,
 ) -> Result<RobustnessSummary> {
-    let engine = EngineKind::Envelope.engine();
-    let pool = SimPool::new(jobs);
-    fault_robustness_with(&engine, &pool, template, config, plan, seeds)
+    let records = evaluate_scenarios_with(
+        &EngineKind::Envelope.engine(),
+        &SimPool::new(jobs),
+        template,
+        config,
+        &fault_scenarios(template, plan, seeds),
+    )?;
+    Ok(RobustnessSummary::of_records(&records))
 }
 
-/// [`fault_robustness`] against an explicit engine and shared pool.
-///
-/// # Errors
-///
-/// Propagates configuration and engine errors.
-pub fn fault_robustness_with(
-    engine: &Arc<dyn SimEngine>,
-    pool: &SimPool,
-    template: &SystemConfig,
-    config: NodeConfig,
-    plan: FaultPlan,
-    seeds: &[u64],
-) -> Result<RobustnessSummary> {
-    let scenarios: Vec<Scenario> = seeds
+/// The template's own scenario under `plan` re-seeded with each of
+/// `seeds`: the realisations [`fault_robustness`] evaluates.
+pub fn fault_scenarios(template: &SystemConfig, plan: FaultPlan, seeds: &[u64]) -> Vec<Scenario> {
+    seeds
         .iter()
         .map(|&seed| template.scenario().with_faults(plan.reseeded(seed)))
-        .collect();
-    evaluate_scenarios_with(engine, pool, template, config, &scenarios)
+        .collect()
 }
 
 /// The fault-injection document of `wsn_dse faults --json` and of the
@@ -467,8 +467,11 @@ mod tests {
         let nominal =
             evaluate_ensemble_with(&engine, &pool, &t, NodeConfig::original(), &scenarios).unwrap();
         let plan = FaultPlan::none().with_tx_failure_rate(0.4);
-        let faulty =
-            fault_robustness_with(&engine, &pool, &t, NodeConfig::original(), plan, &[7]).unwrap();
+        let realisations = fault_scenarios(&t, plan, &[7]);
+        let faulty = RobustnessSummary::of_records(
+            &evaluate_scenarios_with(&engine, &pool, &t, NodeConfig::original(), &realisations)
+                .unwrap(),
+        );
         assert_eq!(
             pool.cache().len(),
             2,

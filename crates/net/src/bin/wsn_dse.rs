@@ -36,8 +36,8 @@
 //! Every job command, `sweep` and `refine` also take the context
 //! options: `--jobs N` caps the simulation worker threads (0 or omitted:
 //! all cores; 1: sequential); `--cache-dir DIR` attaches the crash-safe
-//! persistent evaluation cache (`simulate` and plain `network` cannot
-//! use it and print a structured `cache_dir_ignored` warning instead);
+//! persistent evaluation cache (`simulate` cannot use it and prints a
+//! structured `cache_dir_ignored` warning instead);
 //! `--eval-timeout S` arms a per-evaluation wall-clock budget;
 //! `--eval-retries N` allows N retries with deterministic backoff.
 //! `simulate` runs its one simulation once, on one thread, so its
@@ -94,7 +94,8 @@ use std::time::Duration;
 use numkit::rng::Rng;
 use wsn_dse::protocol::{argv_to_json, json_array, json_string, Arg, Json, Request};
 use wsn_dse::{
-    coded_to_config, paper_design_space, DseFlow, DseReport, EvalCache, EvalKey, SimPool,
+    coded_to_config, paper_design_space, DseFlow, DseReport, EvalCache, EvalKey, EvalRecord,
+    SimPool,
 };
 use wsn_net::{
     cache_dir_ignored_warning, execute, retry_policy, run_flow, Context, Report, ServeConfig,
@@ -377,7 +378,7 @@ fn cmd_chaos(argv: &[String]) -> CliResult {
     let batch = pool.evaluate_batch_partial(&keys, |i| {
         let mut cfg = template.clone();
         cfg.node = coded_to_config(&space, &points[i])?;
-        Ok(engine.simulate(&cfg)?.transmissions as f64)
+        Ok(EvalRecord::summary(engine.simulate(&cfg)?))
     });
     std::panic::set_hook(prev_hook);
 

@@ -29,6 +29,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
+use wsn_dse::fold_fingerprint;
+
 /// Default airtime of one packet (s). Matches the Table III transmission
 /// duration used by the node model ([`wsn_node::SensorNode::tx_duration`]).
 pub const DEFAULT_AIRTIME_S: f64 = 4.5e-3;
@@ -139,20 +141,15 @@ impl RadioChannel {
     /// different channels never collide.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET ^ 0x6368_616e; // "chan"
-        for v in [
+        const CHAN: u64 = 0x6368_616e; // "chan"
+        [
             self.airtime_s,
             self.slot_s,
             self.interference_range_m,
             self.delivery_range_m,
-        ] {
-            for byte in v.to_bits().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        h
+        ]
+        .iter()
+        .fold(FNV_OFFSET ^ CHAN, |h, v| fold_fingerprint(h, v.to_bits()))
     }
 
     /// Arbitrates one fleet's recorded transmissions over the shared

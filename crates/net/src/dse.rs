@@ -5,10 +5,10 @@
 //! The machinery is the single-node [`wsn_dse::DseFlow`]'s, point for
 //! point — D-optimal design over the Table V space, quadratic surface,
 //! SA + GA maximisation, validation back in the simulator — but every
-//! response is a full [`NetworkSim::evaluate`] fleet run. Responses are
-//! memoised in the flow's own [`SimPool`] under keys that fold in the
-//! [`FleetSpec::fingerprint`], so fleet responses can never collide with
-//! single-node cache entries (or with a different fleet's).
+//! response is a full fleet run ([`NetworkSim::evaluate_on`]) through the
+//! flow's own [`SimPool`]. The pool caches node records, not fleets: a
+//! design point revisited anywhere in the flow, or in a later flow on a
+//! shared cache, is arbitrated afresh from cached node runs.
 
 use std::fmt;
 use std::sync::Arc;
@@ -17,8 +17,7 @@ use doe::{Design, DesignSpace, ModelSpec};
 use rsm::ResponseSurface;
 use wsn_dse::protocol::{json_array, json_f64, json_string};
 use wsn_dse::{
-    coded_to_config, config_to_coded, d_optimal_design, paper_design_space, surface_optima,
-    DseError, EvalKey, SimPool,
+    coded_to_config, config_to_coded, d_optimal_design, paper_design_space, surface_optima, SimPool,
 };
 use wsn_node::{EngineKind, NodeConfig, SimEngine};
 
@@ -227,10 +226,10 @@ impl FleetDseFlow {
         }
     }
 
-    /// Replaces the fleet specification. Keys carry the fleet
-    /// fingerprint, so stale cache entries could never be confused with
-    /// the new fleet's — but they are dead weight, so the cache is
-    /// dropped.
+    /// Replaces the fleet specification. Node keys carry each node's
+    /// scenario fingerprint, so stale cache entries could never be
+    /// confused with the new fleet's — but they are dead weight, so the
+    /// cache is dropped.
     pub fn with_spec(mut self, spec: FleetSpec) -> Self {
         self.spec = spec;
         self.pool.cache().clear();
@@ -259,44 +258,37 @@ impl FleetDseFlow {
         self.sim.engine_kind()
     }
 
-    /// Sets the worker-thread count for both the per-node fan-out and
-    /// the design-point fan-out (`0`: all cores). Reports are
-    /// bit-identical at any setting.
+    /// Sets the worker-thread count of the per-node fan-out (`0`: all
+    /// cores). Reports are bit-identical at any setting.
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.sim = self.sim.jobs(jobs);
         self.pool.set_jobs(jobs);
         self
     }
 
-    /// Replaces the fleet pool's cache with a shared handle (see
-    /// [`wsn_dse::SimPool::set_shared_cache`]): fleet-level responses are
-    /// memoised in the cache every other holder sees. Keys fold in the
-    /// fleet fingerprint, so sharing one cache between single-node and
-    /// fleet flows can never mix their entries. Apply **after**
-    /// [`with_spec`](Self::with_spec), which clears whatever cache the
-    /// pool holds at that moment.
+    /// Replaces the flow pool's cache with a shared handle (see
+    /// [`wsn_dse::SimPool::set_shared_cache`]): node records land in the
+    /// cache every other holder sees. Node keys carry a fleet tag, so
+    /// sharing one cache between single-node and fleet flows can never
+    /// mix their entries. Apply **after** [`with_spec`](Self::with_spec),
+    /// which clears whatever cache the pool holds at that moment.
     pub fn shared_cache(mut self, cache: std::sync::Arc<wsn_dse::EvalCache>) -> Self {
         self.pool.set_shared_cache(cache);
         self
     }
 
-    /// Replaces the retry/backoff discipline at both fan-out levels:
-    /// whole-fleet evaluations in this flow's pool and per-node
-    /// simulations inside each fleet run (the default keeps the
-    /// historical two-attempt, no-backoff behaviour bit-identically).
+    /// Replaces the retry/backoff discipline of every node run (the
+    /// default keeps the historical two-attempt, no-backoff behaviour
+    /// bit-identically).
     pub fn retry_policy(mut self, retry: wsn_dse::RetryPolicy) -> Self {
-        self.pool.set_retry_policy(retry.clone());
-        self.sim = self.sim.retry_policy(retry);
+        self.pool.set_retry_policy(retry);
         self
     }
 
-    /// Arms (or with `None` disarms) a wall-clock budget at both fan-out
-    /// levels: each whole-fleet evaluation and, inside it, each per-node
-    /// simulation. Over-budget work is isolated, never wrong — see
+    /// Arms (or with `None` disarms) a wall-clock budget for every node
+    /// run. Over-budget nodes are isolated, never wrong — see
     /// [`wsn_dse::SimPool::set_eval_deadline`].
     pub fn eval_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
         self.pool.set_eval_deadline(deadline);
-        self.sim = self.sim.eval_deadline(deadline);
         self
     }
 
@@ -319,41 +311,26 @@ impl FleetDseFlow {
         &self.space
     }
 
-    /// The pool memoising fleet responses across flow stages.
+    /// The pool the flow's node runs go through.
     pub fn pool(&self) -> &SimPool {
         &self.pool
     }
 
-    /// Evaluates the fleet at one configuration, returning the full
-    /// report.
+    /// Evaluates the fleet at one configuration through the flow's pool,
+    /// returning the full report.
     ///
     /// # Errors
     ///
     /// Propagates configuration and engine errors.
     pub fn evaluate(&self, node: NodeConfig) -> Result<NetworkReport> {
-        self.sim.evaluate(&self.spec, node)
+        self.sim.evaluate_on(&self.pool, &self.spec, node)
     }
 
-    /// Evaluates a coded design point, returning the sink goodput.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode/validation errors.
-    pub fn evaluate_coded(&self, coded: &[f64]) -> Result<f64> {
-        let node = coded_to_config(&self.space, coded)?;
-        Ok(self.evaluate(node)?.goodput_per_hour())
-    }
-
-    /// Memoisation keys for a batch of coded points: the engine
-    /// *instance* fingerprint (so chaos-wrapped or ladder-backed engines
-    /// never share entries with clean ones), the *fleet* fingerprint
-    /// (never a plain scenario fingerprint — see
-    /// [`FleetSpec::fingerprint`]) and the quantised coordinates.
-    fn keys_for(&self, points: &[Vec<f64>]) -> Vec<EvalKey> {
-        let fleet = self.spec.fingerprint();
+    /// The fleet report at every coded point, in point order.
+    fn networks(&self, points: &[Vec<f64>]) -> Result<Vec<NetworkReport>> {
         points
             .iter()
-            .map(|p| EvalKey::for_engine(self.sim.engine_ref(), fleet, p))
+            .map(|p| self.evaluate(coded_to_config(&self.space, p)?))
             .collect()
     }
 
@@ -375,7 +352,8 @@ impl FleetDseFlow {
     /// Runs the complete fleet flow: design → fleet simulations →
     /// surface fit → SA/GA maximisation → fleet validation. The design
     /// and the optima come through the pool cache's step memo, as in
-    /// [`wsn_dse::DseFlow::run`].
+    /// [`wsn_dse::DseFlow::run`]; the two full fleet reports are the
+    /// validated ones, so no fleet is simulated twice.
     ///
     /// # Errors
     ///
@@ -384,10 +362,11 @@ impl FleetDseFlow {
         let memo = Some(self.pool.cache());
         let dimension = self.space.dimension();
         let design = d_optimal_design(memo, dimension, &self.model, self.doe_runs, self.seed)?;
-        let points = design.points();
-        let responses = self
-            .pool
-            .evaluate_batch(&self.keys_for(points), |i| self.evaluate_coded(&points[i]))?;
+        let responses: Vec<f64> = self
+            .networks(design.points())?
+            .iter()
+            .map(NetworkReport::goodput_per_hour)
+            .collect();
         let surface = ResponseSurface::fit(&design, self.model.clone(), &responses)?;
         let d_efficiency = doe::diagnostics::d_efficiency(&design, &self.model)?;
 
@@ -398,48 +377,37 @@ impl FleetDseFlow {
 
         let mut candidates: Vec<Vec<f64>> = vec![original_coded.clone()];
         candidates.extend(optima.iter().map(|(_, coded, _)| coded.clone()));
-        let validated = self.pool.evaluate_batch(&self.keys_for(&candidates), |i| {
-            self.evaluate_coded(&candidates[i])
-        })?;
-        // Responses pair with candidates positionally: a short (or long)
-        // batch is a structured error, never a panic on a drained
-        // iterator or a silently truncating `zip` that drops an
-        // optimiser row.
-        if validated.len() != candidates.len() {
-            return Err(DseError::ResponseCount {
-                expected: candidates.len(),
-                got: validated.len(),
-            });
-        }
+        let mut validated = self.networks(&candidates)?;
 
         let original = FleetEval {
             label: "original".to_owned(),
             coded: original_coded,
             predicted: None,
-            goodput: validated[0],
+            goodput: validated[0].goodput_per_hour(),
             config: original_cfg,
         };
         let mut optimised = Vec::new();
-        for (slot, (label, coded, predicted)) in optima.into_iter().enumerate() {
-            let config = coded_to_config(&self.space, &coded)?;
+        for ((label, coded, predicted), network) in optima.into_iter().zip(&validated[1..]) {
             optimised.push(FleetEval {
                 label,
-                config,
+                config: coded_to_config(&self.space, &coded)?,
                 coded,
                 predicted: Some(predicted),
-                goodput: validated[slot + 1],
+                goodput: network.goodput_per_hour(),
             });
         }
 
         // Full fleet reports for the two designs the discussion centres
-        // on. The pool memoises only the goodput scalar, so these are
-        // direct deterministic re-runs.
-        let original_network = self.evaluate(original_cfg)?;
-        let best_cfg = optimised
-            .iter()
-            .max_by(|a, b| a.goodput.total_cmp(&b.goodput))
-            .map_or(original_cfg, |e| e.config);
-        let best_network = self.evaluate(best_cfg)?;
+        // on: the original and the best optimised candidate.
+        let best = (1..validated.len())
+            .max_by(|&a, &b| {
+                validated[a]
+                    .goodput_per_hour()
+                    .total_cmp(&validated[b].goodput_per_hour())
+            })
+            .unwrap_or(0);
+        let best_network = validated[best].clone();
+        let original_network = validated.remove(0);
 
         Ok(FleetDseReport {
             design,
@@ -493,32 +461,75 @@ mod tests {
     fn responses_are_memoised_per_fleet() {
         let flow = fast_flow(2).jobs(1);
         let design = flow.build_design().unwrap();
-        let points = design.points();
-        let first = flow
-            .pool()
-            .evaluate_batch(&flow.keys_for(points), |i| flow.evaluate_coded(&points[i]))
-            .unwrap();
+        let first = flow.networks(design.points()).unwrap();
         let misses = flow.pool().cache().misses();
-        let second = flow
-            .pool()
-            .evaluate_batch(&flow.keys_for(points), |i| flow.evaluate_coded(&points[i]))
-            .unwrap();
-        assert_eq!(first, second);
+        let second = flow.networks(design.points()).unwrap();
+        assert_eq!(
+            first.iter().map(NetworkReport::to_json).collect::<Vec<_>>(),
+            second
+                .iter()
+                .map(NetworkReport::to_json)
+                .collect::<Vec<_>>()
+        );
         assert_eq!(
             flow.pool().cache().misses(),
             misses,
-            "the second batch must be answered from the cache"
+            "the second pass must be answered from the cache"
         );
+        // One record per node run, none per fleet.
+        assert!(flow.pool().cache().len() <= 2 * design.len());
     }
 
     #[test]
     fn fleet_keys_never_collide_with_single_node_keys() {
-        let flow = fast_flow(1);
-        let point = vec![0.0, 0.0, 0.0];
-        let fleet_key = flow.keys_for(std::slice::from_ref(&point));
-        let scenario = flow.spec().template.scenario().fingerprint();
-        let single_key =
-            EvalKey::for_engine(flow.engine_kind().engine().as_ref(), scenario, &point);
-        assert_ne!(fleet_key[0], single_key);
+        // A 1-node fleet's node runs the template scenario at the design
+        // point, exactly the run a single-node flow and a `faults` job
+        // cache: on one shared cache the three stay three entries, and
+        // only the fleet's record carries timestamps.
+        let cache = Arc::new(wsn_dse::EvalCache::new());
+        let flow = fast_flow(1).jobs(1).shared_cache(Arc::clone(&cache));
+        let node = NodeConfig::original();
+        let template = &flow.spec().template;
+        let engine = flow.engine_kind().engine();
+        flow.evaluate(node).unwrap();
+        let pool = flow.pool();
+        let natural = wsn_dse::robustness::evaluate_scenarios_with(
+            &engine,
+            pool,
+            template,
+            node,
+            &[template.scenario()],
+        )
+        .unwrap();
+        let coded = config_to_coded(flow.space(), &node).unwrap();
+        let summary =
+            wsn_dse::simulate_coded(pool, engine.as_ref(), template, flow.space(), &[coded])
+                .unwrap();
+        assert_eq!(cache.len(), 3, "a fleet node key collided");
+        assert_eq!(cache.hits(), 0);
+        assert!(natural[0].tx_times.is_empty() && summary[0].tx_times.is_empty());
+        assert_eq!(natural[0].transmissions, summary[0].transmissions);
+    }
+
+    #[test]
+    fn fleet_runs_call_the_engine_once_per_stored_record() {
+        // A one-rung ladder over the envelope engine counts every run.
+        let ladder = Arc::new(wsn_node::FallbackEngine::new(vec![
+            EngineKind::Envelope.engine()
+        ]));
+        let flow = fast_flow(2).jobs(1).with_engine(ladder.clone());
+        let runs = || ladder.tier_stats()[0].served as usize;
+        let cold = flow.run().unwrap();
+        let stats = flow.pool().cache().stats();
+        assert_eq!(runs(), stats.inserts, "every engine run is a stored record");
+        assert_eq!(
+            cold.original.goodput,
+            cold.original_network.goodput_per_hour()
+        );
+        // A warm run is served from the node records alone.
+        let warm = flow.run().unwrap();
+        assert_eq!(flow.pool().cache().stats().misses, stats.misses);
+        assert_eq!(runs(), stats.inserts);
+        assert_eq!(warm.to_json(), cold.to_json());
     }
 }

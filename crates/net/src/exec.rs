@@ -19,7 +19,7 @@ use wsn_dse::protocol::{
     json_string, FaultsJob, NetworkJob, ParetoJob, Request, RunJob, SimulateJob,
 };
 use wsn_dse::robustness::{
-    evaluate_scenarios_with, fault_robustness_with, faults_json, RobustnessSummary,
+    evaluate_scenarios_with, fault_scenarios, faults_json, RobustnessSummary,
 };
 use wsn_dse::{
     paper_design_space_with_timer, DseError, DseFlow, DseReport, EvalCache, RetryPolicy, SimPool,
@@ -45,8 +45,8 @@ pub struct Context {
     /// Per-evaluation wall-clock budget; a request's `timeout_ms`
     /// overrides it.
     pub deadline: Option<Duration>,
-    /// Evaluation cache shared by every job's flow. `simulate` and plain
-    /// `network` never use it (see [`cache_dir_ignored_warning`]).
+    /// Evaluation cache shared by every job's flow. `simulate` never
+    /// uses it (see [`cache_dir_ignored_warning`]).
     pub cache: Option<Arc<EvalCache>>,
     /// Engine-degradation ladder that replaces every job's engine (the
     /// server's chaos mode).
@@ -69,6 +69,18 @@ impl Context {
     fn deadline(&self, timeout_ms: Option<u64>) -> Option<Duration> {
         timeout_ms.map(Duration::from_millis).or(self.deadline)
     }
+
+    /// A pool with this context's workers, retries and shared cache
+    /// (a fresh one without), under the job's deadline.
+    fn pool(&self, timeout_ms: Option<u64>) -> SimPool {
+        let mut pool = SimPool::new(self.jobs);
+        pool.set_retry_policy(self.retry.clone());
+        pool.set_eval_deadline(self.deadline(timeout_ms));
+        if let Some(cache) = &self.cache {
+            pool.set_shared_cache(Arc::clone(cache));
+        }
+        pool
+    }
 }
 
 /// The retry-jitter seed of a `wsn_dse` job command, and of a server
@@ -90,27 +102,18 @@ pub fn retry_policy(retries: Option<u32>, jitter_seed: u64) -> RetryPolicy {
 }
 
 /// The structured warning for a job given `--cache-dir` that never reads
-/// the evaluation cache; `None` for a job that does. `simulate` runs one
-/// configuration directly, and a plain fleet evaluation needs every
-/// node's full timestamp trace, which only a fresh simulation produces.
-/// One JSON object on one line, so scripted callers can detect the
-/// ignored option instead of matching prose.
+/// the evaluation cache; `None` for a job that does. Only `simulate`,
+/// which runs one configuration directly, bypasses the cache. One JSON
+/// object on one line, so scripted callers can detect the ignored option
+/// instead of matching prose.
 pub fn cache_dir_ignored_warning(request: &Request) -> Option<String> {
-    let (context, message) = match request {
-        Request::Simulate(_) => (
-            "simulate",
-            "--cache-dir does not apply to simulate, which runs one configuration \
-             directly and bypasses the cache",
-        ),
-        Request::Network(job) if !job.dse => (
-            "network",
-            "--cache-dir only applies to network --dse; a plain fleet evaluation needs \
-             full per-node traces, which the scalar cache cannot supply",
-        ),
-        _ => return None,
+    let Request::Simulate(_) = request else {
+        return None;
     };
+    let message = "--cache-dir does not apply to simulate, which runs one configuration \
+                   directly and bypasses the cache";
     Some(format!(
-        "{{\"warning\":\"cache_dir_ignored\",\"context\":\"{context}\",\"message\":{}}}",
+        "{{\"warning\":\"cache_dir_ignored\",\"context\":\"simulate\",\"message\":{}}}",
         json_string(message)
     ))
 }
@@ -267,36 +270,26 @@ fn simulate(job: &SimulateJob, ctx: &Context) -> Result<SimOutcome> {
 }
 
 /// A nominal baseline plus `seeds` realisations of the fault plan, all
-/// through one pool.
+/// through one pool; the counters are the first realisation's record's.
 fn faults(job: &FaultsJob, ctx: &Context) -> Result<FaultsReport> {
     let plan = FaultPlan::uniform(job.fault_seed, job.fault_rate);
     let node = NodeConfig::new(job.clock, job.watchdog, job.interval)?;
     let template = paper_template(job.f0, job.horizon);
     let engine = ctx.engine(job.engine, job.dt);
-    let mut pool = SimPool::new(ctx.jobs);
-    pool.set_retry_policy(ctx.retry.clone());
-    pool.set_eval_deadline(ctx.deadline(job.timeout_ms));
-    if let Some(cache) = &ctx.cache {
-        pool.set_shared_cache(Arc::clone(cache));
-    }
+    let pool = ctx.pool(job.timeout_ms);
     let nominal = evaluate_scenarios_with(&engine, &pool, &template, node, &[template.scenario()])?;
     let seeds: Vec<u64> = (0..job.seeds)
         .map(|i| plan.seed().wrapping_add(i))
         .collect();
-    let summary = fault_robustness_with(&engine, &pool, &template, node, plan, &seeds)?;
-    // Fault counters from the first realisation (the ensemble memoises
-    // only the response, so one direct deterministic re-run recovers
-    // them).
-    let mut counted = template.clone().with_faults(plan.reseeded(seeds[0]));
-    counted.node = node;
-    let counters = engine.simulate(&counted)?.faults;
+    let scenarios = fault_scenarios(&template, plan, &seeds);
+    let realisations = evaluate_scenarios_with(&engine, &pool, &template, node, &scenarios)?;
     Ok(FaultsReport {
         plan,
         realisations: job.seeds,
         horizon: job.horizon,
-        nominal_tx: nominal.samples[0],
-        summary,
-        counters,
+        nominal_tx: nominal[0].transmissions as f64,
+        summary: RobustnessSummary::of_records(&realisations),
+        counters: realisations[0].faults,
     })
 }
 
@@ -340,19 +333,13 @@ macro_rules! fleet_spec {
     }};
 }
 
-fn network_sim(ctx: &Context, engine: EngineKind, dt: f64, timeout_ms: Option<u64>) -> NetworkSim {
-    NetworkSim::new()
-        .jobs(ctx.jobs)
-        .with_engine(ctx.engine(engine, dt))
-        .retry_policy(ctx.retry.clone())
-        .eval_deadline(ctx.deadline(timeout_ms))
-}
-
-/// One evaluation of the fleet at one design. It needs every node's
-/// full transmission trace, which the scalar cache cannot supply.
+/// One evaluation of the fleet at one design, its node records through
+/// the context's cache.
 fn network(job: &NetworkJob, ctx: &Context) -> Result<NetworkReport> {
     let node = NodeConfig::new(job.clock, job.watchdog, job.interval)?;
-    network_sim(ctx, job.engine, job.dt, job.timeout_ms).evaluate(&fleet_spec!(job), node)
+    NetworkSim::new()
+        .with_engine(ctx.engine(job.engine, job.dt))
+        .evaluate_on(&ctx.pool(job.timeout_ms), &fleet_spec!(job), node)
 }
 
 /// The fleet-level DSE: the paper flow over the fleet's sink goodput.
@@ -376,7 +363,7 @@ fn fleet_dse(job: &NetworkJob, ctx: &Context) -> FleetDseFlow {
 /// (with `fleet`) over the fleet objective vector.
 fn pareto_flow(job: &ParetoJob, ctx: &Context) -> ParetoDseFlow {
     let objective: Arc<dyn MultiObjective> = if job.fleet {
-        let sim = network_sim(ctx, job.engine, job.dt, job.timeout_ms);
+        let sim = NetworkSim::new().with_engine(ctx.engine(job.engine, job.dt));
         Arc::new(FleetObjectives::new(fleet_spec!(job)).with_sim(sim))
     } else {
         let template = paper_template(job.f0, job.horizon)
@@ -438,6 +425,39 @@ mod tests {
         };
         assert!(timed_out(&Request::Simulate(job.clone()), &cli));
         assert!(execute(&Request::Simulate(job), &Context::default()).is_ok());
+    }
+
+    #[test]
+    fn a_faults_job_runs_the_engine_once_per_stored_record() {
+        // A one-rung ladder over the envelope engine counts every run.
+        let ladder = Arc::new(FallbackEngine::new(vec![EngineKind::Envelope.engine()]));
+        let cache = Arc::new(EvalCache::new());
+        let ctx = Context {
+            jobs: 1,
+            cache: Some(Arc::clone(&cache)),
+            ladder: Some(Arc::clone(&ladder)),
+            ..Context::default()
+        };
+        let job = FaultsJob {
+            fault_seed: 3,
+            fault_rate: 0.2,
+            seeds: 3,
+            horizon: 600.0,
+            ..FaultsJob::default()
+        };
+        let Report::Faults(report) = execute(&Request::Faults(job), &ctx).unwrap() else {
+            panic!("a faults job answers with a faults report")
+        };
+        assert_eq!(
+            ladder.tier_stats()[0].served as usize,
+            cache.stats().inserts
+        );
+        assert_eq!(
+            cache.stats().inserts,
+            4,
+            "the nominal run and three realisations"
+        );
+        assert!(!report.counters.is_nominal());
     }
 
     #[test]

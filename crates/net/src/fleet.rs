@@ -12,17 +12,11 @@
 //! Both halves are pure functions of their inputs, so the resulting
 //! [`NetworkReport`] is bit-identical at any job count.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
-
-use std::time::Duration;
+use std::sync::Arc;
 
 use numkit::rng::Rng;
-use wsn_dse::{EvalKey, RetryPolicy, SimPool};
-use wsn_node::{
-    EnergyBreakdown, EngineKind, FaultCounters, FaultPlan, NodeConfig, Scenario, SimEngine,
-    SystemConfig,
-};
+use wsn_dse::{fold_fingerprint, EvalKey, EvalRecord, SimPool};
+use wsn_node::{EngineKind, FaultPlan, NodeConfig, Scenario, SimEngine, SystemConfig};
 
 use crate::channel::{NodeTrace, RadioChannel};
 use crate::report::{NetworkReport, NodeReport};
@@ -35,9 +29,16 @@ const PHASE_SALT: u64 = 0x7068_6173; // "phas"
 const FAULT_SALT: u64 = 0x666c_7473; // "flts"
 const BOOT_SALT: u64 = 0x626f_6f74; // "boot"
 
-/// Salt folded into [`FleetSpec::fingerprint`] so a fleet evaluation can
-/// never share an [`EvalKey`] with a single-node scenario evaluation.
+/// Salt that opens [`FleetSpec::fingerprint`], so a fleet fingerprint
+/// never equals a node scenario's.
 const FLEET_SALT: u64 = 0x666c_6565_7421; // "fleet!"
+
+/// Tag folded into the scenario component of every fleet node key. A
+/// node record carries its transmission timestamps, a single-node
+/// record does not, so the two must never share a key even where the
+/// scenario, design and engine agree (node 0 of a nominal fleet runs the
+/// template scenario).
+const NODE_KEY_TAG: u64 = u64::from_le_bytes(*b"fleetnod");
 
 /// Where the nodes stand relative to the sink at the origin.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,17 +90,11 @@ impl FleetTopology {
     /// A stable 64-bit fingerprint of the topology.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let (tag, param) = match *self {
             FleetTopology::Ring { radius_m } => (1u64, radius_m),
             FleetTopology::Grid { pitch_m } => (2u64, pitch_m),
         };
-        let mut h = FNV_OFFSET ^ tag;
-        for byte in param.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        fold_fingerprint(FNV_OFFSET ^ tag, param.to_bits())
     }
 }
 
@@ -287,44 +282,39 @@ impl FleetSpec {
     }
 
     /// A stable 64-bit fingerprint of the whole fleet: size, seed,
-    /// spreads, channel, topology and every node's scenario. Folded into
-    /// [`EvalKey`]s by the fleet DSE so fleet evaluations never share a
-    /// cache entry with single-node evaluations (or with a different
-    /// fleet).
+    /// spreads, channel, topology and every node's scenario, reported in
+    /// every [`NetworkReport`].
     pub fn fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FLEET_SALT;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.nodes as u64);
-        mix(self.seed);
-        mix(self.freq_spread_hz.to_bits());
-        mix(self.phase_spread_s.to_bits());
-        mix(self.tx_offset_spread_s.to_bits());
-        mix(self.channel.fingerprint());
-        mix(self.topology.fingerprint());
-        for i in 0..self.nodes {
-            mix(self.scenario_for(i).fingerprint());
-        }
-        h
+        [
+            self.nodes as u64,
+            self.seed,
+            self.freq_spread_hz.to_bits(),
+            self.phase_spread_s.to_bits(),
+            self.tx_offset_spread_s.to_bits(),
+            self.channel.fingerprint(),
+            self.topology.fingerprint(),
+        ]
+        .into_iter()
+        .chain((0..self.nodes).map(|i| self.scenario_for(i).fingerprint()))
+        .fold(FLEET_SALT, fold_fingerprint)
     }
 }
 
-/// Everything the channel and the report need from one node's simulation.
-struct NodeRun {
-    transmissions: u64,
-    tx_times: Vec<f64>,
-    final_voltage: f64,
-    energy: EnergyBreakdown,
-    faults: FaultCounters,
+/// The cache key of one node run: the engine's cache fingerprint, the
+/// node scenario's fingerprint with [`NODE_KEY_TAG`] folded in, and the
+/// design in natural units.
+fn node_key(engine: &dyn SimEngine, scenario: &Scenario, coords: &[f64]) -> EvalKey {
+    EvalKey::for_engine(
+        engine,
+        fold_fingerprint(scenario.fingerprint(), NODE_KEY_TAG),
+        coords,
+    )
 }
 
 /// The deterministic fleet evaluator: per-node simulations through a
-/// [`SimPool`], channel arbitration from the recorded timestamps.
+/// [`SimPool`], channel arbitration from the recorded timestamps. A
+/// fleet evaluation is its node records plus arbitration; nothing is
+/// cached per fleet.
 ///
 /// # Example
 ///
@@ -343,8 +333,6 @@ struct NodeRun {
 pub struct NetworkSim {
     engine: Arc<dyn SimEngine>,
     jobs: usize,
-    retry: RetryPolicy,
-    deadline: Option<Duration>,
 }
 
 impl Default for NetworkSim {
@@ -359,8 +347,6 @@ impl NetworkSim {
         NetworkSim {
             engine: EngineKind::Envelope.engine(),
             jobs: 0,
-            retry: RetryPolicy::default(),
-            deadline: None,
         }
     }
 
@@ -381,12 +367,6 @@ impl NetworkSim {
         self.engine.kind()
     }
 
-    /// The installed engine itself (for cache keys that must separate
-    /// wrapper engines sharing a base kind).
-    pub(crate) fn engine_ref(&self) -> &dyn SimEngine {
-        self.engine.as_ref()
-    }
-
     /// Sets the worker-thread count (`0`: all cores, `1`: sequential).
     /// Reports are bit-identical at any setting.
     pub fn jobs(mut self, jobs: usize) -> Self {
@@ -394,73 +374,48 @@ impl NetworkSim {
         self
     }
 
-    /// Replaces the retry/backoff discipline applied to every per-node
-    /// simulation (the default keeps the historical two-attempt,
-    /// no-backoff behaviour bit-identically).
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Arms (or with `None` disarms) a per-node wall-clock budget. A node
-    /// that exceeds it is isolated exactly like a crashing node: reported
-    /// in [`NetworkReport::failed_nodes`], silent on the channel.
-    pub fn eval_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Evaluates the fleet at one design point.
+    /// Evaluates the fleet at one design point on a per-call cache: a
+    /// fresh pool of this evaluator's jobs, dropped when the call
+    /// returns, so nothing is held between calls.
     ///
-    /// The per-node runs are farmed through a fresh [`SimPool`] batch —
-    /// fresh because the pool memoises only the scalar response, while
-    /// the channel needs each node's full timestamp trace, captured here
-    /// from inside the evaluation closure. (Cross-evaluation memoisation
-    /// belongs one level up, in the fleet DSE's own pool.) A node whose
-    /// simulation fails is isolated by the fault-tolerant batch: it is
-    /// reported in [`NetworkReport::failed_nodes`] and stays silent on
-    /// the channel instead of failing the fleet.
+    /// # Errors
+    ///
+    /// See [`evaluate_on`](Self::evaluate_on).
+    pub fn evaluate(&self, spec: &FleetSpec, node: NodeConfig) -> Result<NetworkReport> {
+        self.evaluate_on(&SimPool::new(self.jobs), spec, node)
+    }
+
+    /// Evaluates the fleet at one design point through `pool`, whose
+    /// jobs, retry policy, deadline and cache apply to every node run. A
+    /// node over the deadline is isolated exactly like a crashing node.
+    ///
+    /// Each node run is one [`EvalRecord`] with its transmission
+    /// timestamps, under a key tagged as a fleet node's: a warm or
+    /// persistent cache answers the whole fleet without running the
+    /// engine, and the channel is arbitrated afresh from the records. A
+    /// node whose simulation fails is isolated by the fault-tolerant
+    /// batch: it is reported in [`NetworkReport::failed_nodes`] and stays
+    /// silent on the channel instead of failing the fleet.
     ///
     /// # Errors
     ///
     /// Returns an error only when *every* node fails (a fleet with no
     /// surviving node has no meaningful report).
-    pub fn evaluate(&self, spec: &FleetSpec, node: NodeConfig) -> Result<NetworkReport> {
+    pub fn evaluate_on(
+        &self,
+        pool: &SimPool,
+        spec: &FleetSpec,
+        node: NodeConfig,
+    ) -> Result<NetworkReport> {
         let coords = [node.clock_hz, node.watchdog_s, node.tx_interval_s];
         let scenarios: Vec<Scenario> = (0..spec.nodes).map(|i| spec.scenario_for(i)).collect();
         let keys: Vec<EvalKey> = scenarios
             .iter()
-            .map(|s| EvalKey::for_engine(self.engine.as_ref(), s.fingerprint(), &coords))
+            .map(|s| node_key(self.engine.as_ref(), s, &coords))
             .collect();
-
-        // Side-channel for the full outcomes: the pool deduplicates
-        // identical keys (nodes with identical scenarios), so the map
-        // ends up with one entry per distinct scenario, which every node
-        // sharing it then reads back.
-        let runs: Mutex<HashMap<EvalKey, NodeRun>> = Mutex::new(HashMap::new());
-        let mut pool = SimPool::new(self.jobs);
-        pool.set_retry_policy(self.retry.clone());
-        pool.set_eval_deadline(self.deadline);
         let batch = pool.evaluate_batch_partial(&keys, |i| {
             let config = spec.system_config_for(i, node);
-            let out = self.engine.simulate(&config)?;
-            let transmissions = out.transmissions;
-            // A worker that panics anywhere near the guard poisons the
-            // mutex for every later closure; the map is insert-only, so
-            // whatever made it in is still valid — recover the partial
-            // state instead of cascading the panic and defeating
-            // `evaluate_batch_partial`'s isolation.
-            runs.lock().unwrap_or_else(PoisonError::into_inner).insert(
-                keys[i].clone(),
-                NodeRun {
-                    transmissions: out.transmissions,
-                    tx_times: out.tx_times,
-                    final_voltage: out.final_voltage,
-                    energy: out.energy,
-                    faults: out.faults,
-                },
-            );
-            Ok(transmissions as f64)
+            Ok(EvalRecord::with_times(self.engine.simulate(&config)?))
         });
         if batch.succeeded() == 0 {
             let failure = batch
@@ -470,7 +425,6 @@ impl NetworkSim {
                 .expect("an all-failed batch records at least one failure");
             return Err(failure.error);
         }
-        let runs = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
 
         // Resolve the shared medium. Failed nodes contribute no packets;
         // surviving nodes' timestamps land on the global timeline shifted
@@ -479,10 +433,10 @@ impl NetworkSim {
             .map(|i| spec.topology.position(i, spec.nodes))
             .collect();
         let shifted: Vec<Vec<f64>> = (0..spec.nodes)
-            .map(|i| match batch.results[i] {
-                Some(_) => {
+            .map(|i| match &batch.results[i] {
+                Some(run) => {
                     let offset = spec.tx_offset_for(i);
-                    runs[&keys[i]].tx_times.iter().map(|t| t + offset).collect()
+                    run.tx_times.iter().map(|t| t + offset).collect()
                 }
                 None => Vec::new(),
             })
@@ -498,7 +452,7 @@ impl NetworkSim {
         let mut per_node = Vec::with_capacity(spec.nodes);
         let mut failed_nodes = Vec::new();
         for i in 0..spec.nodes {
-            let run = batch.results[i].and_then(|_| runs.get(&keys[i]));
+            let run = batch.results[i].as_deref();
             if run.is_none() {
                 failed_nodes.push(i);
             }
@@ -625,9 +579,8 @@ mod tests {
     }
 
     /// An engine that panics for exactly one node's scenario and defers
-    /// to the envelope engine for the rest — the regression rig for the
-    /// `runs` side-channel mutex poisoning: one panicking node must not
-    /// take every later closure down with "runs poisoned".
+    /// to the envelope engine for the rest: one panicking node must not
+    /// take any other node down.
     #[derive(Debug)]
     struct PanicOnScenario {
         inner: Arc<dyn SimEngine>,
@@ -657,10 +610,8 @@ mod tests {
             inner: EngineKind::Envelope.engine(),
             poison_fingerprint: spec.scenario_for(victim).fingerprint(),
         });
-        // jobs(1) forces every closure through one worker sequentially:
-        // before the PoisonError recovery, the injected panic poisoned
-        // the mutex and every *later* node died at the lock instead of
-        // simulating.
+        // jobs(1) forces every closure through one worker sequentially,
+        // so every node after the victim runs after its panic.
         for jobs in [1, 4] {
             let report = NetworkSim::new()
                 .with_engine(engine.clone())
@@ -682,28 +633,63 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_runs_mutex_recovers_partial_state() {
-        // The recovery pattern `evaluate` uses on the `runs` side-channel:
-        // a panic while the guard is held poisons the mutex, but the map
-        // is insert-only, so the partial state is safe to take.
-        let runs: Mutex<HashMap<u32, u32>> = Mutex::new(HashMap::new());
-        runs.lock().unwrap().insert(1, 10);
-        std::thread::scope(|s| {
-            let _ = s
-                .spawn(|| {
-                    let mut guard = runs.lock().unwrap();
-                    guard.insert(2, 20);
-                    panic!("poison while holding the guard");
-                })
-                .join();
-        });
-        assert!(runs.lock().is_err(), "the mutex must actually be poisoned");
-        let recovered = runs.lock().unwrap_or_else(PoisonError::into_inner);
-        assert_eq!(recovered.len(), 2, "insert-only state survives the panic");
-        drop(recovered);
-        let inner = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
-        assert_eq!(inner[&1], 10);
-        assert_eq!(inner[&2], 20);
+    fn fleet_node_keys_never_equal_single_node_keys() {
+        let spec = fast_spec(2);
+        let engine = EngineKind::Envelope.engine();
+        let node = NodeConfig::original();
+        let coords = [node.clock_hz, node.watchdog_s, node.tx_interval_s];
+        // Node 0 of a nominal fleet runs the template scenario: untagged,
+        // its key would be a `faults` job's nominal key, and a summary
+        // record without timestamps could answer it.
+        assert_eq!(spec.scenario_for(0), spec.template.scenario());
+        let template = spec.template.scenario();
+        let single = EvalKey::for_engine(engine.as_ref(), template.fingerprint(), &coords);
+        for i in 0..spec.nodes {
+            let key = node_key(engine.as_ref(), &spec.scenario_for(i), &coords);
+            assert_ne!(key, single, "node {i}");
+        }
+        assert_eq!(
+            node_key(engine.as_ref(), &template, &coords),
+            node_key(engine.as_ref(), &spec.scenario_for(0), &coords)
+        );
+    }
+
+    /// An engine that panics on every run.
+    #[derive(Debug)]
+    struct AlwaysPanics;
+
+    impl SimEngine for AlwaysPanics {
+        fn kind(&self) -> EngineKind {
+            EngineKind::Envelope
+        }
+
+        fn simulate(&self, _: &SystemConfig) -> wsn_node::Result<wsn_node::SimOutcome> {
+            panic!("the engine must not run")
+        }
+    }
+
+    #[test]
+    fn a_persisted_fleet_is_served_from_disk() {
+        let dir = std::env::temp_dir().join(format!("wsn-fleet-disk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = fast_spec(3);
+        let session = |engine: Arc<dyn SimEngine>| {
+            let cache = wsn_dse::EvalCache::new();
+            cache.persist_to(&dir).expect("attach the persistent cache");
+            let mut pool = SimPool::new(2);
+            pool.set_shared_cache(Arc::new(cache));
+            NetworkSim::new()
+                .with_engine(engine)
+                .evaluate_on(&pool, &spec, NodeConfig::original())
+                .expect("fleet runs")
+                .to_json()
+        };
+        let cold = session(EngineKind::Envelope.engine());
+        // A second session's engine panics, so every node must come from
+        // the file, timestamps included.
+        let warm = session(Arc::new(AlwaysPanics));
+        assert_eq!(warm, cold);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

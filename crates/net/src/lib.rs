@@ -21,12 +21,11 @@
 //!   deterministically from one fleet seed, plus optional per-node
 //!   [`wsn_node::FaultPlan`]s, a topology and a channel;
 //! * [`NetworkSim`] — fleet evaluation on top of [`wsn_dse::SimPool`]
-//!   (per-node runs farmed through the fault-tolerant batch), producing
-//!   a [`NetworkReport`] that is bit-identical at any job count;
+//!   (per-node records, timestamps included, through the fault-tolerant
+//!   batch and the given cache), producing a [`NetworkReport`] that is
+//!   bit-identical at any job count;
 //! * [`FleetDseFlow`] — the paper's RSM + SA/GA flow over the fleet
-//!   objective, memoised under [`wsn_dse::EvalKey`]s that fold in the
-//!   [`FleetSpec::fingerprint`] so fleet and single-node cache entries
-//!   never collide;
+//!   objective, its node records cached under keys of their own;
 //! * [`execute`] — every job of the [`wsn_dse::protocol`], run one way
 //!   for the `wsn_dse` CLI and the [`Server`] alike.
 //!

@@ -20,7 +20,8 @@
 //! # }
 //! ```
 
-use wsn_node::NodeConfig;
+use doe::DesignSpace;
+use wsn_dse::{coded_to_config, SimPool};
 use wsn_pareto::{MultiObjective, ObjectiveSense, ObjectiveSpec};
 
 use crate::fleet::{FleetSpec, NetworkSim};
@@ -65,8 +66,8 @@ impl FleetObjectives {
         }
     }
 
-    /// Replaces the fleet evaluator (engine choice, worker count,
-    /// per-node deadline).
+    /// Replaces the fleet evaluator (its engine; the flow's pool supplies
+    /// the workers, retries, deadline and cache of every node run).
     pub fn with_sim(mut self, sim: NetworkSim) -> Self {
         self.sim = sim;
         self
@@ -128,16 +129,22 @@ impl MultiObjective for FleetObjectives {
         "fleet"
     }
 
-    fn fingerprint(&self) -> u64 {
-        self.spec.fingerprint()
-    }
-
-    fn engine(&self) -> &dyn wsn_node::SimEngine {
-        self.sim.engine_ref()
-    }
-
-    fn evaluate(&self, config: NodeConfig) -> Result<Vec<f64>> {
-        Ok(Self::vector(&self.sim.evaluate(&self.spec, config)?))
+    /// One fleet evaluation per point, its node records through `pool`.
+    fn evaluate_batch(
+        &self,
+        pool: &SimPool,
+        space: &DesignSpace,
+        points: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>> {
+        points
+            .iter()
+            .map(|p| {
+                let config = coded_to_config(space, p)?;
+                Ok(Self::vector(
+                    &self.sim.evaluate_on(pool, &self.spec, config)?,
+                ))
+            })
+            .collect()
     }
 }
 
@@ -146,7 +153,7 @@ mod tests {
     use super::*;
     use harvester::VibrationProfile;
     use std::sync::Arc;
-    use wsn_node::SystemConfig;
+    use wsn_node::{NodeConfig, SystemConfig};
     use wsn_pareto::ParetoDseFlow;
 
     fn fast_spec(nodes: usize) -> FleetSpec {
@@ -162,9 +169,12 @@ mod tests {
     #[test]
     fn fleet_vector_matches_the_network_report() {
         let objectives = FleetObjectives::new(fast_spec(3));
+        let space = wsn_dse::paper_design_space();
+        let coded = wsn_dse::config_to_coded(&space, &NodeConfig::original()).unwrap();
         let v = objectives
-            .evaluate(NodeConfig::original())
-            .expect("fleet runs");
+            .evaluate_batch(&SimPool::new(1), &space, &[coded])
+            .expect("fleet runs")
+            .remove(0);
         assert_eq!(v.len(), 4);
         let report = NetworkSim::new()
             .evaluate(&fast_spec(3), NodeConfig::original())

@@ -17,8 +17,8 @@
 //! flow attaches the context's shared cache as its **last** builder
 //! step (earlier steps clear whatever cache the flow holds — that must
 //! never hit the shared cache). Keys fold in the engine's cache
-//! fingerprint and the scenario/fleet fingerprint, so concurrent jobs
-//! with different scenarios can never poison each other, while
+//! fingerprint and the scenario fingerprint, so concurrent jobs with
+//! different scenarios can never poison each other, while
 //! identical jobs coalesce: the second submission of the same job is
 //! answered almost entirely from memory. Reports served this way are
 //! byte-identical to the CLI's, except the single-node report's
@@ -29,7 +29,7 @@ use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use doe::{DOptimal, ModelSpec};
@@ -235,9 +235,12 @@ pub fn chaos_ladder(
 /// job workers interleave whole-line-atomically.
 type FrameWriter = Arc<Mutex<TcpStream>>;
 
+fn lock_writer(writer: &FrameWriter) -> MutexGuard<'_, TcpStream> {
+    writer.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn write_frame(writer: &FrameWriter, frame: &str) {
-    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    let _ = protocol::write_frame(&mut *w, frame);
+    let _ = protocol::write_frame(&mut *lock_writer(writer), frame);
 }
 
 /// Reads one newline-terminated frame with bounded memory: bytes past
@@ -345,11 +348,7 @@ fn dispatch(state: &Arc<ServerState>, writer: &FrameWriter, request: Request) ->
             write_frame(writer, &protocol::shutting_down_frame());
             state.stop.store(true, Ordering::SeqCst);
             // Wake the blocking accept loop so it observes the flag.
-            if let Ok(me) = writer
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .local_addr()
-            {
+            if let Ok(me) = lock_writer(writer).local_addr() {
                 let _ = TcpStream::connect(me);
             }
             true
@@ -363,18 +362,16 @@ fn dispatch(state: &Arc<ServerState>, writer: &FrameWriter, request: Request) ->
                     .map(|report| report.to_json())
                     .map_err(|e| e.to_string())
             });
-            match state.queue.submit(work, events) {
-                Some(job) => {
-                    let depth = state.queue.depth();
-                    write_frame(writer, &protocol::accepted_frame(job, id.as_deref(), depth));
-                }
-                None => {
-                    write_frame(
-                        writer,
-                        &protocol::job_error_frame(0, id.as_deref(), "server is shutting down"),
-                    );
-                }
-            }
+            // The writer stays locked from the submission to the
+            // `accepted` frame, so no frame of the job (a worker may run
+            // it at once) can precede it. Workers emit events without
+            // holding the queue lock, so this cannot deadlock.
+            let mut w = lock_writer(writer);
+            let frame = match state.queue.submit(work, events) {
+                Some(job) => protocol::accepted_frame(job, id.as_deref(), state.queue.depth()),
+                None => protocol::job_error_frame(0, id.as_deref(), "server is shutting down"),
+            };
+            let _ = protocol::write_frame(&mut *w, &frame);
             false
         }
     }

@@ -256,6 +256,25 @@ fn a_repeated_run_takes_its_design_and_optima_from_the_step_memo() {
     shutdown(addr, handle);
 }
 
+/// DESIGN.md §12's frame order: a job's `accepted` frame comes before
+/// its `running` and terminal frames, even when a worker finishes a warm
+/// job before the reader thread would otherwise write `accepted`.
+#[test]
+fn every_job_is_accepted_before_any_other_frame_of_it() {
+    let (addr, handle) = start_server(ServeConfig::default());
+    let mut client = Client::connect(addr);
+    for i in 0..200 {
+        let tag = format!("j{i}");
+        client.send(&tagged(run_request(12, 60.0), &tag).to_json());
+        match client.next_frame() {
+            Frame::Accepted { id, .. } => assert_eq!(id.as_deref(), Some(tag.as_str())),
+            other => panic!("job {i}: first frame {other:?}, not accepted"),
+        }
+        client.report_for(&tag);
+    }
+    shutdown(addr, handle);
+}
+
 // ---------------------------------------------------------------------------
 // Order / pool-width determinism
 // ---------------------------------------------------------------------------
@@ -441,37 +460,40 @@ fn queued_jobs_cancel_before_running() {
 }
 
 /// Satellite of the serving layer: the warning the CLI prints when a
-/// job that never reads the cache (`simulate`, plain `network`) is given
-/// `--cache-dir` must be one structured JSON object on one line, so
-/// scripted clients can detect it without pattern-matching prose. Jobs
-/// that use the cache get no warning.
+/// job that never reads the cache (`simulate`) is given `--cache-dir`
+/// must be one structured JSON object on one line, so scripted clients
+/// can detect it without pattern-matching prose. Jobs that use the cache
+/// (plain `network` included) get no warning.
 #[test]
 fn cache_dir_ignored_warning_is_one_line_of_structured_json() {
-    let ignored = [
-        (Request::Network(Box::default()), "network"),
-        (Request::Simulate(Default::default()), "simulate"),
-    ];
-    for (request, context) in ignored {
-        let warning = wsn_net::cache_dir_ignored_warning(&request).expect("a warning");
-        assert!(!warning.contains('\n'), "warning spans lines: {warning:?}");
-        let doc = wsn_dse::protocol::parse_json(&warning).expect("warning parses as JSON");
-        assert_eq!(
-            doc.get("warning").and_then(|v| v.as_str()),
-            Some("cache_dir_ignored")
-        );
-        assert_eq!(doc.get("context").and_then(|v| v.as_str()), Some(context));
-        let message = doc
-            .get("message")
-            .and_then(|v| v.as_str())
-            .expect("warning carries a message");
-        assert!(message.contains("--cache-dir"));
-    }
+    let request = Request::Simulate(Default::default());
+    let warning = wsn_net::cache_dir_ignored_warning(&request).expect("a warning");
+    assert!(!warning.contains('\n'), "warning spans lines: {warning:?}");
+    let doc = wsn_dse::protocol::parse_json(&warning).expect("warning parses as JSON");
+    assert_eq!(
+        doc.get("warning").and_then(|v| v.as_str()),
+        Some("cache_dir_ignored")
+    );
+    assert_eq!(
+        doc.get("context").and_then(|v| v.as_str()),
+        Some("simulate")
+    );
+    let message = doc
+        .get("message")
+        .and_then(|v| v.as_str())
+        .expect("warning carries a message");
+    assert!(message.contains("--cache-dir"));
     let dse = Request::Network(Box::new(wsn_dse::protocol::NetworkJob {
         dse: true,
         ..Default::default()
     }));
-    for uses_cache in [Request::Run(Default::default()), dse] {
-        assert_eq!(wsn_net::cache_dir_ignored_warning(&uses_cache), None);
+    let uses_cache = [
+        Request::Run(Default::default()),
+        Request::Network(Box::default()),
+        dse,
+    ];
+    for request in uses_cache {
+        assert_eq!(wsn_net::cache_dir_ignored_warning(&request), None);
     }
 }
 

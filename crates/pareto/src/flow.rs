@@ -6,11 +6,11 @@
 //!
 //! 1. seed the design — the paper's fixed D-optimal plan, or a small
 //!    D-optimal seed when [`adaptive`](ParetoDseFlow::adaptive) is on;
-//! 2. simulate every point once per *engine run* (all objective
-//!    components come out of the same [`MultiObjective::evaluate`]
-//!    call) and memoise each scalar component in the shared
-//!    [`SimPool`]/[`wsn_dse::EvalCache`] under per-objective salted
-//!    keys, so adaptive rounds and repeat runs are warm-cache-friendly;
+//! 2. simulate every point through the shared
+//!    [`SimPool`]/[`wsn_dse::EvalCache`] ([`MultiObjective::evaluate_batch`]):
+//!    each engine run is one cached record and the whole objective
+//!    vector derives from it, so adaptive rounds and repeat runs are
+//!    warm-cache-friendly;
 //! 3. (adaptive) fit per-objective surfaces via
 //!    [`ResponseSurface::fit`] on a model ladder (linear →
 //!    interactions → quadratic as points accrue), then place the next
@@ -25,24 +25,19 @@
 //! 5. report every evaluated point, the per-round diagnostics and the
 //!    validated front — bit-identical at any `--jobs` setting.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use doe::{DOptimal, Design, DesignSpace, ModelSpec};
 use numkit::rng::Rng;
 use optim::Bounds;
 use rsm::ResponseSurface;
-use wsn_dse::{coded_to_config, paper_design_space, space_fingerprint, EvalKey, SimPool};
+use wsn_dse::{coded_to_config, paper_design_space, SimPool};
 
 use crate::nsga::{crowding_prune, dominates, grid_key, Nsga2};
 use crate::objective::{MultiObjective, NodeObjectives, ObjectiveSpec};
 use crate::report::{EvaluatedPoint, FrontPoint, ParetoReport, ParetoRound};
 use crate::Result;
-
-/// Salt folded into every Pareto cache key so vector-objective entries
-/// can never collide with the scalar flows' (which share the same
-/// engine and scenario fingerprints).
-const PARETO_SALT: &[u8] = b"wsn-pareto/v1";
 
 /// Stream selector for acquisition-candidate sampling.
 const ACQUISITION_STREAM: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -252,55 +247,15 @@ impl ParetoDseFlow {
         Ok(slots)
     }
 
-    /// Scenario fingerprint for one objective axis: the objective's
-    /// fingerprint, folded with the space fingerprint, the crate salt
-    /// and the axis name — so two axes of one scenario, two spaces and
-    /// the scalar flows all key separately.
-    fn axis_fingerprint(&self, name: &str) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut fp = self.objective.fingerprint();
-        let mut absorb = |bytes: &[u8]| {
-            for &b in bytes {
-                fp ^= u64::from(b);
-                fp = fp.wrapping_mul(FNV_PRIME);
-            }
-        };
-        absorb(&space_fingerprint(&self.space).to_le_bytes());
-        absorb(PARETO_SALT);
-        absorb(name.as_bytes());
-        fp
-    }
-
-    /// Evaluates the selected objective vector at every point, routed
-    /// through the pool axis by axis: the first axis's batch fans the
-    /// engine runs out over the workers (one full [`MultiObjective`]
-    /// evaluation per distinct point, memoised), later axes resolve from
-    /// the memo or the warm cache. Returns natural-unit vectors in
-    /// point order.
-    fn eval_points(
-        &self,
-        slots: &[usize],
-        points: &[Vec<f64>],
-        memo: &VectorMemo,
-    ) -> Result<Vec<Vec<f64>>> {
-        if points.is_empty() {
-            return Ok(Vec::new());
-        }
-        let specs = self.objective.specs();
-        let mut per_axis: Vec<Vec<f64>> = Vec::with_capacity(slots.len());
-        for &j in slots {
-            let fp = self.axis_fingerprint(specs[j].name);
-            let keys: Vec<EvalKey> = points
-                .iter()
-                .map(|p| EvalKey::for_engine(self.objective.engine(), fp, p))
-                .collect();
-            let values = self
-                .pool
-                .evaluate_batch(&keys, |i| Ok(memo.full_vector(self, &points[i])?[j]))?;
-            per_axis.push(values);
-        }
-        Ok((0..points.len())
-            .map(|i| per_axis.iter().map(|axis| axis[i]).collect())
+    /// Evaluates the selected objective vector at every point through
+    /// the pool. Returns natural-unit vectors in point order.
+    fn eval_points(&self, slots: &[usize], points: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+        let vectors = self
+            .objective
+            .evaluate_batch(&self.pool, &self.space, points)?;
+        Ok(vectors
+            .iter()
+            .map(|v| slots.iter().map(|&j| v[j]).collect())
             .collect())
     }
 
@@ -586,7 +541,6 @@ impl ParetoDseFlow {
             let all = self.objective.specs();
             slots.iter().map(|&j| all[j]).collect()
         };
-        let memo = VectorMemo::default();
         let mut seen: HashSet<Vec<i64>> = HashSet::new();
         let mut evaluated: Vec<EvaluatedPoint> = Vec::new();
         let mut rounds: Vec<ParetoRound> = Vec::new();
@@ -615,7 +569,7 @@ impl ParetoDseFlow {
             // corner-only linear design cannot see.
             seed_points.push(vec![0.0; k]);
         }
-        let seed_vectors = self.eval_points(&slots, &seed_points, &memo)?;
+        let seed_vectors = self.eval_points(&slots, &seed_points)?;
         for (point, vector) in seed_points.iter().zip(seed_vectors) {
             if seen.insert(grid_key(point)) {
                 evaluated.push(EvaluatedPoint {
@@ -646,7 +600,7 @@ impl ParetoDseFlow {
                 if new_points.is_empty() {
                     break;
                 }
-                let vectors = self.eval_points(&slots, &new_points, &memo)?;
+                let vectors = self.eval_points(&slots, &new_points)?;
                 let mut added = 0_usize;
                 for (point, vector) in new_points.iter().zip(vectors) {
                     if seen.insert(grid_key(point)) {
@@ -705,7 +659,7 @@ impl ParetoDseFlow {
 
         // Validate the survivors back in the simulator.
         let validation_round = rounds.len();
-        let true_vectors = self.eval_points(&slots, &candidates, &memo)?;
+        let true_vectors = self.eval_points(&slots, &candidates)?;
         for (point, vector) in candidates.iter().zip(&true_vectors) {
             if seen.insert(grid_key(point)) {
                 evaluated.push(EvaluatedPoint {
@@ -903,36 +857,5 @@ mod tests {
             warm.cache.hits > cold.cache.hits,
             "second run never hit the cache"
         );
-    }
-}
-
-/// Per-run memo of full objective vectors keyed on the cache grid: the
-/// engine runs once per distinct point no matter how many axes the
-/// selection routes through the pool.
-#[derive(Debug, Default)]
-struct VectorMemo {
-    map: Mutex<HashMap<Vec<i64>, Arc<Vec<f64>>>>,
-}
-
-impl VectorMemo {
-    fn full_vector(&self, flow: &ParetoDseFlow, point: &[f64]) -> Result<Arc<Vec<f64>>> {
-        let key = grid_key(point);
-        if let Some(v) = self
-            .map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            return Ok(Arc::clone(v));
-        }
-        let config = coded_to_config(&flow.space, point)?;
-        let vector = Arc::new(flow.objective.evaluate(config)?);
-        Ok(Arc::clone(
-            self.map
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(key)
-                .or_insert(vector),
-        ))
     }
 }

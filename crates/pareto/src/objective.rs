@@ -1,6 +1,6 @@
 //! Vector-valued objectives over the Table V design space.
 //!
-//! A [`MultiObjective`] maps one [`NodeConfig`] to a vector of named,
+//! A [`MultiObjective`] maps each design point to a vector of named,
 //! sense-tagged responses ([`ObjectiveSpec`]). The Pareto flow treats
 //! every axis uniformly in *maximisation space* — a minimised axis is
 //! negated internally and reported back in natural units — so the
@@ -9,6 +9,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use doe::DesignSpace;
+use wsn_dse::{simulate_coded, SimPool};
 use wsn_node::{EngineKind, NodeConfig, SimEngine, SystemConfig};
 
 use crate::Result;
@@ -48,8 +50,7 @@ impl ObjectiveSense {
 /// One named objective axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectiveSpec {
-    /// Stable identifier (also the `--objectives` selector and the cache
-    /// key salt).
+    /// Stable identifier (also the `--objectives` selector).
     pub name: &'static str,
     /// Which direction is better.
     pub sense: ObjectiveSense,
@@ -71,10 +72,11 @@ impl fmt::Display for ObjectiveSpec {
 /// A vector-valued simulation objective over the design space.
 ///
 /// Implementations own their scenario (single-node template, fleet
-/// spec, ...) and their engine; the flow owns the design space, decodes
-/// coded points into [`NodeConfig`]s and routes every scalar component
-/// through the shared [`wsn_dse::SimPool`] under per-objective salted
-/// keys, so adaptive rounds and repeat runs are warm-cache-friendly.
+/// spec, ...) and their engine; the flow owns the design space and the
+/// [`SimPool`]. Every engine run goes through that pool as one
+/// [`wsn_dse::EvalRecord`], and the whole objective vector derives from
+/// the records, so adaptive rounds and repeat runs are
+/// warm-cache-friendly.
 pub trait MultiObjective: fmt::Debug + Send + Sync {
     /// The objective axes, in vector order.
     fn specs(&self) -> &[ObjectiveSpec];
@@ -83,21 +85,19 @@ pub trait MultiObjective: fmt::Debug + Send + Sync {
     /// `"fleet"` for network-level ones.
     fn mode(&self) -> &'static str;
 
-    /// Scenario-level fingerprint folded into cache keys (the flow
-    /// additionally folds in the design-space fingerprint and the
-    /// per-objective name salt).
-    fn fingerprint(&self) -> u64;
-
-    /// The engine whose cache fingerprint keys evaluations.
-    fn engine(&self) -> &dyn SimEngine;
-
-    /// Simulates `config` once and returns the full objective vector in
-    /// natural units, ordered like [`specs`](Self::specs).
+    /// Simulates every coded point of `space` through `pool` and returns
+    /// each point's full objective vector in natural units, ordered like
+    /// [`specs`](Self::specs), in point order.
     ///
     /// # Errors
     ///
-    /// Propagates configuration and engine errors.
-    fn evaluate(&self, config: NodeConfig) -> Result<Vec<f64>>;
+    /// Propagates decode, configuration and engine errors.
+    fn evaluate_batch(
+        &self,
+        pool: &SimPool,
+        space: &DesignSpace,
+        points: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>>;
 }
 
 /// Single-node objectives derived from one [`wsn_node::SimOutcome`]:
@@ -162,29 +162,27 @@ impl MultiObjective for NodeObjectives {
         "single"
     }
 
-    fn fingerprint(&self) -> u64 {
-        self.template.scenario().fingerprint()
-    }
-
-    fn engine(&self) -> &dyn SimEngine {
-        self.engine.as_ref()
-    }
-
-    fn evaluate(&self, config: NodeConfig) -> Result<Vec<f64>> {
-        let mut system = self.template.clone();
-        system.node = config;
-        let outcome = self.engine.simulate(&system)?;
-        let hours = outcome.horizon / 3600.0;
-        let rate = if hours > 0.0 {
-            outcome.transmissions as f64 / hours
-        } else {
-            0.0
-        };
-        Ok(vec![
-            rate,
-            outcome.final_voltage,
-            outcome.energy.total_consumed(),
-        ])
+    /// One summary record per coded point, keyed like
+    /// [`wsn_dse::DseFlow`]'s, so a `run` and a `pareto` over one
+    /// template share records.
+    fn evaluate_batch(
+        &self,
+        pool: &SimPool,
+        space: &DesignSpace,
+        points: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>> {
+        let records = simulate_coded(pool, self.engine.as_ref(), &self.template, space, points)?;
+        let hours = self.template.horizon / 3600.0;
+        Ok(records
+            .iter()
+            .map(|r| {
+                vec![
+                    r.transmissions as f64 / hours,
+                    r.final_voltage,
+                    r.energy.total_consumed(),
+                ]
+            })
+            .collect())
     }
 }
 
@@ -195,9 +193,12 @@ mod tests {
     #[test]
     fn node_objectives_match_a_direct_simulation() {
         let objectives = NodeObjectives::paper();
+        let space = wsn_dse::paper_design_space();
+        let coded = wsn_dse::config_to_coded(&space, &NodeConfig::original()).unwrap();
         let v = objectives
-            .evaluate(NodeConfig::original())
-            .expect("valid config");
+            .evaluate_batch(&SimPool::new(1), &space, &[coded])
+            .expect("valid config")
+            .remove(0);
         assert_eq!(v.len(), objectives.specs().len());
         let mut system = objectives.template().clone();
         system.node = NodeConfig::original();

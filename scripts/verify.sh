@@ -248,11 +248,24 @@ target/release/wsn_client --addr "$ADDR" shutdown > /dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
 
+echo "== cache gate: plain and DSE network runs reuse --cache-dir byte-identically =="
+# A cold and then a warm run with --cache-dir each equal the uncached
+# report byte for byte and leave the v2 cache file behind.
+FLEET_DSE_ARGS="network --nodes 4 --horizon 900 --dse --json"
+# shellcheck disable=SC2086
+target/release/wsn_dse $FLEET_DSE_ARGS > "$FLEET_DIR/fleet-dse.json"
+for gate in "jobs1:$FLEET_ARGS" "fleet-dse:$FLEET_DSE_ARGS"; do
+  name="${gate%%:*}"
+  for pass in cold warm; do
+    # shellcheck disable=SC2086
+    target/release/wsn_dse ${gate#*:} --cache-dir "$FLEET_DIR/$name-cache" \
+      > "$FLEET_DIR/$name-$pass.json"
+    cmp "$FLEET_DIR/$name-$pass.json" "$FLEET_DIR/$name.json"
+  done
+  [ -f "$FLEET_DIR/$name-cache/evalcache.v2.bin" ]
+done
+
 echo "== serving gate: an ignored --cache-dir warns in structured JSON =="
-target/release/wsn_dse network --nodes 2 --horizon 600 --json \
-  --cache-dir "$FLEET_DIR/nevercache" \
-  > /dev/null 2> "$FLEET_DIR/cache-warning.log"
-grep -q '"warning":"cache_dir_ignored","context":"network"' "$FLEET_DIR/cache-warning.log"
 target/release/wsn_dse simulate --horizon 600 --json --cache-dir "$FLEET_DIR/nevercache" \
   > /dev/null 2> "$FLEET_DIR/cache-warning.log"
 grep -q '"warning":"cache_dir_ignored","context":"simulate"' "$FLEET_DIR/cache-warning.log"

@@ -16,7 +16,7 @@ use doe::{Design, ModelSpec};
 use harvester::VibrationProfile;
 use rsm::ResponseSurface;
 use wsn_dse::{
-    paper_design_space, DseError, DseFlow, EvalCache, EvalKey, SimPool, SurrogateEngine,
+    paper_design_space, DseError, DseFlow, EvalCache, EvalKey, EvalRecord, SimPool, SurrogateEngine,
 };
 use wsn_node::{ChaosEngine, ChaosPlan, EngineKind, NodeConfig, Scenario, SimEngine, SystemConfig};
 
@@ -109,18 +109,18 @@ fn cache_survives_a_crash_mid_write() {
         .evaluate_batch(&keys, |i| {
             let mut cfg = template.clone();
             cfg.node = configs[i];
-            Ok(engine.simulate(&cfg)?.transmissions as f64)
+            Ok(EvalRecord::summary(engine.simulate(&cfg)?))
         })
         .expect("clean batch");
 
     // The "crash": a half-written temp file abandoned next to the real
     // cache file, plus one from a dead pid with garbage contents.
     std::fs::write(
-        dir.join("evalcache.v1.bin.tmp.1"),
+        dir.join("evalcache.v2.bin.tmp.1"),
         b"torn half-record \x00\x13",
     )
     .expect("write debris");
-    std::fs::write(dir.join("evalcache.v1.bin.tmp.99999"), vec![0xAB; 512]).expect("write debris");
+    std::fs::write(dir.join("evalcache.v2.bin.tmp.99999"), vec![0xAB; 512]).expect("write debris");
 
     // Session 2: a fresh pool must adopt all five records untouched.
     let warm = SimPool::new(1);
@@ -132,11 +132,7 @@ fn cache_survives_a_crash_mid_write() {
     let second = warm
         .evaluate_batch(&keys, |_| panic!("warm batch must not re-simulate"))
         .expect("served from disk");
-    assert_eq!(
-        first.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        second.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "persisted values must be bit-identical"
-    );
+    assert_eq!(first, second, "persisted records must be identical");
 }
 
 /// A torn cache file (the tail cut mid-record, as after a hard power
@@ -150,10 +146,10 @@ fn torn_cache_file_heals_by_recomputation() {
     let scenario = template.scenario();
     let configs = sample_configs(6);
     let keys = keys_for(engine.as_ref(), &scenario, &configs);
-    let eval = |i: usize| -> Result<f64, DseError> {
+    let eval = |i: usize| -> Result<EvalRecord, DseError> {
         let mut cfg = template.clone();
         cfg.node = configs[i];
-        Ok(engine.simulate(&cfg)?.transmissions as f64)
+        Ok(EvalRecord::summary(engine.simulate(&cfg)?))
     };
 
     let pool = SimPool::new(1);
@@ -162,7 +158,7 @@ fn torn_cache_file_heals_by_recomputation() {
 
     // Tear the file: drop the last 5 bytes, cutting the final record's
     // checksum in half.
-    let path = dir.join("evalcache.v1.bin");
+    let path = dir.join("evalcache.v2.bin");
     let bytes = std::fs::read(&path).expect("cache file exists");
     std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("tear");
 
@@ -179,9 +175,8 @@ fn torn_cache_file_heals_by_recomputation() {
     );
     let recomputed = healed.evaluate_batch(&keys, eval).expect("recompute");
     assert_eq!(
-        truth.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        recomputed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "recomputed values must be bit-identical to the originals"
+        truth, recomputed,
+        "recomputed records must be identical to the originals"
     );
 
     // The batch flushed: a third session sees the fully healed file.
@@ -210,7 +205,7 @@ fn panic_storm_is_isolated_point_by_point() {
     let batch = pool.evaluate_batch_partial(&keys, |i| {
         let mut cfg = template.clone();
         cfg.node = configs[i];
-        Ok(chaotic.simulate(&cfg)?.transmissions as f64)
+        Ok(EvalRecord::summary(chaotic.simulate(&cfg)?))
     });
     assert_eq!(batch.succeeded(), 0);
     assert_eq!(batch.failures.len(), keys.len());
@@ -225,7 +220,7 @@ fn panic_storm_is_isolated_point_by_point() {
     let healthy = pool.evaluate_batch_partial(&clean_keys, |i| {
         let mut cfg = template.clone();
         cfg.node = configs[i];
-        Ok(clean.simulate(&cfg)?.transmissions as f64)
+        Ok(EvalRecord::summary(clean.simulate(&cfg)?))
     });
     assert_eq!(healthy.succeeded(), keys.len());
 }
@@ -260,6 +255,29 @@ fn ladder_converges_to_the_surrogate_under_total_tier0_failure() {
         "tier 0's breaker must open under sustained failure"
     );
     assert_eq!(stats[1].served, configs.len() as u64);
+}
+
+/// A flow on a ladder whose tier 0 always fails gets every answer from
+/// the surrogate tier, reports that tier, and stores none of them: a
+/// degraded answer depends on breaker state, not only on its key.
+#[test]
+fn degraded_answers_are_never_cached() {
+    let chaotic: Arc<dyn SimEngine> = Arc::new(ChaosEngine::new(
+        EngineKind::Envelope.engine(),
+        ChaosPlan::seeded(5).with_panic_rate(1.0),
+    ));
+    let surrogate: Arc<dyn SimEngine> = Arc::new(fitted_surrogate());
+    let ladder = Arc::new(wsn_node::FallbackEngine::new(vec![chaotic, surrogate]));
+    let flow = DseFlow::paper()
+        .with_template(fast_template())
+        .jobs(1)
+        .with_engine(ladder);
+    let report = flow.run().expect("the surrogate tier absorbs the storm");
+    assert_eq!(report.original.tier, 1);
+    assert!(report.optimised.iter().all(|e| e.tier == 1));
+    let stats = flow.pool().cache().stats();
+    assert_eq!(stats.entries, 0, "a degraded record was stored");
+    assert_eq!(stats.inserts, 0);
 }
 
 /// The same flow, run cold and then warm from the persistent cache,
@@ -328,7 +346,7 @@ fn deadlines_cut_off_delayed_evaluations() {
     let batch = pool.evaluate_batch_partial(&keys, |i| {
         let mut cfg = template.clone();
         cfg.node = configs[i];
-        Ok(slow.simulate(&cfg)?.transmissions as f64)
+        Ok(EvalRecord::summary(slow.simulate(&cfg)?))
     });
     let elapsed = started.elapsed();
     assert_eq!(batch.succeeded(), 0);
@@ -355,7 +373,7 @@ fn deadlines_cut_off_delayed_evaluations() {
     let healthy = pool.evaluate_batch_partial(&clean_keys, |i| {
         let mut cfg = template.clone();
         cfg.node = configs[i];
-        Ok(clean.simulate(&cfg)?.transmissions as f64)
+        Ok(EvalRecord::summary(clean.simulate(&cfg)?))
     });
     assert_eq!(healthy.succeeded(), configs.len());
 }
