@@ -5,7 +5,7 @@ use optim::{Bounds, GeneticAlgorithm, Optimizer, SimulatedAnnealing};
 use rsm::ResponseSurface;
 use wsn_node::{EngineKind, FaultPlan, NodeConfig, SimEngine, SimOutcome, SystemConfig};
 
-use crate::pool::{fold_fingerprint, EvalCache, EvalKey, EvalRecord, RetryPolicy, SimPool};
+use crate::pool::{fold_fingerprint, BatchReport, EvalCache, EvalKey, EvalRecord, SimPool};
 use crate::report::{DesignEval, DseReport};
 use crate::space::{coded_to_config, config_to_coded, paper_design_space, space_fingerprint};
 use crate::Result;
@@ -174,35 +174,125 @@ pub fn surface_optima(
 }
 
 /// Steps 3 and 6 of the flow: simulates coded points of `space` under
-/// `template` on `engine` through `pool`, one summary [`EvalRecord`]
-/// per point, in point order. Every flow over one template and space
-/// (the paper flow, the single-node Pareto objective) shares them.
+/// `template` on `engine` through `pool`'s fault-tolerant batch, one
+/// summary [`EvalRecord`] per point, in point order
+/// ([`BatchReport::into_complete`] for the all-or-nothing view). Every
+/// flow over one template and space (the paper flow, the single-node
+/// Pareto objective) shares them, and `wsn_dse chaos` storms its ladder
+/// through them.
 ///
-/// Keys mix the design space's fingerprint into the scenario's: coded
-/// coordinates mean different designs in different spaces, so two
-/// spaces must never exchange entries, above all through a persistent
-/// `--cache-dir`.
-///
-/// # Errors
-///
-/// Propagates decode, configuration and engine errors (the first in
-/// point order).
+/// Keys mix the design space's fingerprint into the template's
+/// [`SystemConfig::key_fingerprint`]: coded coordinates mean different
+/// designs in different spaces, so two spaces must never exchange
+/// entries, above all through a persistent `--cache-dir`.
 pub fn simulate_coded(
     pool: &SimPool,
     engine: &dyn SimEngine,
     template: &SystemConfig,
     space: &DesignSpace,
     points: &[Vec<f64>],
-) -> Result<Vec<Arc<EvalRecord>>> {
-    let scenario = fold_fingerprint(template.scenario().fingerprint(), space_fingerprint(space));
+) -> BatchReport {
+    let scenario = fold_fingerprint(template.key_fingerprint(), space_fingerprint(space));
     let keys: Vec<EvalKey> = points
         .iter()
         .map(|p| EvalKey::for_engine(engine, scenario, p))
         .collect();
-    pool.evaluate_batch(&keys, |i| {
+    pool.evaluate_batch_partial(&keys, |i| {
         let mut config = template.clone();
         config.node = coded_to_config(space, &points[i])?;
         Ok(EvalRecord::summary(engine.simulate(&config)?))
+    })
+}
+
+/// One candidate of [`surface_flow`]'s validation step: the original
+/// design or an optimiser's optimum, with its value back in the
+/// simulator.
+#[derive(Debug, Clone)]
+pub struct Validated<V> {
+    /// `"original"`, or the optimiser's label.
+    pub label: String,
+    /// Coded coordinates.
+    pub coded: Vec<f64>,
+    /// The surface's prediction (optimiser candidates only).
+    pub predicted: Option<f64>,
+    /// What the flow's `evaluate` returned for the point.
+    pub value: V,
+}
+
+/// Steps 2–6 of the paper's flow, as [`surface_flow`] ran them.
+#[derive(Debug, Clone)]
+pub struct SurfaceRun<V> {
+    /// The D-optimal design (step 2).
+    pub design: Design,
+    /// The response at every design point (step 3).
+    pub responses: Vec<f64>,
+    /// The surface fitted to the responses (step 4).
+    pub surface: ResponseSurface,
+    /// D-efficiency of the design for the model (%).
+    pub d_efficiency: f64,
+    /// The paper's original design, validated (step 6).
+    pub original: Validated<V>,
+    /// The optimisers' optima (step 5), validated, in report order.
+    pub optimised: Vec<Validated<V>>,
+}
+
+/// Steps 2–6 of the paper's flow, written once for every scalar DSE:
+/// the D-optimal design, `evaluate` at its points, the fit of each
+/// value's `response`, the design's D-efficiency, the SA/GA optima of
+/// the surface, and one more `evaluate` call for the original design
+/// followed by the optima. `evaluate` returns one value per point, in
+/// point order: [`DseFlow`] evaluates single-node records and responds
+/// with their transmissions, the fleet flow evaluates fleets and
+/// responds with their sink goodput.
+///
+/// The design and the optima come through `pool`'s step memo (see
+/// [`d_optimal_design`] and [`surface_optima`]), so a flow that repeats
+/// an earlier one on a shared cache skips both searches.
+///
+/// # Errors
+///
+/// Propagates any step's failure, `evaluate`'s included.
+pub fn surface_flow<V>(
+    pool: &SimPool,
+    space: &DesignSpace,
+    model: &ModelSpec,
+    doe_runs: usize,
+    seed: u64,
+    evaluate: impl Fn(&[Vec<f64>]) -> Result<Vec<V>>,
+    response: impl Fn(&V) -> f64,
+) -> Result<SurfaceRun<V>> {
+    let memo = Some(pool.cache());
+    let dimension = space.dimension();
+    let design = d_optimal_design(memo, dimension, model, doe_runs, seed)?;
+    let responses: Vec<f64> = evaluate(design.points())?.iter().map(response).collect();
+    let surface = ResponseSurface::fit(&design, model.clone(), &responses)?;
+    let d_efficiency = doe::diagnostics::d_efficiency(&design, model)?;
+    let original = config_to_coded(space, &NodeConfig::original())?;
+    let optima = surface_optima(memo, dimension, &surface, seed)?;
+
+    // Validate the original design and the optimisers' candidates in one
+    // batch (step 6): a candidate that coincides with a design point, or
+    // with the other optimiser's, reuses its cached record. `validated`
+    // takes the values in point order, the original's first.
+    let mut points = vec![original.clone()];
+    points.extend(optima.iter().map(|(_, coded, _)| coded.clone()));
+    let mut values = evaluate(&points)?.into_iter();
+    let mut validated = |label, coded, predicted| Validated {
+        label,
+        coded,
+        predicted,
+        value: values.next().expect("one value per point"),
+    };
+    Ok(SurfaceRun {
+        design,
+        responses,
+        surface,
+        d_efficiency,
+        original: validated("original".to_owned(), original, None),
+        optimised: optima
+            .into_iter()
+            .map(|(label, coded, predicted)| validated(label, coded, Some(predicted)))
+            .collect(),
     })
 }
 
@@ -252,13 +342,12 @@ impl DseFlow {
 
     /// Replaces the simulated scenario (vibration, horizon, physics).
     /// The `node` field of the template is overwritten per design point.
-    /// Cache keys carry the scenario fingerprint, so old entries could
-    /// never be confused with the new scenario's — but they are also dead
-    /// weight, so the cache is dropped.
+    /// Cache keys carry everything an engine reads of the template
+    /// ([`SystemConfig::key_fingerprint`]), so another template's records
+    /// stay in the cache and never answer this one's lookups.
     pub fn with_template(mut self, template: SystemConfig) -> Self {
         self.template = template;
         self.template.trace_interval = None;
-        self.pool.cache().clear();
         self
     }
 
@@ -266,21 +355,16 @@ impl DseFlow {
     /// points, validations, sweeps — runs under `plan`'s seeded fault
     /// schedule. The default is [`FaultPlan::none`]; scenario fingerprints
     /// fold the plan in, so faulty and nominal evaluations never share a
-    /// cache entry (stale nominal entries are dropped anyway).
+    /// cache entry.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.template.faults = plan;
-        self.pool.cache().clear();
         self
     }
 
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.template.faults
-    }
-
     /// Selects the simulation engine by kind (the default is
-    /// [`EngineKind::Envelope`]). Cache keys carry the engine
-    /// discriminant, so switching engines never mixes cached responses.
+    /// [`EngineKind::Envelope`]). Cache keys carry the engine's
+    /// [`SimEngine::cache_fingerprint`], so switching engines never mixes
+    /// cached responses.
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = kind.engine();
         self
@@ -308,39 +392,21 @@ impl DseFlow {
         self
     }
 
+    /// Replaces the pool, and with it every evaluation setting: worker
+    /// threads, retry policy, deadline and cache (see [`SimPool`]). A pool
+    /// over a shared cache ([`SimPool::set_shared_cache`]) is how a server
+    /// multiplexes many flows onto one warm cache, and a cache attached to
+    /// a directory with [`crate::EvalCache::persist_to`] makes the flow
+    /// persistent across sessions (the CLI's `--cache-dir`). No builder
+    /// touches the cache, so the pool may come anywhere in the chain.
+    pub fn with_pool(mut self, pool: SimPool) -> Self {
+        self.pool = pool;
+        self
+    }
+
     /// The pool that fans simulations out and memoises their results.
     pub fn pool(&self) -> &SimPool {
         &self.pool
-    }
-
-    /// Replaces the pool's cache with a shared handle (see
-    /// [`SimPool::set_shared_cache`]): lookups and inserts land in the
-    /// cache every other holder sees, which is how a long-lived server
-    /// multiplexes many flows onto one warm cache. Apply this **after**
-    /// [`with_template`](Self::with_template) / [`faults`](Self::faults),
-    /// which clear whatever cache the pool holds at that moment. A cache
-    /// attached to a directory with [`crate::EvalCache::persist_to`]
-    /// makes the flow persistent across sessions (the CLI's
-    /// `--cache-dir`).
-    pub fn shared_cache(mut self, cache: std::sync::Arc<crate::EvalCache>) -> Self {
-        self.pool.set_shared_cache(cache);
-        self
-    }
-
-    /// Replaces the pool's retry/backoff discipline (the default keeps
-    /// the historical two-attempt, no-backoff behaviour bit-identically).
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.pool.set_retry_policy(policy);
-        self
-    }
-
-    /// Arms (or with `None` disarms) a per-evaluation wall-clock budget;
-    /// see [`SimPool::set_eval_deadline`]. Successful evaluations are
-    /// bit-identical with or without a budget — timeouts only remove
-    /// points, never change them.
-    pub fn eval_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
-        self.pool.set_eval_deadline(deadline);
-        self
     }
 
     /// Sets the number of DOE runs (must be at least the model size, 10).
@@ -354,14 +420,12 @@ impl DseFlow {
     /// to widen the search by the optional timer-quantum factor. The
     /// model basis becomes the full quadratic in the new dimension and
     /// `doe_runs` grows to at least the model size. Coded coordinates
-    /// mean something different in the new space (and its fingerprint
-    /// differs), so the pool's cache is dropped; flows over the
-    /// untouched 3-factor space are unaffected.
+    /// mean something different in the new space, and keys fold its
+    /// fingerprint in, so no record crosses spaces.
     pub fn with_space(mut self, space: DesignSpace) -> Self {
         self.model = ModelSpec::quadratic(space.dimension());
         self.doe_runs = self.doe_runs.max(self.model.num_terms());
         self.space = space;
-        self.pool.cache().clear();
         self
     }
 
@@ -413,6 +477,7 @@ impl DseFlow {
             &self.space,
             points,
         )
+        .into_complete()
     }
 
     /// Builds the D-optimal experimental design (step 2 of the flow).
@@ -464,65 +529,45 @@ impl DseFlow {
         surface_optima(None, self.space.dimension(), surface, self.seed)
     }
 
-    /// Runs the complete flow and assembles the report (steps 1–6).
-    ///
-    /// The design and the optima come through the pool cache's step memo
-    /// (see [`d_optimal_design`] and [`surface_optima`]), so a flow that
-    /// repeats an earlier one on a shared cache skips both searches.
-    /// [`build_design`](Self::build_design) and
-    /// [`optimise`](Self::optimise) always compute.
+    /// Runs the complete flow and assembles the report (steps 1–6)
+    /// through [`surface_flow`], whose design and optima come from the
+    /// pool cache's step memo; [`build_design`](Self::build_design) and
+    /// [`optimise`](Self::optimise) always compute. Fault counters and
+    /// tier come from the validated records.
     ///
     /// # Errors
     ///
     /// Propagates any stage's failure.
     pub fn run(&self) -> Result<DseReport> {
-        let memo = Some(self.pool.cache());
-        let dimension = self.space.dimension();
-        let design = d_optimal_design(memo, dimension, &self.model, self.doe_runs, self.seed)?;
-        let responses = self.simulate_design(&design)?;
-        let surface = self.fit(&design, &responses)?;
-        let d_efficiency = doe::diagnostics::d_efficiency(&design, &self.model)?;
-
-        let original_cfg = NodeConfig::original();
-        let original_coded = config_to_coded(&self.space, &original_cfg)?;
-
-        // Validate the original design and the optimisers' candidates
-        // back in the simulator (step 6) through the pool: independent
-        // candidates run concurrently, and a candidate that coincides
-        // with a design point (or with the other optimiser's candidate)
-        // reuses the cached record, fault counters and tier included.
-        let optima = surface_optima(memo, dimension, &surface, self.seed)?;
-        let mut candidates: Vec<Vec<f64>> = vec![original_coded.clone()];
-        candidates.extend(optima.iter().map(|(_, coded, _)| coded.clone()));
-        let validated = self.records(&candidates)?;
-        let original = DesignEval {
-            label: "original".to_owned(),
-            coded: original_coded,
-            predicted: None,
-            simulated: validated[0].transmissions,
-            faults: validated[0].faults,
-            tier: validated[0].tier,
-            config: original_cfg,
+        let run = surface_flow(
+            &self.pool,
+            &self.space,
+            &self.model,
+            self.doe_runs,
+            self.seed,
+            |points| self.records(points),
+            |record| record.transmissions as f64,
+        )?;
+        let eval = |config, v: Validated<Arc<EvalRecord>>| DesignEval {
+            label: v.label,
+            config,
+            coded: v.coded,
+            predicted: v.predicted,
+            simulated: v.value.transmissions,
+            faults: v.value.faults,
+            tier: v.value.tier,
         };
-        let mut optimised = Vec::new();
-        for ((label, coded, predicted), record) in optima.into_iter().zip(&validated[1..]) {
-            optimised.push(DesignEval {
-                label,
-                config: coded_to_config(&self.space, &coded)?,
-                coded,
-                predicted: Some(predicted),
-                simulated: record.transmissions,
-                faults: record.faults,
-                tier: record.tier,
-            });
-        }
-
+        let optimised = run
+            .optimised
+            .into_iter()
+            .map(|v| Ok(eval(coded_to_config(&self.space, &v.coded)?, v)))
+            .collect::<Result<_>>()?;
         Ok(DseReport {
-            design,
-            responses,
-            surface,
-            d_efficiency,
-            original,
+            design: run.design,
+            responses: run.responses,
+            surface: run.surface,
+            d_efficiency: run.d_efficiency,
+            original: eval(NodeConfig::original(), run.original),
             optimised,
             cache: self.pool.cache().stats(),
         })
@@ -575,7 +620,9 @@ impl DseFlow {
     /// flow over the shrunken region.
     ///
     /// Each factor's range contracts to `shrink` times its width, centred
-    /// on the optimum (clamped inside the original region). Running the
+    /// on the optimum's coordinate in that factor (every factor of the
+    /// space, the optional timer quantum included), and the window is
+    /// clamped inside the original region. Running the
     /// returned flow fits a fresh surface where the first-pass surrogate
     /// was most strained — the textbook "second-phase" RSM step the paper
     /// leaves as future work.
@@ -595,13 +642,10 @@ impl DseFlow {
                 "refine: report has no optimised design",
             ));
         };
-        let centre = [
-            best.config.clock_hz,
-            best.config.watchdog_s,
-            best.config.tx_interval_s,
-        ];
+        let centre = self.space.decode(&best.coded)?;
         let mut factors = Vec::with_capacity(self.space.dimension());
         for (factor, c) in self.space.factors().iter().zip(centre) {
+            let c = c.clamp(factor.min(), factor.max());
             let half = factor.half_range() * shrink;
             // Clamp the zoomed window inside the original range.
             let lo = (c - half).clamp(factor.min(), factor.max() - 2.0 * half);
@@ -610,8 +654,10 @@ impl DseFlow {
         }
         let mut refined = self.clone();
         refined.space = DesignSpace::new(factors)?;
-        // Coded coordinates mean something different in the zoomed space,
-        // so the refined flow must not reuse the first phase's cache.
+        // The clone's cache is a private copy. Keys fold the zoomed
+        // space's fingerprint in, so none of the first phase's records
+        // could answer the refined flow; emptying the copy drops them and
+        // makes the refined report count its own lookups only.
         refined.pool.cache().clear();
         Ok(refined)
     }
@@ -692,6 +738,13 @@ mod tests {
                 vec![(0.0, 75.0), (300.0, 80.0)],
             ));
         DseFlow::paper().with_template(template)
+    }
+
+    /// A one-thread pool over `cache`.
+    fn shared_pool(cache: &Arc<EvalCache>) -> SimPool {
+        let mut pool = SimPool::new(1);
+        pool.set_shared_cache(Arc::clone(cache));
+        pool
     }
 
     #[test]
@@ -816,7 +869,7 @@ mod tests {
     #[test]
     fn changed_inputs_miss_the_memo() {
         let cache = Arc::new(EvalCache::new());
-        let report = fast_flow().shared_cache(Arc::clone(&cache)).run().unwrap();
+        let report = fast_flow().with_pool(shared_pool(&cache)).run().unwrap();
         let variants = [
             fast_flow().seed(13),
             fast_flow().doe_runs(11),
@@ -824,7 +877,7 @@ mod tests {
         ];
         for flow in variants {
             let before = cache.memo_stats();
-            flow.shared_cache(Arc::clone(&cache)).run().unwrap();
+            flow.with_pool(shared_pool(&cache)).run().unwrap();
             let after = cache.memo_stats();
             assert_eq!(after.hits, before.hits, "a changed input hit the memo");
             assert_eq!(after.misses, before.misses + 2);
@@ -842,6 +895,88 @@ mod tests {
         assert_eq!(cache.memo_stats().hits, hits + 1);
         assert!(lookup(&nudged).is_empty(), "a nudged coefficient missed");
         assert_eq!(cache.memo_stats().hits, hits + 1);
+    }
+
+    #[test]
+    fn with_pool_works_anywhere_in_the_builder_chain() {
+        let template = fast_flow().template;
+        let plan = FaultPlan::uniform(5, 0.2);
+        let space = crate::paper_design_space_with_timer();
+        // Two caches with the same history: one paper flow run.
+        let early_cache = Arc::new(EvalCache::new());
+        let late_cache = Arc::new(EvalCache::new());
+        for cache in [&early_cache, &late_cache] {
+            fast_flow().with_pool(shared_pool(cache)).run().unwrap();
+        }
+        let filled = (early_cache.stats(), early_cache.memo_stats());
+        assert!(filled.0.entries > 0);
+        let early = DseFlow::paper()
+            .with_pool(shared_pool(&early_cache))
+            .with_template(template.clone())
+            .faults(plan)
+            .with_space(space.clone());
+        assert_eq!(
+            (early_cache.stats(), early_cache.memo_stats()),
+            filled,
+            "a builder touched the shared cache"
+        );
+        let late = DseFlow::paper()
+            .with_template(template)
+            .faults(plan)
+            .with_space(space)
+            .with_pool(shared_pool(&late_cache));
+        assert_eq!(
+            early.run().unwrap().to_json(),
+            late.run().unwrap().to_json()
+        );
+    }
+
+    #[test]
+    fn keys_cover_the_template_physics() {
+        let cache = Arc::new(EvalCache::new());
+        let paper = fast_flow().with_pool(shared_pool(&cache)).run().unwrap();
+        let low = fast_flow().template.with_initial_voltage(2.65);
+        let shared = fast_flow()
+            .with_template(low.clone())
+            .with_pool(shared_pool(&cache))
+            .run()
+            .unwrap();
+        let mut fresh = fast_flow().with_template(low).jobs(1).run().unwrap();
+        assert_ne!(shared.responses, paper.responses, "2.8 V records answered");
+        assert_eq!(shared.responses, fresh.responses);
+        fresh.cache = shared.cache;
+        assert_eq!(shared.to_json(), fresh.to_json());
+    }
+
+    #[test]
+    fn full_engine_steps_never_share_records() {
+        let cache = Arc::new(EvalCache::new());
+        let pool = shared_pool(&cache);
+        let template = fast_flow().template.with_horizon(2.0);
+        let space = paper_design_space();
+        let point = [vec![0.0; 3]];
+        let simulate = |dt: f64| {
+            let engine = EngineKind::Full.engine_with_dt(dt);
+            let batch = simulate_coded(&pool, engine.as_ref(), &template, &space, &point);
+            let record = batch.into_complete().unwrap();
+            let mut config = template.clone();
+            config.node = coded_to_config(&space, &point[0]).unwrap();
+            let direct = engine.simulate(&config).unwrap();
+            assert_eq!(record[0].final_voltage, direct.final_voltage);
+            direct.final_voltage
+        };
+        let coarse = simulate(4e-4);
+        let fine = simulate(1e-4);
+        assert_ne!(
+            coarse, fine,
+            "the two steps agree, so the test shows nothing"
+        );
+        assert_eq!(
+            cache.stats().hits,
+            0,
+            "one step's record answered the other"
+        );
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -872,6 +1007,30 @@ mod tests {
                 best.config.tx_interval_s
             ])
             .unwrap());
+    }
+
+    #[test]
+    fn refine_keeps_every_factor_of_a_timer_space() {
+        let flow = fast_flow().with_space(crate::paper_design_space_with_timer());
+        let first = flow.run().unwrap();
+        let refined = flow.refine(&first, 0.35).unwrap();
+        assert_eq!(refined.space().dimension(), 4);
+        let best = first.best_optimised().unwrap();
+        let centre = flow.space().decode(&best.coded).unwrap();
+        for ((orig, new), c) in flow
+            .space()
+            .factors()
+            .iter()
+            .zip(refined.space().factors())
+            .zip(centre)
+        {
+            assert_eq!(new.name(), orig.name());
+            let c = c.clamp(orig.min(), orig.max());
+            assert!(new.min() <= c + 1e-9 && c <= new.max() + 1e-9);
+        }
+        let second = refined.run().unwrap();
+        assert_eq!(second.design.dimension(), 4);
+        assert!(second.original.simulated > 0);
     }
 
     #[test]

@@ -51,7 +51,8 @@ mod surrogate;
 
 pub use error::DseError;
 pub use flow::{
-    d_optimal_design, simulate_coded, surface_optima, DseFlow, SweepPoint, SweepSeries,
+    d_optimal_design, simulate_coded, surface_flow, surface_optima, DseFlow, SurfaceRun,
+    SweepPoint, SweepSeries, Validated,
 };
 pub use objective::SurfaceObjective;
 pub use pool::{

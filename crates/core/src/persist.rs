@@ -95,15 +95,9 @@ pub(crate) struct LoadOutcome {
 /// FNV-1a over a byte stream.
 fn fnv1a(chunks: &[&[u8]]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for chunk in chunks {
-        for &byte in *chunk {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    chunks
+        .iter()
+        .fold(FNV_OFFSET, |h, chunk| wsn_node::fold_bytes(h, chunk))
 }
 
 /// A record's fixed-size fields as words, in file order.

@@ -146,16 +146,10 @@ impl EvalKey {
     }
 }
 
-/// `fingerprint` with `word` folded in, one FNV-1a step per byte: how a
-/// key family keeps its scenario component apart from the plain
-/// scenario fingerprints (the design space of coded keys, the tag of
-/// fleet node keys).
-pub fn fold_fingerprint(fingerprint: u64, word: u64) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    word.to_le_bytes().iter().fold(fingerprint, |h, &byte| {
-        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
-    })
-}
+/// How a key family keeps its scenario component apart from the plain
+/// key fingerprints (the design space of coded keys, the tag of fleet
+/// node keys).
+pub use wsn_node::fold_fingerprint;
 
 /// FNV-1a hash of a key, used to seed per-key jitter streams.
 fn key_hash(key: &EvalKey) -> u64 {
@@ -521,10 +515,9 @@ impl EvalCache {
     /// current verified records and the in-memory entries (memory wins).
     ///
     /// A no-op when no directory is attached or nothing was inserted
-    /// since the last flush. The union means `clear()` (used when a
-    /// refined design space retires the *coded* meaning of in-memory
-    /// keys) never erases other scenarios' persisted work. The write is
-    /// atomic (temp file + rename).
+    /// since the last flush. The union means `clear()` never erases
+    /// other sessions' persisted work. The write is atomic (temp file +
+    /// rename).
     ///
     /// # Errors
     ///
@@ -594,9 +587,9 @@ impl EvalCache {
     }
 
     /// Drops all entries and step outputs and resets every counter (used
-    /// when the design space changes and cached responses become stale;
-    /// engine and scenario changes are already kept apart by the key).
-    /// The attached persistent file, if any, stays attached and is
+    /// by `DseFlow::refine` on its private copy; keys already keep
+    /// engines, scenarios, physics and spaces apart). The attached
+    /// persistent file, if any, stays attached and is
     /// **not** truncated — flushing is a union, so earlier sessions'
     /// records survive.
     pub fn clear(&self) {
@@ -764,14 +757,16 @@ impl BatchReport {
     }
 }
 
-/// Deterministic parallel evaluator for batches of keyed design points.
+/// Deterministic parallel evaluator for batches of keyed design points,
+/// and the one value that holds every evaluation setting: worker
+/// threads, [`RetryPolicy`], per-evaluation wall-clock deadline and
+/// [`EvalCache`]. Every flow takes its settings as one pool
+/// (`with_pool`).
 ///
 /// Wraps a [`numkit::pool::par_map_ordered`] fan-out with an [`EvalCache`]
 /// front: each batch first resolves cached keys, deduplicates the
 /// remaining distinct keys, simulates those on up to `jobs` worker
-/// threads, and reassembles the responses in submission order. Failure
-/// handling is governed by the pool's [`RetryPolicy`] and optional
-/// per-evaluation wall-clock deadline.
+/// threads, and reassembles the responses in submission order.
 #[derive(Debug, Default)]
 pub struct SimPool {
     jobs: usize,
@@ -827,21 +822,10 @@ impl SimPool {
         &self.cache
     }
 
-    /// A shareable handle to this pool's cache. Cloning the handle (not
-    /// the pool) is how a server multiplexes many flows onto one warm
-    /// cache: `other.set_shared_cache(pool.cache_handle())`.
-    pub fn cache_handle(&self) -> Arc<EvalCache> {
-        Arc::clone(&self.cache)
-    }
-
     /// Replaces this pool's cache with a shared handle, so lookups and
     /// inserts land in the cache every other holder of the handle sees.
-    ///
-    /// Attach a shared cache **last** when building a flow: earlier
-    /// builder steps that retire stale entries (`with_template`,
-    /// `faults`, `with_spec`) call [`EvalCache::clear`] on whatever
-    /// cache the pool holds at that moment, and with shared semantics a
-    /// clear is visible to every holder.
+    /// No flow builder clears a cache, so a flow may take the pool at
+    /// any point of its builder chain.
     pub fn set_shared_cache(&mut self, cache: Arc<EvalCache>) {
         self.cache = cache;
     }

@@ -107,10 +107,11 @@ impl RobustnessSummary {
 /// entry point builds scenarios and delegates here.
 ///
 /// The design point is keyed in *natural* units (clock, watchdog,
-/// interval) together with the engine discriminant and each scenario's
-/// fingerprint (which folds in any fault plan), so ensembles sharing a
-/// pool — across calls or with a DSE flow — reuse every evaluation they
-/// can, while faulty and nominal runs never share an entry.
+/// interval) together with the engine's cache fingerprint and each run's
+/// [`SystemConfig::key_fingerprint`] (the scenario, any fault plan
+/// included, and the template's physics), so ensembles sharing a pool —
+/// across calls or with a DSE flow — reuse every evaluation they can,
+/// while faulty and nominal runs never share an entry.
 ///
 /// # Errors
 ///
@@ -124,15 +125,20 @@ pub fn evaluate_scenarios_with(
     scenarios: &[Scenario],
 ) -> Result<Vec<Arc<EvalRecord>>> {
     let point = [config.clock_hz, config.watchdog_s, config.tx_interval_s];
-    let keys: Vec<EvalKey> = scenarios
+    let runs: Vec<SystemConfig> = scenarios
         .iter()
-        .map(|s| EvalKey::for_engine(engine.as_ref(), s.fingerprint(), &point))
+        .map(|s| SystemConfig {
+            node: config,
+            trace_interval: None,
+            ..template.clone().with_scenario(s.clone())
+        })
+        .collect();
+    let keys: Vec<EvalKey> = runs
+        .iter()
+        .map(|run| EvalKey::for_engine(engine.as_ref(), run.key_fingerprint(), &point))
         .collect();
     pool.evaluate_batch(&keys, |i| {
-        let mut cfg = template.clone().with_scenario(scenarios[i].clone());
-        cfg.node = config;
-        cfg.trace_interval = None;
-        Ok(EvalRecord::summary(engine.simulate(&cfg)?))
+        Ok(EvalRecord::summary(engine.simulate(&runs[i])?))
     })
 }
 

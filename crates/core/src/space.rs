@@ -1,5 +1,5 @@
 use doe::{DesignSpace, Factor};
-use wsn_node::NodeConfig;
+use wsn_node::{fold_bytes, fold_fingerprint, NodeConfig};
 
 use crate::{DseError, Result};
 
@@ -137,22 +137,15 @@ pub fn config_to_coded(space: &DesignSpace, config: &NodeConfig) -> Result<Vec<f
 /// values.
 pub fn space_fingerprint(space: &DesignSpace) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let absorb_bytes = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    absorb_bytes(&mut h, &(space.dimension() as u64).to_le_bytes());
-    for factor in space.factors() {
-        absorb_bytes(&mut h, factor.name().as_bytes());
-        absorb_bytes(&mut h, &[0]); // name terminator: no concatenation aliasing
-        absorb_bytes(&mut h, &factor.min().to_bits().to_le_bytes());
-        absorb_bytes(&mut h, &factor.max().to_bits().to_le_bytes());
-    }
-    h
+    let dimension = fold_fingerprint(FNV_OFFSET, space.dimension() as u64);
+    space.factors().iter().fold(dimension, |h, factor| {
+        // The name terminator keeps two names from aliasing as one.
+        let h = fold_bytes(fold_bytes(h, factor.name().as_bytes()), &[0]);
+        fold_fingerprint(
+            fold_fingerprint(h, factor.min().to_bits()),
+            factor.max().to_bits(),
+        )
+    })
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use doe::DesignSpace;
 use rsm::ResponseSurface;
-use wsn_node::{EngineKind, NodeError, SimEngine, SimOutcome, SystemConfig};
+use wsn_node::{fold_fingerprint, EngineKind, NodeError, SimEngine, SimOutcome, SystemConfig};
 
 use crate::space::{config_to_coded, space_fingerprint};
 
@@ -91,20 +91,11 @@ impl SimEngine for SurrogateEngine {
     }
 
     fn cache_fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = SURROGATE_SALT;
-        let absorb = |h: &mut u64, word: u64| {
-            for byte in word.to_le_bytes() {
-                *h ^= u64::from(byte);
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        absorb(&mut h, space_fingerprint(&self.space));
-        absorb(&mut h, self.surface.coefficients().len() as u64);
-        for &c in self.surface.coefficients() {
-            absorb(&mut h, c.to_bits());
-        }
-        h
+        let coefficients = self.surface.coefficients();
+        [space_fingerprint(&self.space), coefficients.len() as u64]
+            .into_iter()
+            .chain(coefficients.iter().map(|c| c.to_bits()))
+            .fold(SURROGATE_SALT, fold_fingerprint)
     }
 }
 

@@ -93,15 +93,11 @@ use std::time::Duration;
 
 use numkit::rng::Rng;
 use wsn_dse::protocol::{argv_to_json, json_array, json_string, Arg, Json, Request};
-use wsn_dse::{
-    coded_to_config, paper_design_space, DseFlow, DseReport, EvalCache, EvalKey, EvalRecord,
-    SimPool,
-};
+use wsn_dse::{paper_design_space, simulate_coded, DseFlow, DseReport, EvalCache, SimPool};
 use wsn_net::{
-    cache_dir_ignored_warning, execute, retry_policy, run_flow, Context, Report, ServeConfig,
-    DEFAULT_JITTER_SEED,
+    cache_dir_ignored_warning, execute, paper_template, retry_policy, run_flow, Context, Report,
+    ServeConfig, DEFAULT_JITTER_SEED,
 };
-use wsn_node::{NodeConfig, SimEngine, SystemConfig};
 
 type CliResult = Result<(), Box<dyn Error>>;
 
@@ -337,18 +333,12 @@ fn cmd_chaos(argv: &[String]) -> CliResult {
     }
     let horizon = opts.field("horizon", 600.0)?;
 
-    let mut template = SystemConfig::paper(NodeConfig::original())
-        .with_horizon(horizon)
-        .with_vibration(harvester::VibrationProfile::paper_profile(
-            opts.field("f0", 75.0)?,
-        ));
-    template.trace_interval = None;
+    let template = paper_template(opts.field("f0", 75.0)?, horizon);
 
     // The ladder under test: the envelope engine wrapped in a seeded
     // chaos injector, backed by a surrogate calibrated under `template`,
     // with per-tier breakers.
     let ladder = wsn_net::serve::chaos_ladder(&template, seed, rate)?;
-    let engine: Arc<dyn SimEngine> = ladder.clone();
 
     // Storm targets: seeded coded points across the Table V space.
     let space = paper_design_space();
@@ -360,11 +350,6 @@ fn cmd_chaos(argv: &[String]) -> CliResult {
                 .collect()
         })
         .collect();
-    let scenario = template.scenario().fingerprint();
-    let keys: Vec<EvalKey> = points
-        .iter()
-        .map(|p| EvalKey::for_engine(engine.as_ref(), scenario, p))
-        .collect();
 
     let (deadline, retries) = eval_options(&opts)?;
     let mut pool = SimPool::new(opts.field::<u64>("jobs", 0)? as usize);
@@ -375,11 +360,7 @@ fn cmd_chaos(argv: &[String]) -> CliResult {
     // duration and restore the hook afterwards.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let batch = pool.evaluate_batch_partial(&keys, |i| {
-        let mut cfg = template.clone();
-        cfg.node = coded_to_config(&space, &points[i])?;
-        Ok(EvalRecord::summary(engine.simulate(&cfg)?))
-    });
+    let batch = simulate_coded(&pool, ladder.as_ref(), &template, &space, &points);
     std::panic::set_hook(prev_hook);
 
     let stats = ladder.tier_stats();

@@ -2,13 +2,14 @@
 //! with the objective swapped from *transmissions attempted by one node*
 //! to *unique packets delivered at the sink per hour* by the whole fleet.
 //!
-//! The machinery is the single-node [`wsn_dse::DseFlow`]'s, point for
-//! point — D-optimal design over the Table V space, quadratic surface,
-//! SA + GA maximisation, validation back in the simulator — but every
-//! response is a full fleet run ([`NetworkSim::evaluate_on`]) through the
-//! flow's own [`SimPool`]. The pool caches node records, not fleets: a
-//! design point revisited anywhere in the flow, or in a later flow on a
-//! shared cache, is arbitrated afresh from cached node runs.
+//! The machinery is the single-node [`wsn_dse::DseFlow`]'s, step for
+//! step: the one [`surface_flow`] pipeline runs the D-optimal design over
+//! the Table V space, the quadratic surface, SA + GA maximisation and
+//! validation back in the simulator, but every response is a full fleet
+//! run ([`NetworkSim::evaluate_on`]) through the flow's [`SimPool`]. The
+//! pool caches node records, not fleets: a design point revisited
+//! anywhere in the flow, or in a later flow on a shared cache, is
+//! arbitrated afresh from cached node runs.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,9 +17,7 @@ use std::sync::Arc;
 use doe::{Design, DesignSpace, ModelSpec};
 use rsm::ResponseSurface;
 use wsn_dse::protocol::{json_array, json_f64, json_string};
-use wsn_dse::{
-    coded_to_config, config_to_coded, d_optimal_design, paper_design_space, surface_optima, SimPool,
-};
+use wsn_dse::{coded_to_config, paper_design_space, surface_flow, SimPool, Validated};
 use wsn_node::{EngineKind, NodeConfig, SimEngine};
 
 use crate::fleet::{FleetSpec, NetworkSim};
@@ -184,14 +183,15 @@ impl fmt::Display for FleetDseReport {
     }
 }
 
-/// The fleet-level DSE flow. Construct with [`FleetDseFlow::paper`],
+/// The fleet-level DSE flow. Construct with [`FleetDseFlow::new`],
 /// adjust with the builders, then [`run`](Self::run).
 ///
 /// # Example
 ///
 /// ```no_run
 /// # fn main() -> Result<(), wsn_dse::DseError> {
-/// let report = wsn_net::FleetDseFlow::paper(8).seed(42).run()?;
+/// let spec = wsn_net::FleetSpec::paper(8);
+/// let report = wsn_net::FleetDseFlow::new(spec).seed(42).run()?;
 /// println!("{report}");
 /// # Ok(())
 /// # }
@@ -208,15 +208,11 @@ pub struct FleetDseFlow {
 }
 
 impl FleetDseFlow {
-    /// The default fleet flow: [`FleetSpec::paper`] fleet of `nodes`,
-    /// Table V space, quadratic model, 10 D-optimal runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nodes == 0`.
-    pub fn paper(nodes: usize) -> Self {
+    /// The fleet flow over `spec`: Table V space, quadratic model, 10
+    /// D-optimal runs, seed 12.
+    pub fn new(spec: FleetSpec) -> Self {
         FleetDseFlow {
-            spec: FleetSpec::paper(nodes),
+            spec,
             sim: NetworkSim::new(),
             space: paper_design_space(),
             model: ModelSpec::quadratic(3),
@@ -224,16 +220,6 @@ impl FleetDseFlow {
             seed: 12,
             pool: SimPool::new(0),
         }
-    }
-
-    /// Replaces the fleet specification. Node keys carry each node's
-    /// scenario fingerprint, so stale cache entries could never be
-    /// confused with the new fleet's — but they are dead weight, so the
-    /// cache is dropped.
-    pub fn with_spec(mut self, spec: FleetSpec) -> Self {
-        self.spec = spec;
-        self.pool.cache().clear();
-        self
     }
 
     /// The fleet specification.
@@ -265,30 +251,13 @@ impl FleetDseFlow {
         self
     }
 
-    /// Replaces the flow pool's cache with a shared handle (see
-    /// [`wsn_dse::SimPool::set_shared_cache`]): node records land in the
-    /// cache every other holder sees. Node keys carry a fleet tag, so
-    /// sharing one cache between single-node and fleet flows can never
-    /// mix their entries. Apply **after** [`with_spec`](Self::with_spec),
-    /// which clears whatever cache the pool holds at that moment.
-    pub fn shared_cache(mut self, cache: std::sync::Arc<wsn_dse::EvalCache>) -> Self {
-        self.pool.set_shared_cache(cache);
-        self
-    }
-
-    /// Replaces the retry/backoff discipline of every node run (the
-    /// default keeps the historical two-attempt, no-backoff behaviour
-    /// bit-identically).
-    pub fn retry_policy(mut self, retry: wsn_dse::RetryPolicy) -> Self {
-        self.pool.set_retry_policy(retry);
-        self
-    }
-
-    /// Arms (or with `None` disarms) a wall-clock budget for every node
-    /// run. Over-budget nodes are isolated, never wrong — see
-    /// [`wsn_dse::SimPool::set_eval_deadline`].
-    pub fn eval_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
-        self.pool.set_eval_deadline(deadline);
+    /// Replaces the pool whose jobs, retry policy, deadline and cache
+    /// apply to every node run (see [`wsn_dse::DseFlow::with_pool`]).
+    /// Node keys carry a fleet tag, so one shared cache can serve
+    /// single-node and fleet flows without mixing their entries, and an
+    /// over-budget node is isolated, never wrong.
+    pub fn with_pool(mut self, pool: SimPool) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -334,89 +303,54 @@ impl FleetDseFlow {
             .collect()
     }
 
-    /// Builds the D-optimal experimental design.
-    ///
-    /// # Errors
-    ///
-    /// Propagates infeasible-design errors.
-    pub fn build_design(&self) -> Result<Design> {
-        d_optimal_design(
-            None,
-            self.space.dimension(),
-            &self.model,
-            self.doe_runs,
-            self.seed,
-        )
-    }
-
-    /// Runs the complete fleet flow: design → fleet simulations →
-    /// surface fit → SA/GA maximisation → fleet validation. The design
-    /// and the optima come through the pool cache's step memo, as in
-    /// [`wsn_dse::DseFlow::run`]; the two full fleet reports are the
-    /// validated ones, so no fleet is simulated twice.
+    /// Runs the complete fleet flow through [`surface_flow`]: design →
+    /// fleet simulations → surface fit → SA/GA maximisation → fleet
+    /// validation, with the design and the optima from the pool cache's
+    /// step memo. The two full fleet reports are the validated ones, so
+    /// no fleet is simulated twice.
     ///
     /// # Errors
     ///
     /// Propagates any stage's failure.
     pub fn run(&self) -> Result<FleetDseReport> {
-        let memo = Some(self.pool.cache());
-        let dimension = self.space.dimension();
-        let design = d_optimal_design(memo, dimension, &self.model, self.doe_runs, self.seed)?;
-        let responses: Vec<f64> = self
-            .networks(design.points())?
-            .iter()
-            .map(NetworkReport::goodput_per_hour)
-            .collect();
-        let surface = ResponseSurface::fit(&design, self.model.clone(), &responses)?;
-        let d_efficiency = doe::diagnostics::d_efficiency(&design, &self.model)?;
-
-        let original_cfg = NodeConfig::original();
-        let original_coded = config_to_coded(&self.space, &original_cfg)?;
-
-        let optima = surface_optima(memo, dimension, &surface, self.seed)?;
-
-        let mut candidates: Vec<Vec<f64>> = vec![original_coded.clone()];
-        candidates.extend(optima.iter().map(|(_, coded, _)| coded.clone()));
-        let mut validated = self.networks(&candidates)?;
-
-        let original = FleetEval {
-            label: "original".to_owned(),
-            coded: original_coded,
-            predicted: None,
-            goodput: validated[0].goodput_per_hour(),
-            config: original_cfg,
+        let run = surface_flow(
+            &self.pool,
+            &self.space,
+            &self.model,
+            self.doe_runs,
+            self.seed,
+            |points| self.networks(points),
+            NetworkReport::goodput_per_hour,
+        )?;
+        let eval = |config, v: &Validated<NetworkReport>| FleetEval {
+            label: v.label.clone(),
+            config,
+            coded: v.coded.clone(),
+            predicted: v.predicted,
+            goodput: v.value.goodput_per_hour(),
         };
-        let mut optimised = Vec::new();
-        for ((label, coded, predicted), network) in optima.into_iter().zip(&validated[1..]) {
-            optimised.push(FleetEval {
-                label,
-                config: coded_to_config(&self.space, &coded)?,
-                coded,
-                predicted: Some(predicted),
-                goodput: network.goodput_per_hour(),
-            });
-        }
-
+        let optimised = run
+            .optimised
+            .iter()
+            .map(|v| Ok(eval(coded_to_config(&self.space, &v.coded)?, v)))
+            .collect::<Result<_>>()?;
         // Full fleet reports for the two designs the discussion centres
         // on: the original and the best optimised candidate.
-        let best = (1..validated.len())
-            .max_by(|&a, &b| {
-                validated[a]
-                    .goodput_per_hour()
-                    .total_cmp(&validated[b].goodput_per_hour())
-            })
-            .unwrap_or(0);
-        let best_network = validated[best].clone();
-        let original_network = validated.remove(0);
-
+        let best_network = run
+            .optimised
+            .iter()
+            .map(|v| &v.value)
+            .max_by(|a, b| a.goodput_per_hour().total_cmp(&b.goodput_per_hour()))
+            .unwrap_or(&run.original.value)
+            .clone();
         Ok(FleetDseReport {
-            design,
-            responses,
-            surface,
-            d_efficiency,
-            original,
+            design: run.design,
+            responses: run.responses,
+            surface: run.surface,
+            d_efficiency: run.d_efficiency,
+            original: eval(NodeConfig::original(), &run.original),
             optimised,
-            original_network,
+            original_network: run.original.value,
             best_network,
         })
     }
@@ -435,7 +369,7 @@ mod tests {
                 0.5886,
                 vec![(0.0, 75.0), (300.0, 80.0)],
             ));
-        FleetDseFlow::paper(nodes).with_spec(FleetSpec::paper(nodes).with_template(template))
+        FleetDseFlow::new(FleetSpec::paper(nodes).with_template(template))
     }
 
     #[test]
@@ -460,7 +394,8 @@ mod tests {
     #[test]
     fn responses_are_memoised_per_fleet() {
         let flow = fast_flow(2).jobs(1);
-        let design = flow.build_design().unwrap();
+        let design =
+            wsn_dse::d_optimal_design(None, 3, &flow.model, flow.doe_runs, flow.seed).unwrap();
         let first = flow.networks(design.points()).unwrap();
         let misses = flow.pool().cache().misses();
         let second = flow.networks(design.points()).unwrap();
@@ -487,7 +422,9 @@ mod tests {
         // cache: on one shared cache the three stay three entries, and
         // only the fleet's record carries timestamps.
         let cache = Arc::new(wsn_dse::EvalCache::new());
-        let flow = fast_flow(1).jobs(1).shared_cache(Arc::clone(&cache));
+        let mut pool = SimPool::new(1);
+        pool.set_shared_cache(Arc::clone(&cache));
+        let flow = fast_flow(1).with_pool(pool);
         let node = NodeConfig::original();
         let template = &flow.spec().template;
         let engine = flow.engine_kind().engine();
@@ -501,9 +438,10 @@ mod tests {
             &[template.scenario()],
         )
         .unwrap();
-        let coded = config_to_coded(flow.space(), &node).unwrap();
+        let coded = wsn_dse::config_to_coded(flow.space(), &node).unwrap();
         let summary =
             wsn_dse::simulate_coded(pool, engine.as_ref(), template, flow.space(), &[coded])
+                .into_complete()
                 .unwrap();
         assert_eq!(cache.len(), 3, "a fleet node key collided");
         assert_eq!(cache.hits(), 0);

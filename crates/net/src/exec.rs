@@ -5,9 +5,9 @@
 //! [`Context`] says how a job runs, [`Request`] what it computes. The
 //! CLI fills the context from its context flags (`--jobs`, `--cache-dir`,
 //! `--eval-timeout`, `--eval-retries`), the server from its
-//! [`crate::ServeConfig`]. A shared cache is attached **last** to every
-//! flow: `with_template`, `faults`, `with_spec` and `with_space` clear
-//! whatever cache the flow holds at that moment.
+//! [`crate::ServeConfig`]. Every job kind runs on the one [`SimPool`]
+//! the context builds for it: its workers, retry policy, deadline (the
+//! job's `timeout_ms` first) and shared cache.
 
 use std::fmt;
 use std::sync::Arc;
@@ -227,8 +227,10 @@ pub fn execute(request: &Request, ctx: &Context) -> Result<Report> {
 }
 
 /// The paper's scenario at base frequency `f0` over `horizon` seconds,
-/// around the original design, traces off.
-fn paper_template(f0: f64, horizon: f64) -> SystemConfig {
+/// around the original design, traces off: the template of every job,
+/// and the calibration scenario of `wsn_dse chaos` and a chaos-mode
+/// server.
+pub fn paper_template(f0: f64, horizon: f64) -> SystemConfig {
     let mut template = SystemConfig::paper(NodeConfig::original())
         .with_horizon(horizon)
         .with_vibration(VibrationProfile::paper_profile(f0));
@@ -239,19 +241,13 @@ fn paper_template(f0: f64, horizon: f64) -> SystemConfig {
 /// The paper flow a `run` job describes; `wsn_dse sweep` and `refine`
 /// start from it too.
 pub fn run_flow(job: &RunJob, ctx: &Context) -> DseFlow {
-    let flow = DseFlow::paper()
+    DseFlow::paper()
         .with_template(paper_template(job.f0, job.horizon))
         .faults(FaultPlan::uniform(job.fault_seed, job.fault_rate))
         .seed(job.seed)
         .doe_runs(job.runs as usize)
-        .jobs(ctx.jobs)
-        .retry_policy(ctx.retry.clone())
-        .eval_deadline(ctx.deadline(job.timeout_ms))
-        .with_engine(ctx.engine(job.engine, job.dt));
-    match &ctx.cache {
-        Some(cache) => flow.shared_cache(Arc::clone(cache)),
-        None => flow,
-    }
+        .with_pool(ctx.pool(job.timeout_ms))
+        .with_engine(ctx.engine(job.engine, job.dt))
 }
 
 /// One direct simulation, under the pool's deadline and panic handling.
@@ -344,19 +340,11 @@ fn network(job: &NetworkJob, ctx: &Context) -> Result<NetworkReport> {
 
 /// The fleet-level DSE: the paper flow over the fleet's sink goodput.
 fn fleet_dse(job: &NetworkJob, ctx: &Context) -> FleetDseFlow {
-    let spec = fleet_spec!(job);
-    let flow = FleetDseFlow::paper(spec.nodes)
-        .with_spec(spec)
+    FleetDseFlow::new(fleet_spec!(job))
         .seed(job.seed)
         .doe_runs(job.runs as usize)
-        .jobs(ctx.jobs)
-        .retry_policy(ctx.retry.clone())
-        .eval_deadline(ctx.deadline(job.timeout_ms))
-        .with_engine(ctx.engine(job.engine, job.dt));
-    match &ctx.cache {
-        Some(cache) => flow.shared_cache(Arc::clone(cache)),
-        None => flow,
-    }
+        .with_pool(ctx.pool(job.timeout_ms))
+        .with_engine(ctx.engine(job.engine, job.dt))
 }
 
 /// The multi-objective Pareto DSE over the Table V space, single-node or
@@ -382,19 +370,14 @@ fn pareto_flow(job: &ParetoJob, ctx: &Context) -> ParetoDseFlow {
         .batch(job.batch as usize)
         .front_cap(job.front_cap as usize)
         .explore(job.explore)
-        .jobs(ctx.jobs)
-        .retry_policy(ctx.retry.clone())
-        .eval_deadline(ctx.deadline(job.timeout_ms));
+        .with_pool(ctx.pool(job.timeout_ms));
     if job.timer_space {
         flow = flow.with_space(paper_design_space_with_timer());
     }
     if let Some(names) = &job.objectives {
         flow = flow.objectives(names);
     }
-    match &ctx.cache {
-        Some(cache) => flow.shared_cache(Arc::clone(cache)),
-        None => flow,
-    }
+    flow
 }
 
 #[cfg(test)]

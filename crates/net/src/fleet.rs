@@ -301,12 +301,12 @@ impl FleetSpec {
 }
 
 /// The cache key of one node run: the engine's cache fingerprint, the
-/// node scenario's fingerprint with [`NODE_KEY_TAG`] folded in, and the
-/// design in natural units.
-fn node_key(engine: &dyn SimEngine, scenario: &Scenario, coords: &[f64]) -> EvalKey {
+/// node run's [`SystemConfig::key_fingerprint`] with [`NODE_KEY_TAG`]
+/// folded in, and the design in natural units.
+fn node_key(engine: &dyn SimEngine, run: &SystemConfig, coords: &[f64]) -> EvalKey {
     EvalKey::for_engine(
         engine,
-        fold_fingerprint(scenario.fingerprint(), NODE_KEY_TAG),
+        fold_fingerprint(run.key_fingerprint(), NODE_KEY_TAG),
         coords,
     )
 }
@@ -408,14 +408,15 @@ impl NetworkSim {
         node: NodeConfig,
     ) -> Result<NetworkReport> {
         let coords = [node.clock_hz, node.watchdog_s, node.tx_interval_s];
-        let scenarios: Vec<Scenario> = (0..spec.nodes).map(|i| spec.scenario_for(i)).collect();
-        let keys: Vec<EvalKey> = scenarios
+        let runs: Vec<SystemConfig> = (0..spec.nodes)
+            .map(|i| spec.system_config_for(i, node))
+            .collect();
+        let keys: Vec<EvalKey> = runs
             .iter()
-            .map(|s| node_key(self.engine.as_ref(), s, &coords))
+            .map(|run| node_key(self.engine.as_ref(), run, &coords))
             .collect();
         let batch = pool.evaluate_batch_partial(&keys, |i| {
-            let config = spec.system_config_for(i, node);
-            Ok(EvalRecord::with_times(self.engine.simulate(&config)?))
+            Ok(EvalRecord::with_times(self.engine.simulate(&runs[i])?))
         });
         if batch.succeeded() == 0 {
             let failure = batch
@@ -459,7 +460,7 @@ impl NetworkSim {
             per_node.push(NodeReport {
                 node: i,
                 position: positions[i],
-                scenario_fingerprint: scenarios[i].fingerprint(),
+                scenario_fingerprint: runs[i].scenario().fingerprint(),
                 transmissions: run.map_or(0, |r| r.transmissions),
                 channel: stats[i],
                 energy: run.map(|r| r.energy).unwrap_or_default(),
@@ -642,15 +643,14 @@ mod tests {
         // its key would be a `faults` job's nominal key, and a summary
         // record without timestamps could answer it.
         assert_eq!(spec.scenario_for(0), spec.template.scenario());
-        let template = spec.template.scenario();
-        let single = EvalKey::for_engine(engine.as_ref(), template.fingerprint(), &coords);
+        let single = EvalKey::for_engine(engine.as_ref(), spec.template.key_fingerprint(), &coords);
         for i in 0..spec.nodes {
-            let key = node_key(engine.as_ref(), &spec.scenario_for(i), &coords);
+            let key = node_key(engine.as_ref(), &spec.system_config_for(i, node), &coords);
             assert_ne!(key, single, "node {i}");
         }
         assert_eq!(
-            node_key(engine.as_ref(), &template, &coords),
-            node_key(engine.as_ref(), &spec.scenario_for(0), &coords)
+            node_key(engine.as_ref(), &spec.template, &coords),
+            node_key(engine.as_ref(), &spec.system_config_for(0, node), &coords)
         );
     }
 

@@ -25,7 +25,9 @@
 //!   batch and the given cache), producing a [`NetworkReport`] that is
 //!   bit-identical at any job count;
 //! * [`FleetDseFlow`] — the paper's RSM + SA/GA flow over the fleet
-//!   objective, its node records cached under keys of their own;
+//!   objective ([`FleetDseFlow::new`] over a [`FleetSpec`]), driven by
+//!   the same [`wsn_dse::surface_flow`] as the single-node flow, its node
+//!   records cached under keys of their own;
 //! * [`execute`] — every job of the [`wsn_dse::protocol`], run one way
 //!   for the `wsn_dse` CLI and the [`Server`] alike.
 //!
@@ -64,8 +66,8 @@ pub use channel::{
 };
 pub use dse::{FleetDseFlow, FleetDseReport, FleetEval};
 pub use exec::{
-    cache_dir_ignored_warning, execute, retry_policy, run_flow, Context, FaultsReport, Report,
-    DEFAULT_JITTER_SEED,
+    cache_dir_ignored_warning, execute, paper_template, retry_policy, run_flow, Context,
+    FaultsReport, Report, DEFAULT_JITTER_SEED,
 };
 pub use fleet::{FleetSpec, FleetTopology, NetworkSim};
 pub use pareto::FleetObjectives;

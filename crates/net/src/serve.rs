@@ -13,17 +13,17 @@
 //! # Cache-sharing semantics
 //!
 //! Every job runs through [`crate::execute`] with the server's
-//! [`Context`], so a served report is the CLI's by construction. Each
-//! flow attaches the context's shared cache as its **last** builder
-//! step (earlier steps clear whatever cache the flow holds — that must
-//! never hit the shared cache). Keys fold in the engine's cache
-//! fingerprint and the scenario fingerprint, so concurrent jobs with
-//! different scenarios can never poison each other, while
-//! identical jobs coalesce: the second submission of the same job is
-//! answered almost entirely from memory. Reports served this way are
-//! byte-identical to the CLI's, except the single-node report's
-//! embedded `"cache"` counters, which describe the server's shared
-//! cache rather than a private cold one.
+//! [`Context`], so a served report is the CLI's by construction: each
+//! job's flow runs on a pool the context builds over the one shared
+//! cache, and no builder ever clears a cache. Keys fold in the engine's
+//! cache fingerprint and everything the engine reads of the job's
+//! scenario and physics ([`wsn_node::SystemConfig::key_fingerprint`]),
+//! so concurrent jobs with different settings can never poison each
+//! other, while identical jobs coalesce: the second submission of the
+//! same job is answered almost entirely from memory. Reports served
+//! this way are byte-identical to the CLI's, except the single-node
+//! report's embedded `"cache"` counters, which describe the server's
+//! shared cache rather than a private cold one.
 
 use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
@@ -32,17 +32,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use doe::{DOptimal, ModelSpec};
-use harvester::VibrationProfile;
-use rsm::ResponseSurface;
 use wsn_dse::jobs::{EventSink, JobEvent, JobFn, JobQueue, JobState};
 use wsn_dse::protocol::{self, json_array, ProtocolError, Request, MAX_FRAME_BYTES};
-use wsn_dse::{coded_to_config, paper_design_space, EvalCache, SurrogateEngine};
-use wsn_node::{
-    ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, NodeConfig, SimEngine, SystemConfig,
-};
+use wsn_dse::{DseFlow, EvalCache, SurrogateEngine};
+use wsn_node::{ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, SimEngine, SystemConfig};
 
-use crate::{execute, retry_policy, Context, DEFAULT_JITTER_SEED};
+use crate::{execute, paper_template, retry_policy, Context, DEFAULT_JITTER_SEED};
 
 /// Server construction options.
 #[derive(Debug, Clone)]
@@ -127,10 +122,7 @@ impl Server {
                 ));
             }
             // The calibration scenario of `wsn_dse chaos` at its defaults.
-            let mut template = SystemConfig::paper(NodeConfig::original())
-                .with_horizon(600.0)
-                .with_vibration(VibrationProfile::paper_profile(75.0));
-            template.trace_interval = None;
+            let template = paper_template(75.0, 600.0);
             Some(chaos_ladder(
                 &template,
                 config.chaos_seed,
@@ -194,10 +186,11 @@ impl Server {
 /// The engine-degradation ladder of `wsn_dse chaos` and of the
 /// server's chaos mode: the envelope engine wrapped in a seeded
 /// [`ChaosEngine`] storm at `rate`, backed by a last-resort surrogate
-/// tier, with per-tier circuit breakers. The surrogate is calibrated
-/// from the clean envelope engine exactly like the paper flow's
-/// response surface: a 10-run D-optimal design over the Table V space,
-/// simulated under `template` and fitted with the quadratic model.
+/// tier, with per-tier circuit breakers. The surrogate is the paper
+/// flow's response surface under `template`, seeded by `seed`: the
+/// 10-run D-optimal design over the Table V space, simulated on the
+/// clean envelope engine and fitted with the quadratic model, through
+/// [`DseFlow`]'s own steps.
 ///
 /// # Errors
 ///
@@ -207,23 +200,16 @@ pub fn chaos_ladder(
     seed: u64,
     rate: f64,
 ) -> Result<Arc<FallbackEngine>, String> {
-    let space = paper_design_space();
-    let model = ModelSpec::quadratic(space.dimension());
-    let design = DOptimal::new(space.dimension(), model.clone())
-        .runs(10)
+    let flow = DseFlow::paper()
+        .with_template(template.clone())
         .seed(seed)
-        .build()
+        .jobs(1);
+    let surface = flow
+        .build_design()
+        .and_then(|design| flow.fit(&design, &flow.simulate_design(&design)?))
         .map_err(|e| e.to_string())?;
-    let clean = EngineKind::Envelope.engine();
-    let mut responses = Vec::with_capacity(design.len());
-    for p in design.points() {
-        let mut cfg = template.clone();
-        cfg.node = coded_to_config(&space, p).map_err(|e| e.to_string())?;
-        let out = clean.simulate(&cfg).map_err(|e| e.to_string())?;
-        responses.push(out.transmissions as f64);
-    }
-    let surface = ResponseSurface::fit(&design, model, &responses).map_err(|e| e.to_string())?;
-    let surrogate: Arc<dyn SimEngine> = Arc::new(SurrogateEngine::new(space, surface));
+    let surrogate: Arc<dyn SimEngine> =
+        Arc::new(SurrogateEngine::new(flow.space().clone(), surface));
     let chaotic: Arc<dyn SimEngine> = Arc::new(ChaosEngine::new(
         EngineKind::Envelope.engine(),
         ChaosPlan::storm(seed, rate),

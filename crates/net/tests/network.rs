@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use harvester::VibrationProfile;
 use proptest::prelude::*;
-use wsn_dse::{DseFlow, EvalCache};
+use wsn_dse::{DseFlow, EvalCache, SimPool};
 use wsn_net::{FleetDseFlow, FleetSpec, NetworkSim, RadioChannel};
 use wsn_node::{EngineKind, NodeConfig, SystemConfig};
 
@@ -115,22 +115,24 @@ proptest! {
             .with_horizon(300.0)
             .with_vibration(VibrationProfile::stepped(0.5886, vec![(0.0, 75.0), (150.0, 80.0)]));
         let cache = Arc::new(EvalCache::new());
+        let pool = || {
+            let mut pool = SimPool::new(1);
+            pool.set_shared_cache(Arc::clone(&cache));
+            pool
+        };
         let node = DseFlow::paper()
             .with_template(template.clone())
             .seed(seed)
-            .jobs(1)
-            .shared_cache(Arc::clone(&cache));
+            .with_pool(pool());
         let cold = node.run().expect("cold node flow");
         let mut warm = node.run().expect("warm node flow");
         prop_assert_eq!(cache.memo_stats().hits, 2);
         warm.cache = cold.cache;
         prop_assert_eq!(warm.to_json(), cold.to_json());
 
-        let fleet = FleetDseFlow::paper(2)
-            .with_spec(FleetSpec::paper(2).with_template(template))
+        let fleet = FleetDseFlow::new(FleetSpec::paper(2).with_template(template))
             .seed(seed)
-            .jobs(1)
-            .shared_cache(Arc::clone(&cache));
+            .with_pool(pool());
         let cold = fleet.run().expect("cold fleet flow").to_json();
         let warm = fleet.run().expect("warm fleet flow").to_json();
         // The fleet's first run reuses the node flow's design (same

@@ -1,22 +1,29 @@
-//! Output pins for the fleet reports `scripts/verify.sh` builds, and the
-//! naive arbitration oracle on their real traces.
+//! Output pins for the fleet reports `scripts/verify.sh` builds, the
+//! naive arbitration oracle on their real traces, and the chaos ladder's
+//! calibration.
 //!
-//! Three reports are pinned by an FNV-1a hash of their JSON: the 16-node
+//! Four reports are pinned by an FNV-1a hash of their JSON: the 16-node
 //! fleet at 900 s (8 MHz clock, 60 s watchdog, 0.005 s interval), the
 //! same fleet under `FaultPlan::uniform(3, 0.2)`, and the 4-node, 900 s
-//! fleet DSE report. They are the `network --json` and
-//! `network --dse --json` documents of the CLI, so any change to a
-//! channel verdict, an energy figure, the surface fit or the JSON writer
-//! fails here. On a mismatch the failure message prints the observed
-//! table in the constants' layout.
+//! fleet DSE report, nominal and under the same faults. They are the
+//! `network --json` and `network --dse --json` documents of the CLI, so
+//! any change to a channel verdict, an energy figure, the surface fit or
+//! the JSON writer fails here. On a mismatch the failure message prints
+//! the observed table in the constants' layout.
 //!
 //! The same 16-node fleets are then simulated again node by node, and
 //! [`RadioChannel::arbitrate_naive`], the pairwise sweep kept as the
 //! reference oracle, must reproduce every node's channel statistics in
 //! the report.
+//!
+//! `chaos` reports count tiers and failures, not values, so the ladder's
+//! cache fingerprint is pinned instead: it folds in the bits of every
+//! coefficient of the surrogate calibrated for `wsn_dse chaos`.
 
 use harvester::VibrationProfile;
-use wsn_net::{FleetDseFlow, FleetSpec, FleetTopology, NetworkReport, NetworkSim, NodeTrace};
+use wsn_net::{
+    paper_template, FleetDseFlow, FleetSpec, FleetTopology, NetworkReport, NetworkSim, NodeTrace,
+};
 use wsn_node::{EnvelopeSim, FaultPlan, NodeConfig, SimEngine, SystemConfig};
 
 /// `(label, report hash)` of one report.
@@ -107,12 +114,14 @@ fn fleet_reports_are_pinned() {
     let faulty = fleet(16, FaultPlan::uniform(3, 0.2));
     let nominal_report = evaluate(&nominal);
     let faulty_report = evaluate(&faulty);
-    let dse_report = FleetDseFlow::paper(4)
-        .with_spec(fleet(4, FaultPlan::none()))
-        .seed(12)
-        .jobs(1)
-        .run()
-        .expect("fleet DSE runs");
+    let dse = |faults| {
+        FleetDseFlow::new(fleet(4, faults))
+            .seed(12)
+            .jobs(1)
+            .run()
+            .expect("fleet DSE runs")
+            .to_json()
+    };
 
     // The contention the gate is about: most packets collide.
     assert_eq!(nominal_report.attempted(), 7142);
@@ -121,7 +130,8 @@ fn fleet_reports_are_pinned() {
     let observed: Vec<Pin> = vec![
         ("fleet16", fnv1a(&nominal_report.to_json())),
         ("fleet16_faults", fnv1a(&faulty_report.to_json())),
-        ("fleet_dse4", fnv1a(&dse_report.to_json())),
+        ("fleet_dse4", fnv1a(&dse(FaultPlan::none()))),
+        ("fleet_dse4_faults", fnv1a(&dse(FaultPlan::uniform(3, 0.2)))),
     ];
     assert!(
         observed == PINS,
@@ -140,9 +150,34 @@ fn naive_oracle_reproduces_the_fleet_channel_stats() {
     }
 }
 
+#[test]
+fn chaos_ladders_are_pinned() {
+    // `wsn_dse chaos` at its default scenario and two (seed, rate) pairs.
+    let template = paper_template(75.0, 600.0);
+    let observed: Vec<Pin> = [("chaos_7_0.25", 7, 0.25), ("chaos_3_0.5", 3, 0.5)]
+        .into_iter()
+        .map(|(label, seed, rate)| {
+            let ladder = wsn_net::serve::chaos_ladder(&template, seed, rate).expect("calibrates");
+            (label, ladder.cache_fingerprint())
+        })
+        .collect();
+    assert!(
+        observed == CHAOS_PINS,
+        "chaos ladders drifted from their pins; observed:\n{}",
+        table(&observed)
+    );
+}
+
 #[rustfmt::skip]
-const PINS: [Pin; 3] = [
+const PINS: [Pin; 4] = [
     ("fleet16", 0xd26aa6c8f1ee7ee2),
     ("fleet16_faults", 0xb345651ee75387a5),
     ("fleet_dse4", 0xe31a5de6e62cfbb1),
+    ("fleet_dse4_faults", 0xc0f75968360788e5),
+];
+
+#[rustfmt::skip]
+const CHAOS_PINS: [Pin; 2] = [
+    ("chaos_7_0.25", 0x9964693fc050d524),
+    ("chaos_3_0.5", 0xf50a7632b0b6980a),
 ];

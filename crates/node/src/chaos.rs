@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use numkit::rng::Rng;
 
-use crate::engine::{EngineKind, SimEngine};
+use crate::engine::{fold_fingerprint, EngineKind, SimEngine};
 use crate::{deadline, Result, SimOutcome, SystemConfig};
 
 /// Stream salts keeping the chaos kinds statistically independent (and
@@ -163,21 +163,16 @@ impl ChaosPlan {
     /// engine's cache fingerprint).
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.seed);
-        mix(self.panic_rate.to_bits());
-        mix(self.delay_rate.to_bits());
-        mix(self.nan_rate.to_bits());
-        mix(self.shape_rate.to_bits());
-        mix(self.delay.as_nanos() as u64);
-        h
+        [
+            self.seed,
+            self.panic_rate.to_bits(),
+            self.delay_rate.to_bits(),
+            self.nan_rate.to_bits(),
+            self.shape_rate.to_bits(),
+            self.delay.as_nanos() as u64,
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, fold_fingerprint)
     }
 
     /// Draws one chaos decision for `(salt, request, attempt)`.
@@ -239,19 +234,16 @@ impl ChaosEngine {
     /// design-point parameters, so distinct design points draw from
     /// distinct substreams even within one scenario.
     fn request_id(cfg: &SystemConfig) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = cfg.scenario().fingerprint();
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(cfg.node.clock_hz.to_bits());
-        mix(cfg.node.watchdog_s.to_bits());
-        mix(cfg.node.tx_interval_s.to_bits());
-        mix(cfg.initial_voltage.to_bits());
-        h
+        [
+            cfg.node.clock_hz,
+            cfg.node.watchdog_s,
+            cfg.node.tx_interval_s,
+            cfg.initial_voltage,
+        ]
+        .into_iter()
+        .fold(cfg.scenario().fingerprint(), |h, v| {
+            fold_fingerprint(h, v.to_bits())
+        })
     }
 }
 
@@ -306,16 +298,10 @@ impl SimEngine for ChaosEngine {
     /// Mixes the wrapped engine's fingerprint with the plan's, so chaos
     /// results never contaminate the clean engine's cache namespace.
     fn cache_fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         // "chaosEng"
-        let mut h = 0x6368_616f_7345_6e67_u64;
-        for v in [self.inner.cache_fingerprint(), self.plan.fingerprint()] {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        h
+        [self.inner.cache_fingerprint(), self.plan.fingerprint()]
+            .into_iter()
+            .fold(0x6368_616f_7345_6e67, fold_fingerprint)
     }
 }
 

@@ -1,10 +1,13 @@
 use harvester::{Microgenerator, Supercapacitor, TuningMechanism, VibrationProfile};
 
-use crate::engine::Scenario;
+use crate::engine::{fold_bytes, Scenario};
 use crate::faults::FaultPlan;
 use crate::mcu::CLOCK_RANGE;
 use crate::sensor::TX_INTERVAL_RANGE;
 use crate::{NodeError, Result};
+
+/// Supercapacitor voltage at `t = 0` in [`SystemConfig::paper`] (V).
+const PAPER_INITIAL_VOLTAGE: f64 = 2.8;
 
 /// Valid watchdog wake-up range (Table V): 60 – 600 s.
 pub const WATCHDOG_RANGE: (f64, f64) = (60.0, 600.0);
@@ -142,7 +145,7 @@ impl SystemConfig {
             storage: Supercapacitor::paper(),
             vibration: VibrationProfile::paper_profile(75.0),
             horizon: 3600.0,
-            initial_voltage: 2.8,
+            initial_voltage: PAPER_INITIAL_VOLTAGE,
             start_tuned: true,
             trace_interval: Some(10.0),
             faults: FaultPlan::none(),
@@ -187,6 +190,33 @@ impl SystemConfig {
         self.horizon = scenario.horizon;
         self.faults = scenario.faults;
         self
+    }
+
+    /// The scenario component of a cache key for a run of this
+    /// configuration: [`Scenario::fingerprint`], with each physics value
+    /// that differs from [`SystemConfig::paper`]'s folded in (generator,
+    /// tuning and storage as `Debug` text, which prints every parameter
+    /// exactly; initial voltage; an untuned start). Paper physics fold
+    /// nothing, so their keys keep the values cache files hold. The design
+    /// point is the key's own component, and the trace interval shapes
+    /// only the trace, which no cache keeps.
+    pub fn key_fingerprint(&self) -> u64 {
+        let physics: [(bool, &dyn std::fmt::Debug); 5] = [
+            (self.generator != Microgenerator::paper(), &self.generator),
+            (self.tuning != TuningMechanism::paper(), &self.tuning),
+            (self.storage != Supercapacitor::paper(), &self.storage),
+            (
+                self.initial_voltage != PAPER_INITIAL_VOLTAGE,
+                &("initial_voltage", self.initial_voltage),
+            ),
+            (!self.start_tuned, &"untuned start"),
+        ];
+        physics
+            .iter()
+            .filter(|(differs, _)| *differs)
+            .fold(self.scenario().fingerprint(), |h, (_, value)| {
+                fold_bytes(h, format!("{value:?}").as_bytes())
+            })
     }
 }
 
@@ -252,6 +282,49 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn key_fingerprints_cover_the_physics_and_keep_paper_keys() {
+        let paper = SystemConfig::paper(NodeConfig::original());
+        let plain = paper.scenario().fingerprint();
+        assert_eq!(paper.key_fingerprint(), plain, "paper keys changed");
+        let mut moved = paper.clone();
+        moved.node = NodeConfig::sa_optimised();
+        moved.trace_interval = None;
+        assert_eq!(
+            moved.key_fingerprint(),
+            plain,
+            "the point and trace are keyed elsewhere"
+        );
+        let mut variants = vec![
+            paper.clone().with_initial_voltage(2.65),
+            paper.clone().with_horizon(100.0),
+        ];
+        let mut cold = paper.clone();
+        cold.start_tuned = false;
+        variants.push(cold);
+        let mut small = paper.clone();
+        small.storage = Supercapacitor::new(0.22, 10e6).unwrap();
+        variants.push(small);
+        let mut stiff = paper.clone();
+        stiff.tuning = TuningMechanism::calibrated(0.013, 60.0, 98.0).unwrap();
+        variants.push(stiff);
+        let mut heavy = paper.clone();
+        heavy.generator = Microgenerator::new(
+            0.02,
+            paper.generator.mech_damping_ratio(),
+            paper.generator.coupling(),
+            paper.generator.coil_resistance(),
+            paper.generator.bridge().clone(),
+        )
+        .unwrap();
+        variants.push(heavy);
+        let mut keys: Vec<u64> = variants.iter().map(SystemConfig::key_fingerprint).collect();
+        keys.push(plain);
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), variants.len() + 1, "two settings share a key");
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! layer instead of naming a concrete engine. Picking the engine becomes
 //! a runtime decision ([`EngineKind`] parses from `envelope`/`full`), the
 //! evaluation cache keys results per engine (via
-//! [`EngineKind::discriminant`]) and per scenario (via
-//! [`Scenario::fingerprint`]), and a new engine — a linearised
-//! state-space speed-up, a batched envelope — plugs in by implementing
-//! [`SimEngine`] and gaining an [`EngineKind`] variant.
+//! [`SimEngine::cache_fingerprint`]) and per scenario and physics (via
+//! [`crate::SystemConfig::key_fingerprint`]), and a new engine — a
+//! linearised state-space speed-up, a batched envelope — plugs in by
+//! implementing [`SimEngine`] and gaining an [`EngineKind`] variant.
 //!
 //! # Example: engine selected at runtime
 //!
@@ -60,13 +60,16 @@ pub trait SimEngine: fmt::Debug + Send + Sync {
     /// memoisation keys.
     ///
     /// The default — the [`EngineKind::discriminant`] widened to 64 bits
-    /// — is correct for the plain engines and keeps their historical key
-    /// values. Wrapper engines whose results differ from the wrapped
-    /// engine's ([`crate::ChaosEngine`] fabricating outcomes, a
-    /// [`crate::FallbackEngine`] that may answer from a lower tier)
-    /// MUST override this so their results never pollute the plain
-    /// engines' cache namespace — in particular a persistent on-disk
-    /// cache, where a collision would survive across sessions.
+    /// — is correct for an engine whose results depend only on the
+    /// configuration, such as the envelope engine, and keeps the
+    /// historical key values. An engine with a setting of its own (the
+    /// full engine's analogue step) folds it in. Wrapper engines whose
+    /// results differ from the wrapped engine's ([`crate::ChaosEngine`]
+    /// fabricating outcomes, a [`crate::FallbackEngine`] that may answer
+    /// from a lower tier) MUST override this so their results never
+    /// pollute the plain engines' cache namespace — in particular a
+    /// persistent on-disk cache, where a collision would survive across
+    /// sessions.
     fn cache_fingerprint(&self) -> u64 {
         u64::from(self.kind().discriminant())
     }
@@ -244,22 +247,27 @@ impl Scenario {
     /// nominal runs never share a cache entry. Nominal scenarios
     /// ([`FaultPlan::none`]) keep their historical fingerprint values.
     pub fn fingerprint(&self) -> u64 {
-        // Mix the horizon (and any fault plan) into the profile
-        // fingerprint with more FNV-style multiply-xor rounds.
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = self.vibration.fingerprint();
-        for byte in self.horizon.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
+        let h = fold_fingerprint(self.vibration.fingerprint(), self.horizon.to_bits());
+        if self.faults.is_none() {
+            h
+        } else {
+            fold_fingerprint(h, self.faults.fingerprint())
         }
-        if !self.faults.is_none() {
-            for byte in self.faults.fingerprint().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        h
     }
+}
+
+/// `fingerprint` with `bytes` folded in, one FNV-1a step per byte.
+pub fn fold_bytes(fingerprint: u64, bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes.iter().fold(fingerprint, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// `fingerprint` with the little-endian bytes of `word` folded in: how
+/// scenario, engine and cache-key fingerprints mix a value in.
+pub fn fold_fingerprint(fingerprint: u64, word: u64) -> u64 {
+    fold_bytes(fingerprint, &word.to_le_bytes())
 }
 
 #[cfg(test)]

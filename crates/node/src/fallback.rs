@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::engine::{EngineKind, SimEngine};
+use crate::engine::{fold_fingerprint, EngineKind, SimEngine};
 use crate::{deadline, NodeError, Result, SimOutcome, SystemConfig};
 
 /// When a tier's circuit breaker opens and how it recovers.
@@ -383,22 +383,13 @@ impl SimEngine for FallbackEngine {
     /// results (which may come from any rung) never share a cache
     /// namespace with a plain engine's.
     fn cache_fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         // "fallbck1" — a salt so a one-rung ladder still differs from its
         // bare engine.
-        let mut h = 0x6661_6c6c_6263_6b31_u64;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for tier in &self.tiers {
-            mix(tier.engine.cache_fingerprint());
-        }
-        mix(u64::from(self.policy.open_after));
-        mix(u64::from(self.policy.cooldown));
-        h
+        self.tiers
+            .iter()
+            .map(|tier| tier.engine.cache_fingerprint())
+            .chain([self.policy.open_after, self.policy.cooldown].map(u64::from))
+            .fold(0x6661_6c6c_6263_6b31, fold_fingerprint)
     }
 
     fn as_fallback(&self) -> Option<&FallbackEngine> {

@@ -49,6 +49,8 @@
 use harvester::VibrationProfile;
 use numkit::rng::Rng;
 
+use crate::engine::fold_fingerprint;
+
 /// Maximum retransmission attempts after a failed radio transmission
 /// (the bounded retry policy; the message is dropped afterwards).
 pub const MAX_TX_RETRIES: u32 = 3;
@@ -305,27 +307,20 @@ impl FaultPlan {
     /// and nominal evaluations never share cache entries.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |bits: u64| {
-            for byte in bits.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.seed);
-        mix(self.tx_failure_rate.to_bits());
-        mix(self.watchdog_miss_rate.to_bits());
-        mix(self.brownout_v.map_or(0, f64::to_bits));
+        let h = [
+            self.seed,
+            self.tx_failure_rate.to_bits(),
+            self.watchdog_miss_rate.to_bits(),
+            self.brownout_v.map_or(0, f64::to_bits),
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, fold_fingerprint);
         match self.dropouts {
-            Some(spec) => {
-                mix(1);
-                mix(spec.per_hour.to_bits());
-                mix(spec.duration_s.to_bits());
-            }
-            None => mix(0),
+            Some(spec) => [1, spec.per_hour.to_bits(), spec.duration_s.to_bits()]
+                .into_iter()
+                .fold(h, fold_fingerprint),
+            None => fold_fingerprint(h, 0),
         }
-        h
     }
 }
 

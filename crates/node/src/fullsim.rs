@@ -1,7 +1,7 @@
 use harvester::{HarvesterCircuit, Load, LoadId};
 use msim::{Context, MixedSim, Process, Solver};
 
-use crate::engine::{EngineKind, SimEngine};
+use crate::engine::{fold_fingerprint, EngineKind, SimEngine};
 use crate::faults::{FaultPlan, BROWNOUT_HYSTERESIS_V, MAX_TX_RETRIES};
 use crate::metrics::{EnergyBreakdown, FaultCounters, SimOutcome, VoltageSample};
 use crate::power;
@@ -48,6 +48,9 @@ pub struct FullSystemSim {
     dt: f64,
 }
 
+/// The default analogue integration step (s).
+const DEFAULT_DT: f64 = 5e-5;
+
 impl Default for FullSystemSim {
     fn default() -> Self {
         Self::new()
@@ -57,7 +60,7 @@ impl Default for FullSystemSim {
 impl FullSystemSim {
     /// Creates the engine with the default 50 µs analogue step.
     pub fn new() -> Self {
-        FullSystemSim { dt: 5e-5 }
+        FullSystemSim { dt: DEFAULT_DT }
     }
 
     /// Overrides the analogue integration step.
@@ -239,6 +242,18 @@ impl SimEngine for FullSystemSim {
 
     fn simulate(&self, config: &SystemConfig) -> Result<SimOutcome> {
         self.run(config)
+    }
+
+    /// The kind discriminant, with a non-default analogue step folded in:
+    /// two steps give two answers, so they must never share a cache
+    /// entry. The default step keeps the plain discriminant.
+    fn cache_fingerprint(&self) -> u64 {
+        let kind = u64::from(self.kind().discriminant());
+        if self.dt == DEFAULT_DT {
+            kind
+        } else {
+            fold_fingerprint(kind, self.dt.to_bits())
+        }
     }
 }
 
@@ -601,5 +616,20 @@ mod tests {
         assert_eq!(out.watchdog_wakes, 1);
         assert!(out.coarse_moves >= 1);
         assert!(out.final_position > 0);
+    }
+
+    #[test]
+    fn analogue_steps_separate_cache_fingerprints() {
+        let default = FullSystemSim::new().cache_fingerprint();
+        assert_eq!(default, u64::from(EngineKind::Full.discriminant()));
+        assert_eq!(
+            FullSystemSim::new().with_dt(5e-5).cache_fingerprint(),
+            default
+        );
+        let coarse = FullSystemSim::new().with_dt(4e-4).cache_fingerprint();
+        let fine = FullSystemSim::new().with_dt(1e-4).cache_fingerprint();
+        assert_ne!(coarse, default);
+        assert_ne!(coarse, fine);
+        assert_ne!(fine, default);
     }
 }

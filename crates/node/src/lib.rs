@@ -68,7 +68,7 @@ mod sensor;
 pub use analysis::{BindingConstraint, EngineAgreement, PowerBudget};
 pub use chaos::{ChaosEngine, ChaosPlan};
 pub use config::{NodeConfig, SystemConfig};
-pub use engine::{EngineKind, Scenario, SimEngine};
+pub use engine::{fold_bytes, fold_fingerprint, EngineKind, Scenario, SimEngine};
 pub use envelope::EnvelopeSim;
 pub use error::NodeError;
 pub use fallback::{BreakerPolicy, FallbackEngine, TierStats};

@@ -5,7 +5,9 @@
 //! objectives:
 //!
 //! 1. seed the design — the paper's fixed D-optimal plan, or a small
-//!    D-optimal seed when [`adaptive`](ParetoDseFlow::adaptive) is on;
+//!    D-optimal seed when [`adaptive`](ParetoDseFlow::adaptive) is on,
+//!    both through the pool cache's step memo
+//!    ([`wsn_dse::d_optimal_design`]);
 //! 2. simulate every point through the shared
 //!    [`SimPool`]/[`wsn_dse::EvalCache`] ([`MultiObjective::evaluate_batch`]):
 //!    each engine run is one cached record and the whole objective
@@ -28,11 +30,11 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use doe::{DOptimal, Design, DesignSpace, ModelSpec};
+use doe::{Design, DesignSpace, ModelSpec};
 use numkit::rng::Rng;
 use optim::Bounds;
 use rsm::ResponseSurface;
-use wsn_dse::{coded_to_config, paper_design_space, SimPool};
+use wsn_dse::{coded_to_config, d_optimal_design, paper_design_space, SimPool};
 
 use crate::nsga::{crowding_prune, dominates, grid_key, Nsga2};
 use crate::objective::{MultiObjective, NodeObjectives, ObjectiveSpec};
@@ -177,11 +179,10 @@ impl ParetoDseFlow {
     /// Replaces the design space — e.g. with
     /// [`wsn_dse::paper_design_space_with_timer`] to widen the search by
     /// the optional timer-quantum factor. Coded coordinates mean
-    /// something different in the new space, so the pool's cache is
-    /// dropped.
+    /// something different in the new space, and keys fold its
+    /// fingerprint in, so no record crosses spaces.
     pub fn with_space(mut self, space: DesignSpace) -> Self {
         self.space = space;
-        self.pool.cache().clear();
         self
     }
 
@@ -190,25 +191,11 @@ impl ParetoDseFlow {
         &self.space
     }
 
-    /// Replaces the pool's cache with a shared handle (how a server
-    /// multiplexes many flows onto one warm cache). Apply after
-    /// [`with_space`](Self::with_space), which clears whatever cache the
-    /// pool holds at that moment.
-    pub fn shared_cache(mut self, cache: Arc<wsn_dse::EvalCache>) -> Self {
-        self.pool.set_shared_cache(cache);
-        self
-    }
-
-    /// Sets the deterministic retry policy for failed evaluations (see
-    /// [`wsn_dse::RetryPolicy`]).
-    pub fn retry_policy(mut self, retry: wsn_dse::RetryPolicy) -> Self {
-        self.pool.set_retry_policy(retry);
-        self
-    }
-
-    /// Sets the per-evaluation wall-clock deadline (`None` disables).
-    pub fn eval_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
-        self.pool.set_eval_deadline(deadline);
+    /// Replaces the pool: worker threads, retry policy, deadline and
+    /// cache (see [`wsn_dse::DseFlow::with_pool`]). It may come anywhere
+    /// in the builder chain.
+    pub fn with_pool(mut self, pool: SimPool) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -557,10 +544,8 @@ impl ParetoDseFlow {
         } else {
             (self.model_for(self.doe_runs, false), self.doe_runs)
         };
-        let design = DOptimal::new(k, seed_model)
-            .runs(seed_runs)
-            .seed(self.seed)
-            .build()?;
+        let memo = Some(self.pool.cache());
+        let design = d_optimal_design(memo, k, &seed_model, seed_runs, self.seed)?;
         let mut seed_points: Vec<Vec<f64>> = design.points().to_vec();
         if self.adaptive && seed_points.len() < self.budget {
             // One centre run rides along with the linear seed — the
@@ -844,6 +829,40 @@ mod tests {
         assert_eq!(report.objectives[1].name, "energy_consumed_j");
         assert!(report.evaluated.iter().all(|e| e.objectives.len() == 2));
         assert!(fast_flow().objectives("bogus").run().is_err());
+    }
+
+    #[test]
+    fn with_pool_works_before_with_space() {
+        let shared = |cache: &Arc<wsn_dse::EvalCache>| {
+            let mut pool = SimPool::new(1);
+            pool.set_shared_cache(Arc::clone(cache));
+            pool
+        };
+        let space = wsn_dse::paper_design_space_with_timer();
+        // Two caches with the same history: one fixed-plan run.
+        let early_cache = Arc::new(wsn_dse::EvalCache::new());
+        let late_cache = Arc::new(wsn_dse::EvalCache::new());
+        for cache in [&early_cache, &late_cache] {
+            fast_flow()
+                .with_pool(shared(cache))
+                .run()
+                .expect("flow runs");
+        }
+        let filled = (early_cache.stats(), early_cache.memo_stats());
+        assert!(filled.0.entries > 0);
+        let early = fast_flow()
+            .with_pool(shared(&early_cache))
+            .with_space(space.clone());
+        assert_eq!(
+            (early_cache.stats(), early_cache.memo_stats()),
+            filled,
+            "with_space touched the shared cache"
+        );
+        let late = fast_flow().with_space(space).with_pool(shared(&late_cache));
+        assert_eq!(
+            early.run().expect("flow runs").to_json(),
+            late.run().expect("flow runs").to_json()
+        );
     }
 
     #[test]

@@ -171,7 +171,8 @@ impl MultiObjective for NodeObjectives {
         space: &DesignSpace,
         points: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>> {
-        let records = simulate_coded(pool, self.engine.as_ref(), &self.template, space, points)?;
+        let records = simulate_coded(pool, self.engine.as_ref(), &self.template, space, points)
+            .into_complete()?;
         let hours = self.template.horizon / 3600.0;
         Ok(records
             .iter()

@@ -59,10 +59,10 @@ done
 cmp "$FLEET_DIR/jobs1.json" "$FLEET_DIR/jobs2.json"
 cmp "$FLEET_DIR/jobs1.json" "$FLEET_DIR/jobs8.json"
 
-echo "== report gate: fleet reports pinned; naive arbitration oracle on real traces =="
-# The 16-node fleet (nominal and faulty) and the 4-node fleet DSE report
-# must keep their pinned hashes, and the naive sweep must reproduce every
-# node's channel verdict from re-simulated traces.
+echo "== report gate: DSE, fleet and chaos-ladder outputs pinned; naive arbitration oracle =="
+# Computed DSE and fleet reports and the chaos ladders keep their pinned
+# hashes; the naive sweep reproduces every node's channel verdict.
+cargo test -q --offline -p wsn-dse --test report_pin
 cargo test -q --offline -p wsn-net --test report_pin
 
 echo "== linalg gate: stack storage matches the heap reference =="
@@ -156,7 +156,7 @@ if grep -o '"disk_loads":[0-9]*' "$FLEET_DIR/cache-warm.json" \
   exit 1
 fi
 
-echo "== robustness gate: chaos storm completes with degraded service =="
+echo "== robustness gate: chaos storm completes with degraded service, reproducibly at --jobs 1 =="
 target/release/wsn_dse chaos --points 24 --horizon 600 --chaos-rate 0.35 \
   --eval-retries 2 --json > "$FLEET_DIR/chaos.json"
 if grep -o '"degraded_served":[0-9]*' "$FLEET_DIR/chaos.json" \
@@ -165,6 +165,12 @@ if grep -o '"degraded_served":[0-9]*' "$FLEET_DIR/chaos.json" \
   exit 1
 fi
 grep -q '"degraded_served":' "$FLEET_DIR/chaos.json"
+# Its breakers see completion order, so the storm reproduces at --jobs 1.
+for run in a b; do
+  target/release/wsn_dse chaos --points 24 --horizon 600 --chaos-rate 0.35 \
+    --eval-retries 2 --json --jobs 1 > "$FLEET_DIR/chaos-jobs1-$run.json"
+done
+cmp "$FLEET_DIR/chaos-jobs1-a.json" "$FLEET_DIR/chaos-jobs1-b.json"
 
 echo "== serving gate: protocol codec + socket suite + chaos soak =="
 cargo test -q --offline -p wsn-dse --test protocol_props

@@ -283,19 +283,20 @@ fn degraded_answers_are_never_cached() {
 /// The same flow, run cold and then warm from the persistent cache,
 /// produces byte-identical reports once the (intentionally
 /// warmth-dependent) cache counters are stripped — and the warm run
-/// really is served from disk. Each run attaches a fresh cache to the
-/// directory last, as `wsn_dse --cache-dir` does.
+/// really is served from disk. Each run's pool holds a fresh cache
+/// attached to the directory, as `wsn_dse --cache-dir` does.
 #[test]
 fn flow_reports_are_identical_cold_and_warm() {
     let dir = scratch("cold-warm");
     let flow = || {
         let cache = EvalCache::new();
         cache.persist_to(&dir).expect("attach the persistent cache");
+        let mut pool = SimPool::new(2);
+        pool.set_shared_cache(Arc::new(cache));
         DseFlow::paper()
             .with_template(fast_template())
             .seed(12)
-            .jobs(2)
-            .shared_cache(Arc::new(cache))
+            .with_pool(pool)
     };
     let strip = |json: &str| {
         let start = json
