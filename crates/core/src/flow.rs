@@ -393,12 +393,12 @@ impl DseFlow {
     }
 
     /// Replaces the pool, and with it every evaluation setting: worker
-    /// threads, retry policy, deadline and cache (see [`SimPool`]). A pool
-    /// over a shared cache ([`SimPool::set_shared_cache`]) is how a server
-    /// multiplexes many flows onto one warm cache, and a cache attached to
-    /// a directory with [`crate::EvalCache::persist_to`] makes the flow
-    /// persistent across sessions (the CLI's `--cache-dir`). No builder
-    /// touches the cache, so the pool may come anywhere in the chain.
+    /// threads, retry policy, deadline and cache (see [`SimPool`]). Clones
+    /// of one pool share its cache, which is how a server multiplexes many
+    /// flows onto one warm cache, and a cache attached to a directory with
+    /// [`crate::EvalCache::persist_to`] makes the flow persistent across
+    /// sessions (the CLI's `--cache-dir`). No builder touches the cache,
+    /// so the pool may come anywhere in the chain.
     pub fn with_pool(mut self, pool: SimPool) -> Self {
         self.pool = pool;
         self
@@ -627,6 +627,12 @@ impl DseFlow {
     /// was most strained — the textbook "second-phase" RSM step the paper
     /// leaves as future work.
     ///
+    /// The refined flow shares this flow's pool, and with it the cache:
+    /// a `--cache-dir` session reads the second phase's records from the
+    /// directory, and the refined report's `"cache"` counters are the
+    /// cache's cumulative ones. Keys fold the zoomed space's fingerprint
+    /// in, so no first-phase record answers a second-phase lookup.
+    ///
     /// # Errors
     ///
     /// * [`crate::DseError::InvalidArgument`] when `shrink` is outside
@@ -654,11 +660,6 @@ impl DseFlow {
         }
         let mut refined = self.clone();
         refined.space = DesignSpace::new(factors)?;
-        // The clone's cache is a private copy. Keys fold the zoomed
-        // space's fingerprint in, so none of the first phase's records
-        // could answer the refined flow; emptying the copy drops them and
-        // makes the refined report count its own lookups only.
-        refined.pool.cache().clear();
         Ok(refined)
     }
 
@@ -738,13 +739,6 @@ mod tests {
                 vec![(0.0, 75.0), (300.0, 80.0)],
             ));
         DseFlow::paper().with_template(template)
-    }
-
-    /// A one-thread pool over `cache`.
-    fn shared_pool(cache: &Arc<EvalCache>) -> SimPool {
-        let mut pool = SimPool::new(1);
-        pool.set_shared_cache(Arc::clone(cache));
-        pool
     }
 
     #[test]
@@ -868,8 +862,9 @@ mod tests {
 
     #[test]
     fn changed_inputs_miss_the_memo() {
-        let cache = Arc::new(EvalCache::new());
-        let report = fast_flow().with_pool(shared_pool(&cache)).run().unwrap();
+        let pool = SimPool::new(1);
+        let cache = pool.cache();
+        let report = fast_flow().with_pool(pool.clone()).run().unwrap();
         let variants = [
             fast_flow().seed(13),
             fast_flow().doe_runs(11),
@@ -877,7 +872,7 @@ mod tests {
         ];
         for flow in variants {
             let before = cache.memo_stats();
-            flow.with_pool(shared_pool(&cache)).run().unwrap();
+            flow.with_pool(pool.clone()).run().unwrap();
             let after = cache.memo_stats();
             assert_eq!(after.hits, before.hits, "a changed input hit the memo");
             assert_eq!(after.misses, before.misses + 2);
@@ -902,29 +897,26 @@ mod tests {
         let template = fast_flow().template;
         let plan = FaultPlan::uniform(5, 0.2);
         let space = crate::paper_design_space_with_timer();
-        // Two caches with the same history: one paper flow run.
-        let early_cache = Arc::new(EvalCache::new());
-        let late_cache = Arc::new(EvalCache::new());
-        for cache in [&early_cache, &late_cache] {
-            fast_flow().with_pool(shared_pool(cache)).run().unwrap();
+        // Two pools with the same history: one paper flow run.
+        let early_pool = SimPool::new(1);
+        let late_pool = SimPool::new(1);
+        for pool in [&early_pool, &late_pool] {
+            fast_flow().with_pool(pool.clone()).run().unwrap();
         }
-        let filled = (early_cache.stats(), early_cache.memo_stats());
+        let counters = || (early_pool.cache().stats(), early_pool.cache().memo_stats());
+        let filled = counters();
         assert!(filled.0.entries > 0);
         let early = DseFlow::paper()
-            .with_pool(shared_pool(&early_cache))
+            .with_pool(early_pool.clone())
             .with_template(template.clone())
             .faults(plan)
             .with_space(space.clone());
-        assert_eq!(
-            (early_cache.stats(), early_cache.memo_stats()),
-            filled,
-            "a builder touched the shared cache"
-        );
+        assert_eq!(counters(), filled, "a builder touched the shared cache");
         let late = DseFlow::paper()
             .with_template(template)
             .faults(plan)
             .with_space(space)
-            .with_pool(shared_pool(&late_cache));
+            .with_pool(late_pool);
         assert_eq!(
             early.run().unwrap().to_json(),
             late.run().unwrap().to_json()
@@ -933,12 +925,12 @@ mod tests {
 
     #[test]
     fn keys_cover_the_template_physics() {
-        let cache = Arc::new(EvalCache::new());
-        let paper = fast_flow().with_pool(shared_pool(&cache)).run().unwrap();
+        let pool = SimPool::new(1);
+        let paper = fast_flow().with_pool(pool.clone()).run().unwrap();
         let low = fast_flow().template.with_initial_voltage(2.65);
         let shared = fast_flow()
             .with_template(low.clone())
-            .with_pool(shared_pool(&cache))
+            .with_pool(pool)
             .run()
             .unwrap();
         let mut fresh = fast_flow().with_template(low).jobs(1).run().unwrap();
@@ -950,8 +942,7 @@ mod tests {
 
     #[test]
     fn full_engine_steps_never_share_records() {
-        let cache = Arc::new(EvalCache::new());
-        let pool = shared_pool(&cache);
+        let pool = SimPool::new(1);
         let template = fast_flow().template.with_horizon(2.0);
         let space = paper_design_space();
         let point = [vec![0.0; 3]];
@@ -972,11 +963,11 @@ mod tests {
             "the two steps agree, so the test shows nothing"
         );
         assert_eq!(
-            cache.stats().hits,
+            pool.cache().stats().hits,
             0,
             "one step's record answered the other"
         );
-        assert_eq!(cache.len(), 2);
+        assert_eq!(pool.cache().len(), 2);
     }
 
     #[test]
@@ -1048,6 +1039,37 @@ mod tests {
             best2 as f64 >= 0.9 * best1 as f64,
             "refinement regressed: {best1} -> {best2}"
         );
+    }
+
+    #[test]
+    fn a_second_refine_session_reads_phase_two_from_disk() {
+        let dir = std::env::temp_dir().join(format!("wsn-flow-refine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The 900 s paper flow and the `refine` command's second phase,
+        // on a pool attached to `dir` as `--cache-dir` attaches it.
+        let session = || {
+            let pool = SimPool::new(1);
+            pool.cache().persist_to(&dir).unwrap();
+            let template = SystemConfig::paper(NodeConfig::original()).with_horizon(900.0);
+            let flow = DseFlow::paper().with_template(template).with_pool(pool);
+            let first = flow.run().unwrap();
+            flow.refine(&first, 0.35)
+                .unwrap()
+                .doe_runs(16)
+                .run()
+                .unwrap()
+        };
+        let cold = session();
+        let mut warm = session();
+        assert_eq!(
+            (warm.cache.misses, warm.cache.inserts),
+            (0, 0),
+            "the second session recomputed records the directory holds"
+        );
+        assert_eq!(warm.cache.disk_loads, cold.cache.entries);
+        warm.cache = cold.cache;
+        assert_eq!(warm.to_json(), cold.to_json());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -84,19 +84,6 @@ pub enum JobState {
     Cancelled,
 }
 
-impl JobState {
-    /// The state's wire spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-        }
-    }
-}
-
 /// Monotonic counters over everything the queue has seen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
@@ -328,7 +315,10 @@ fn worker_loop(inner: &Inner) {
         // for everything around them.
         let outcome = match std::panic::catch_unwind(AssertUnwindSafe(work)) {
             Ok(outcome) => outcome,
-            Err(payload) => Err(format!("job panicked: {}", panic_text(payload.as_ref()))),
+            Err(payload) => Err(format!(
+                "job panicked: {}",
+                wsn_node::deadline::panic_text(payload.as_ref())
+            )),
         };
         let cancelled = {
             let mut state = inner.lock();
@@ -353,16 +343,6 @@ fn worker_loop(inner: &Inner) {
             };
             events(JobEvent::Finished { job: id, outcome });
         }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 

@@ -209,8 +209,8 @@ impl EvalRecord {
 
 /// A point-in-time snapshot of [`EvalCache`] observability counters.
 ///
-/// All counters are process-lifetime totals for the cache instance (reset
-/// by [`EvalCache::clear`]); they are surfaced verbatim in
+/// All counters are lifetime totals for the cache instance, so every
+/// pool and flow sharing it adds to them; they are surfaced verbatim in
 /// `DseReport::to_json` under the `"cache"` object, with explicit zeros,
 /// so dashboards never have to treat an absent field as zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -248,8 +248,8 @@ impl CacheStats {
 type StepMemo = HashMap<Box<[u64]>, Box<[f64]>>;
 
 /// A point-in-time snapshot of the step memo's counters (see
-/// [`EvalCache::memoise`]). Reset by [`EvalCache::clear`]; the server's
-/// `stats` frame reports them, no report does.
+/// [`EvalCache::memoise`]). The server's `stats` frame reports them, no
+/// report does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoStats {
     /// Step outputs currently held.
@@ -320,28 +320,6 @@ pub struct EvalCache {
     memo: Mutex<StepMemo>,
     memo_hits: AtomicUsize,
     memo_misses: AtomicUsize,
-}
-
-impl Clone for EvalCache {
-    fn clone(&self) -> Self {
-        EvalCache {
-            entries: Mutex::new(self.lock_entries().clone()),
-            persist: Mutex::new(self.persist_path()),
-            // In-flight claims belong to the threads of the original;
-            // a copy starts with none.
-            inflight: Mutex::new(HashSet::new()),
-            flight: Condvar::new(),
-            hits: AtomicUsize::new(self.hits.load(Ordering::Relaxed)),
-            misses: AtomicUsize::new(self.misses.load(Ordering::Relaxed)),
-            inserts: AtomicUsize::new(self.inserts.load(Ordering::Relaxed)),
-            disk_loads: AtomicUsize::new(self.disk_loads.load(Ordering::Relaxed)),
-            quarantined: AtomicUsize::new(self.quarantined.load(Ordering::Relaxed)),
-            dirty: AtomicUsize::new(self.dirty.load(Ordering::Relaxed)),
-            memo: Mutex::new(self.lock_memo().clone()),
-            memo_hits: AtomicUsize::new(self.memo_hits.load(Ordering::Relaxed)),
-            memo_misses: AtomicUsize::new(self.memo_misses.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl EvalCache {
@@ -515,9 +493,9 @@ impl EvalCache {
     /// current verified records and the in-memory entries (memory wins).
     ///
     /// A no-op when no directory is attached or nothing was inserted
-    /// since the last flush. The union means `clear()` never erases
-    /// other sessions' persisted work. The write is atomic (temp file +
-    /// rename).
+    /// since the last flush. The union means a session never erases
+    /// another session's persisted work. The write is atomic (temp file
+    /// and rename).
     ///
     /// # Errors
     ///
@@ -584,25 +562,6 @@ impl EvalCache {
         }
         drop(inflight);
         self.get(key)
-    }
-
-    /// Drops all entries and step outputs and resets every counter (used
-    /// by `DseFlow::refine` on its private copy; keys already keep
-    /// engines, scenarios, physics and spaces apart). The attached
-    /// persistent file, if any, stays attached and is
-    /// **not** truncated — flushing is a union, so earlier sessions'
-    /// records survive.
-    pub fn clear(&self) {
-        self.lock_entries().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.inserts.store(0, Ordering::Relaxed);
-        self.disk_loads.store(0, Ordering::Relaxed);
-        self.quarantined.store(0, Ordering::Relaxed);
-        self.dirty.store(0, Ordering::Relaxed);
-        self.lock_memo().clear();
-        self.memo_hits.store(0, Ordering::Relaxed);
-        self.memo_misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -763,47 +722,33 @@ impl BatchReport {
 /// [`EvalCache`]. Every flow takes its settings as one pool
 /// (`with_pool`).
 ///
+/// A pool is a handle: its clones share one cache (the cache sits
+/// behind an [`Arc`]) while each keeps its own workers, retry policy and
+/// deadline. Cloning a pool is how a server hands the *same* warm cache
+/// to every job it dispatches, and how a refined flow reads what its
+/// parent computed.
+///
 /// Wraps a [`numkit::pool::par_map_ordered`] fan-out with an [`EvalCache`]
 /// front: each batch first resolves cached keys, deduplicates the
 /// remaining distinct keys, simulates those on up to `jobs` worker
 /// threads, and reassembles the responses in submission order.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SimPool {
     jobs: usize,
-    /// Behind an [`Arc`] so a long-lived server can hand the *same* warm
-    /// cache to every flow it dispatches; standalone pools simply hold
-    /// the only reference.
     cache: Arc<EvalCache>,
     retry: RetryPolicy,
     deadline: Option<Duration>,
 }
 
-impl Clone for SimPool {
-    /// Deep copy: the clone starts with its **own** snapshot of the
-    /// cache, preserving the historical value semantics (a refined flow
-    /// clearing its cache must not clear its parent's). Use
-    /// [`SimPool::set_shared_cache`] when two pools should genuinely
-    /// share one cache.
-    fn clone(&self) -> Self {
-        SimPool {
-            jobs: self.jobs,
-            cache: Arc::new(self.cache.as_ref().clone()),
-            retry: self.retry.clone(),
-            deadline: self.deadline,
-        }
-    }
-}
-
 impl SimPool {
-    /// Creates a pool; `jobs == 0` means "all available cores", `1` is
-    /// fully sequential. The default [`RetryPolicy`] and no deadline
-    /// reproduce the historical behaviour bit-for-bit.
+    /// Creates a pool over a fresh cache; `jobs == 0` means "all
+    /// available cores", `1` is fully sequential. The default
+    /// [`RetryPolicy`] and no deadline reproduce the historical behaviour
+    /// bit-for-bit.
     pub fn new(jobs: usize) -> Self {
         SimPool {
             jobs,
-            cache: Arc::new(EvalCache::new()),
-            retry: RetryPolicy::default(),
-            deadline: None,
+            ..Self::default()
         }
     }
 
@@ -817,22 +762,10 @@ impl SimPool {
         self.jobs = jobs;
     }
 
-    /// The underlying evaluation cache.
+    /// The evaluation cache every clone of this pool shares; attach it
+    /// to a directory with [`EvalCache::persist_to`].
     pub fn cache(&self) -> &EvalCache {
         &self.cache
-    }
-
-    /// Replaces this pool's cache with a shared handle, so lookups and
-    /// inserts land in the cache every other holder of the handle sees.
-    /// No flow builder clears a cache, so a flow may take the pool at
-    /// any point of its builder chain.
-    pub fn set_shared_cache(&mut self, cache: Arc<EvalCache>) {
-        self.cache = cache;
-    }
-
-    /// The pool's retry/backoff discipline.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Replaces the retry/backoff discipline.
@@ -1041,18 +974,9 @@ pub fn single_attempt<T>(
         Err(payload) if wsn_node::deadline::payload_is_deadline(payload.as_ref()) => {
             Err(timed_out())
         }
-        Err(payload) => Err(DseError::EvalPanicked(panic_message(payload.as_ref()))),
-    }
-}
-
-/// Extracts a printable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
+        Err(payload) => Err(DseError::EvalPanicked(
+            wsn_node::deadline::panic_text(payload.as_ref()).to_owned(),
+        )),
     }
 }
 
@@ -1495,10 +1419,6 @@ mod tests {
         assert_eq!(cache.get(&key2).map(|r| r.final_voltage), Some(10.0));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().entries, 2);
-        let cloned = cache.clone();
-        assert_eq!(cloned.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -1546,26 +1466,29 @@ mod tests {
     }
 
     #[test]
-    fn clear_preserves_other_sessions_persisted_records() {
+    fn sessions_on_one_directory_flush_a_union() {
         let dir = std::env::temp_dir().join(format!("wsn-pool-union-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let pool = SimPool::new(1);
-        pool.cache().persist_to(&dir).unwrap();
-        let (_, _) = count_evals(&pool, &[vec![1.0], vec![2.0]]);
+        // Two caches attach to one directory before either computes, so
+        // each flushes only its own keys into the file the other wrote.
+        let first = SimPool::new(1);
+        let second = SimPool::new(1);
+        first.cache().persist_to(&dir).unwrap();
+        second.cache().persist_to(&dir).unwrap();
+        let (_, _) = count_evals(&first, &[vec![1.0], vec![2.0]]);
+        let (_, _) = count_evals(&second, &[vec![9.0]]);
+        assert_eq!(second.cache().len(), 1, "the second cache saw only its key");
 
-        // A space change clears memory, then new work flushes: the file
-        // must still hold the earlier records (union semantics).
-        pool.cache().clear();
-        let (_, _) = count_evals(&pool, &[vec![9.0]]);
-
-        let reloaded = EvalCache::new();
-        reloaded.persist_to(&dir).unwrap();
+        let third = SimPool::new(1);
+        third.cache().persist_to(&dir).unwrap();
         assert_eq!(
-            reloaded.stats().disk_loads,
+            third.cache().stats().disk_loads,
             3,
-            "clear() must not erase previously persisted entries"
+            "a flush erased a record"
         );
+        let (_, calls) = count_evals(&third, &[vec![1.0], vec![2.0], vec![9.0]]);
+        assert_eq!(calls, 0, "both sessions' records are on disk");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1585,29 +1508,6 @@ mod tests {
         let sequential = run(1);
         assert_eq!(sequential, run(2));
         assert_eq!(sequential, run(8));
-    }
-
-    #[test]
-    fn clear_resets_state() {
-        let pool = SimPool::new(1);
-        let (_, calls) = count_evals(&pool, &[vec![1.0]]);
-        assert_eq!(calls, 1);
-        let step = || Ok(vec![2.5]);
-        pool.cache().memoise(vec![1], step).unwrap();
-        pool.cache().memoise(vec![1], step).unwrap();
-        assert_eq!(pool.cache().memo_stats().hits, 1);
-        pool.cache().clear();
-        assert!(pool.cache().is_empty());
-        assert_eq!(pool.cache().stats(), CacheStats::default());
-        assert_eq!(pool.cache().memo_stats(), MemoStats::default());
-        let (_, calls) = count_evals(&pool, &[vec![1.0]]);
-        assert_eq!(calls, 1, "cleared cache must re-simulate");
-        pool.cache().memoise(vec![1], step).unwrap();
-        assert_eq!(
-            pool.cache().memo_stats().misses,
-            1,
-            "cleared memo must recompute"
-        );
     }
 
     /// `[entries, hits, misses]` of the step memo.
@@ -1649,8 +1549,7 @@ mod tests {
             "values keep their bits"
         );
         assert_eq!(memo_counts(&cache), [1, 1, 2]);
-        // A copy carries the memo, and the evaluation counters never see it.
-        assert_eq!(cache.clone().memo_stats(), cache.memo_stats());
+        // The evaluation counters never see the memo.
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
@@ -1685,11 +1584,8 @@ mod tests {
     fn concurrent_identical_batches_coalesce_on_a_shared_cache() {
         use std::sync::atomic::AtomicBool;
 
-        let shared = Arc::new(EvalCache::new());
-        let mut a = SimPool::new(1);
-        a.set_shared_cache(Arc::clone(&shared));
-        let mut b = SimPool::new(1);
-        b.set_shared_cache(Arc::clone(&shared));
+        let a = SimPool::new(1);
+        let b = a.clone();
         let keys = keys_of(&[vec![0.25, 0.5, -0.5]]);
         let calls = AtomicUsize::new(0);
         let claimed = AtomicBool::new(false);
@@ -1726,18 +1622,15 @@ mod tests {
             1,
             "the key must be computed once"
         );
-        assert!(shared.hits() > 0);
+        assert!(a.cache().hits() > 0);
     }
 
     #[test]
     fn failed_claimants_hand_keys_to_waiting_evaluators() {
         use std::sync::atomic::AtomicBool;
 
-        let shared = Arc::new(EvalCache::new());
-        let mut a = SimPool::new(1);
-        a.set_shared_cache(Arc::clone(&shared));
-        let mut b = SimPool::new(1);
-        b.set_shared_cache(Arc::clone(&shared));
+        let a = SimPool::new(1);
+        let b = a.clone();
         let keys = keys_of(&[vec![0.5, 0.5, 0.5]]);
         let entered = AtomicBool::new(false);
         std::thread::scope(|s| {

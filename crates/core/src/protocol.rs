@@ -56,9 +56,9 @@
 //! (DSE, fleet and Pareto reports, protocol frames), so every document
 //! escapes strings and spells non-finite numbers the same way.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
+use std::ops::Range;
 
 use wsn_node::EngineKind;
 
@@ -266,17 +266,39 @@ impl Json {
 /// Returns an `invalid_json` [`ProtocolError`] (with byte offset in the
 /// message) on any malformed input, including trailing garbage.
 pub fn parse_json(text: &str) -> Result<Json, ProtocolError> {
+    parse_keeping_raw(text, None).map(|(value, _)| value)
+}
+
+/// [`parse_json`], also returning the source text of top-level member
+/// `field` when the document is an object that has one: the one pass
+/// that both validates a frame and finds its embedded report.
+fn parse_keeping_raw<'a>(
+    text: &'a str,
+    field: Option<&str>,
+) -> Result<(Json, Option<&'a str>), ProtocolError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let value = p.value(0)?;
+    let mut raw = None;
+    let value = if p.peek() == Some(b'{') {
+        let mut members = Vec::new();
+        p.members(0, |key, value, span| {
+            if raw.is_none() && field == Some(key.as_str()) {
+                raw = Some(&text[span]);
+            }
+            members.push((key, value));
+        })?;
+        Json::Obj(members)
+    } else {
+        p.value(0)?
+    };
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after the document"));
     }
-    Ok(value)
+    Ok((value, raw))
 }
 
 struct Parser<'a> {
@@ -458,12 +480,23 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, ProtocolError> {
-        self.eat(b'{')?;
         let mut members = Vec::new();
+        self.members(depth, |key, value, _| members.push((key, value)))?;
+        Ok(Json::Obj(members))
+    }
+
+    /// Parses an object, handing `each` every member's key, value and
+    /// the byte range of the value's source text.
+    fn members(
+        &mut self,
+        depth: usize,
+        mut each: impl FnMut(String, Json, Range<usize>),
+    ) -> Result<(), ProtocolError> {
+        self.eat(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -471,14 +504,15 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
+            let start = self.pos;
             let value = self.value(depth + 1)?;
-            members.push((key, value));
+            each(key, value, start..self.pos);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -1332,7 +1366,7 @@ impl Frame {
         if trimmed.is_empty() {
             return Err(ProtocolError::new("empty_frame", "blank line"));
         }
-        let doc = parse_json(trimmed)?;
+        let (doc, report) = parse_keeping_raw(trimmed, Some("report"))?;
         let event = doc
             .get("event")
             .ok_or_else(|| ProtocolError::missing_field("event"))?
@@ -1365,7 +1399,7 @@ impl Frame {
             "result" => Ok(Frame::Result {
                 job: job("job")?,
                 id: doc.field("id", None)?,
-                report: extract_raw_field(trimmed, "report")
+                report: report
                     .ok_or_else(|| ProtocolError::missing_field("report"))?
                     .to_owned(),
             }),
@@ -1398,112 +1432,13 @@ impl Frame {
 
 /// Returns the raw bytes of top-level member `field` of the JSON object
 /// in `text`: exactly the value's source span, untouched. `None` when
-/// `text` is not an object or the field is absent/unterminated.
+/// `text` is not a valid JSON object or the field is absent. The text is
+/// read with [`parse_json`]'s grammar.
 ///
 /// This is what lets a client recover a `result` frame's report
 /// byte-for-byte without ever re-encoding it.
 pub fn extract_raw_field<'a>(text: &'a str, field: &str) -> Option<&'a str> {
-    let bytes = text.trim().as_bytes();
-    let text = text.trim();
-    if bytes.first() != Some(&b'{') {
-        return None;
-    }
-    let mut pos = 1usize;
-    loop {
-        pos = skip_ws_at(bytes, pos);
-        if bytes.get(pos) == Some(&b'}') {
-            return None;
-        }
-        // Member key.
-        let (key_start, key_end) = scan_string(bytes, pos)?;
-        let key = &text[key_start + 1..key_end - 1];
-        pos = skip_ws_at(bytes, key_end);
-        if bytes.get(pos) != Some(&b':') {
-            return None;
-        }
-        pos = skip_ws_at(bytes, pos + 1);
-        let value_start = pos;
-        let value_end = scan_value(bytes, pos)?;
-        if key == field {
-            return Some(&text[value_start..value_end]);
-        }
-        pos = skip_ws_at(bytes, value_end);
-        match bytes.get(pos) {
-            Some(&b',') => pos += 1,
-            Some(&b'}') => return None,
-            _ => return None,
-        }
-    }
-}
-
-fn skip_ws_at(bytes: &[u8], mut pos: usize) -> usize {
-    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        pos += 1;
-    }
-    pos
-}
-
-/// Scans a JSON string starting at `pos`; returns `(start, end)` with
-/// `end` one past the closing quote.
-fn scan_string(bytes: &[u8], pos: usize) -> Option<(usize, usize)> {
-    if bytes.get(pos) != Some(&b'"') {
-        return None;
-    }
-    let mut i = pos + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some((pos, i + 1)),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Scans one balanced JSON value starting at `pos`; returns one past
-/// its end.
-fn scan_value(bytes: &[u8], pos: usize) -> Option<usize> {
-    match bytes.get(pos)? {
-        b'"' => scan_string(bytes, pos).map(|(_, end)| end),
-        b'{' | b'[' => {
-            let mut stack: VecDeque<u8> = VecDeque::new();
-            let mut i = pos;
-            while i < bytes.len() {
-                match bytes[i] {
-                    b'"' => {
-                        let (_, end) = scan_string(bytes, i)?;
-                        i = end;
-                        continue;
-                    }
-                    b'{' => stack.push_back(b'}'),
-                    b'[' => stack.push_back(b']'),
-                    b'}' | b']' => {
-                        if stack.pop_back() != Some(bytes[i]) {
-                            return None;
-                        }
-                        if stack.is_empty() {
-                            return Some(i + 1);
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            None
-        }
-        _ => {
-            // Scalar: runs to the next top-level ',' or '}' / ']'.
-            let mut i = pos;
-            while i < bytes.len() && !matches!(bytes[i], b',' | b'}' | b']') {
-                i += 1;
-            }
-            let mut end = i;
-            while end > pos && matches!(bytes[end - 1], b' ' | b'\t' | b'\n' | b'\r') {
-                end -= 1;
-            }
-            (end > pos).then_some(end)
-        }
-    }
+    parse_keeping_raw(text.trim(), Some(field)).ok()?.1
 }
 
 #[cfg(test)]

@@ -73,11 +73,14 @@ pub struct DseReport {
     /// The optimised designs (Simulated Annealing, Genetic Algorithm, ...),
     /// each validated in the simulator.
     pub optimised: Vec<DesignEval>,
-    /// Evaluation-cache counters at the end of the flow (hits, misses,
-    /// inserts, disk loads, quarantined records). Deterministic for a
-    /// given flow — prescans are sequential — and invariant across
-    /// `jobs` settings; `disk_loads > 0` is the
-    /// observable proof that a `--cache-dir` warm start worked.
+    /// The counters of the pool's cache at the end of the flow (hits,
+    /// misses, inserts, disk loads, quarantined records), cumulative over
+    /// every flow that shares the cache: a refined flow's report counts
+    /// both phases, a served report the whole server's history.
+    /// Deterministic for a given sequence of flows — prescans are
+    /// sequential — and invariant across `jobs` settings;
+    /// `disk_loads > 0` is the observable proof that a `--cache-dir` warm
+    /// start worked.
     pub cache: CacheStats,
 }
 

@@ -88,14 +88,13 @@
 use std::error::Error;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use numkit::rng::Rng;
 use wsn_dse::protocol::{argv_to_json, json_array, json_string, Arg, Json, Request};
-use wsn_dse::{paper_design_space, simulate_coded, DseFlow, DseReport, EvalCache, SimPool};
+use wsn_dse::{paper_design_space, simulate_coded, DseFlow, DseReport};
 use wsn_net::{
-    cache_dir_ignored_warning, execute, paper_template, retry_policy, run_flow, Context, Report,
+    cache_dir_ignored_warning, eval_pool, execute, paper_template, run_flow, Context, Report,
     ServeConfig, DEFAULT_JITTER_SEED,
 };
 
@@ -135,8 +134,8 @@ fn usage() -> &'static str {
        command, sweep, refine): worker threads (0, the default, uses all\n\
        cores; results are identical at any job count), the crash-safe\n\
        persistent evaluation cache (warm reports match cold ones; simulate\n\
-       and plain network warn and ignore it), a per-evaluation wall-clock\n\
-       budget, retries with deterministic backoff\n\
+       warns and ignores it), a per-evaluation wall-clock budget, retries\n\
+       with deterministic backoff\n\
      chaos reports reproduce only at --jobs 1: its breakers see thread\n\
        completion order"
 }
@@ -174,34 +173,27 @@ fn eval_options(opts: &Json) -> Result<(Option<Duration>, Option<u32>), Box<dyn 
     Ok((timeout, retries))
 }
 
-/// The context options of `request`'s command line. The cache opens
-/// only for jobs that use it (the others warn); retry jitter has one
-/// fixed seed, as a default server's.
+/// The context options of `request`'s command line. The cache attaches
+/// to `--cache-dir` only for jobs that read it (the others warn); retry
+/// jitter has one fixed seed, as a default server's.
 fn context(request: &Request, opts: &Json) -> Result<Context, Box<dyn Error>> {
-    let cache = match opts.field::<Option<String>>("cache_dir", None)? {
-        None => None,
-        Some(dir) => match cache_dir_ignored_warning(request) {
-            Some(warning) => {
-                eprintln!("{warning}");
-                None
-            }
+    let (deadline, retries) = eval_options(opts)?;
+    let jobs = opts.field::<u64>("jobs", 0)? as usize;
+    let pool = eval_pool(jobs, retries, deadline, DEFAULT_JITTER_SEED);
+    if let Some(dir) = opts.field::<Option<String>>("cache_dir", None)? {
+        match cache_dir_ignored_warning(request) {
+            Some(warning) => eprintln!("{warning}"),
             None => {
-                let cache = EvalCache::new();
-                if let Err(e) = cache.persist_to(Path::new(&dir)) {
+                if let Err(e) = pool.cache().persist_to(Path::new(&dir)) {
                     eprintln!(
                         "warning: cannot attach eval cache at {dir}: {e}; continuing without persistence"
                     );
                 }
-                Some(Arc::new(cache))
             }
-        },
-    };
-    let (deadline, retries) = eval_options(opts)?;
+        }
+    }
     Ok(Context {
-        jobs: opts.field::<u64>("jobs", 0)? as usize,
-        retry: retry_policy(retries, DEFAULT_JITTER_SEED),
-        deadline,
-        cache,
+        pool,
         ladder: None,
         trace: opts.field("trace", false)?,
     })
@@ -352,9 +344,8 @@ fn cmd_chaos(argv: &[String]) -> CliResult {
         .collect();
 
     let (deadline, retries) = eval_options(&opts)?;
-    let mut pool = SimPool::new(opts.field::<u64>("jobs", 0)? as usize);
-    pool.set_retry_policy(retry_policy(retries, seed));
-    pool.set_eval_deadline(deadline);
+    let jobs = opts.field::<u64>("jobs", 0)? as usize;
+    let pool = eval_pool(jobs, retries, deadline, seed);
     // Injected panics are the experiment, not crashes: the pool catches
     // every one, so mute the default backtrace spam for the storm's
     // duration and restore the hook afterwards.

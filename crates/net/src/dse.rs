@@ -421,15 +421,13 @@ mod tests {
         // point, exactly the run a single-node flow and a `faults` job
         // cache: on one shared cache the three stay three entries, and
         // only the fleet's record carries timestamps.
-        let cache = Arc::new(wsn_dse::EvalCache::new());
-        let mut pool = SimPool::new(1);
-        pool.set_shared_cache(Arc::clone(&cache));
-        let flow = fast_flow(1).with_pool(pool);
+        let flow = fast_flow(1).with_pool(SimPool::new(1));
         let node = NodeConfig::original();
         let template = &flow.spec().template;
         let engine = flow.engine_kind().engine();
         flow.evaluate(node).unwrap();
         let pool = flow.pool();
+        let cache = pool.cache();
         let natural = wsn_dse::robustness::evaluate_scenarios_with(
             &engine,
             pool,

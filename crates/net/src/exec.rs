@@ -5,9 +5,9 @@
 //! [`Context`] says how a job runs, [`Request`] what it computes. The
 //! CLI fills the context from its context flags (`--jobs`, `--cache-dir`,
 //! `--eval-timeout`, `--eval-retries`), the server from its
-//! [`crate::ServeConfig`]. Every job kind runs on the one [`SimPool`]
-//! the context builds for it: its workers, retry policy, deadline (the
-//! job's `timeout_ms` first) and shared cache.
+//! [`crate::ServeConfig`], both through [`eval_pool`]. Every job kind
+//! runs on a clone of the context's [`SimPool`]: its workers, retry
+//! policy and cache, under the job's `timeout_ms` when it has one.
 
 use std::fmt;
 use std::sync::Arc;
@@ -21,9 +21,7 @@ use wsn_dse::protocol::{
 use wsn_dse::robustness::{
     evaluate_scenarios_with, fault_scenarios, faults_json, RobustnessSummary,
 };
-use wsn_dse::{
-    paper_design_space_with_timer, DseError, DseFlow, DseReport, EvalCache, RetryPolicy, SimPool,
-};
+use wsn_dse::{paper_design_space_with_timer, DseError, DseFlow, DseReport, RetryPolicy, SimPool};
 use wsn_node::{
     EngineKind, FallbackEngine, FaultCounters, FaultPlan, NodeConfig, SimEngine, SimOutcome,
     SystemConfig,
@@ -38,16 +36,11 @@ use crate::{
 /// How a job runs, as opposed to what it computes.
 #[derive(Default)]
 pub struct Context {
-    /// Simulation worker threads per flow (`0`: all cores).
-    pub jobs: usize,
-    /// Retry and backoff discipline of every evaluation.
-    pub retry: RetryPolicy,
-    /// Per-evaluation wall-clock budget; a request's `timeout_ms`
-    /// overrides it.
-    pub deadline: Option<Duration>,
-    /// Evaluation cache shared by every job's flow. `simulate` never
-    /// uses it (see [`cache_dir_ignored_warning`]).
-    pub cache: Option<Arc<EvalCache>>,
+    /// The evaluation settings of every job: worker threads per flow,
+    /// retry discipline, default per-evaluation deadline and the cache
+    /// every job shares. `simulate` never reads the cache (see
+    /// [`cache_dir_ignored_warning`]).
+    pub pool: SimPool,
     /// Engine-degradation ladder that replaces every job's engine (the
     /// server's chaos mode).
     pub ladder: Option<Arc<FallbackEngine>>,
@@ -66,18 +59,12 @@ impl Context {
         }
     }
 
-    fn deadline(&self, timeout_ms: Option<u64>) -> Option<Duration> {
-        timeout_ms.map(Duration::from_millis).or(self.deadline)
-    }
-
-    /// A pool with this context's workers, retries and shared cache
-    /// (a fresh one without), under the job's deadline.
+    /// A clone of the context's pool, so on its cache, under the job's
+    /// deadline when it sets one.
     fn pool(&self, timeout_ms: Option<u64>) -> SimPool {
-        let mut pool = SimPool::new(self.jobs);
-        pool.set_retry_policy(self.retry.clone());
-        pool.set_eval_deadline(self.deadline(timeout_ms));
-        if let Some(cache) = &self.cache {
-            pool.set_shared_cache(Arc::clone(cache));
+        let mut pool = self.pool.clone();
+        if let Some(ms) = timeout_ms {
+            pool.set_eval_deadline(Some(Duration::from_millis(ms)));
         }
         pool
     }
@@ -87,18 +74,29 @@ impl Context {
 /// started with the default [`crate::ServeConfig`].
 pub const DEFAULT_JITTER_SEED: u64 = 7;
 
-/// The retry discipline of `--eval-retries`: absent, the default policy
-/// (the historical two attempts, no backoff); `Some(n)`, `n` retries
+/// The pool of `--jobs`, `--eval-retries` and `--eval-timeout`, over a
+/// fresh cache: the CLI's job context, `wsn_dse chaos` and the server
+/// all build theirs here. Retries absent keep the default policy (the
+/// historical two attempts, no backoff); `Some(n)` gives `n` retries
 /// after the first attempt with 25 ms exponential backoff and ±50%
 /// jitter seeded by `jitter_seed`. Jitter only shapes sleep times,
 /// never a result.
-pub fn retry_policy(retries: Option<u32>, jitter_seed: u64) -> RetryPolicy {
-    match retries {
-        None => RetryPolicy::default(),
-        Some(retries) => RetryPolicy::attempts(retries + 1)
-            .with_backoff(Duration::from_millis(25))
-            .with_jitter(0.5, jitter_seed),
+pub fn eval_pool(
+    jobs: usize,
+    retries: Option<u32>,
+    deadline: Option<Duration>,
+    jitter_seed: u64,
+) -> SimPool {
+    let mut pool = SimPool::new(jobs);
+    if let Some(retries) = retries {
+        pool.set_retry_policy(
+            RetryPolicy::attempts(retries + 1)
+                .with_backoff(Duration::from_millis(25))
+                .with_jitter(0.5, jitter_seed),
+        );
     }
+    pool.set_eval_deadline(deadline);
+    pool
 }
 
 /// The structured warning for a job given `--cache-dir` that never reads
@@ -262,7 +260,8 @@ fn simulate(job: &SimulateJob, ctx: &Context) -> Result<SimOutcome> {
         cfg.trace_interval = None;
     }
     let engine = ctx.engine(job.engine, job.dt);
-    single_attempt(ctx.deadline(job.timeout_ms), || Ok(engine.simulate(&cfg)?))
+    let deadline = ctx.pool(job.timeout_ms).eval_deadline();
+    single_attempt(deadline, || Ok(engine.simulate(&cfg)?))
 }
 
 /// A nominal baseline plus `seeds` realisations of the fault plan, all
@@ -403,7 +402,7 @@ mod tests {
         });
         assert!(timed_out(&served, &Context::default()));
         let cli = Context {
-            deadline: Some(Duration::ZERO),
+            pool: eval_pool(0, None, Some(Duration::ZERO), DEFAULT_JITTER_SEED),
             ..Context::default()
         };
         assert!(timed_out(&Request::Simulate(job.clone()), &cli));
@@ -414,10 +413,8 @@ mod tests {
     fn a_faults_job_runs_the_engine_once_per_stored_record() {
         // A one-rung ladder over the envelope engine counts every run.
         let ladder = Arc::new(FallbackEngine::new(vec![EngineKind::Envelope.engine()]));
-        let cache = Arc::new(EvalCache::new());
         let ctx = Context {
-            jobs: 1,
-            cache: Some(Arc::clone(&cache)),
+            pool: SimPool::new(1),
             ladder: Some(Arc::clone(&ladder)),
             ..Context::default()
         };
@@ -431,15 +428,9 @@ mod tests {
         let Report::Faults(report) = execute(&Request::Faults(job), &ctx).unwrap() else {
             panic!("a faults job answers with a faults report")
         };
-        assert_eq!(
-            ladder.tier_stats()[0].served as usize,
-            cache.stats().inserts
-        );
-        assert_eq!(
-            cache.stats().inserts,
-            4,
-            "the nominal run and three realisations"
-        );
+        let inserts = ctx.pool.cache().stats().inserts;
+        assert_eq!(ladder.tier_stats()[0].served as usize, inserts);
+        assert_eq!(inserts, 4, "the nominal run and three realisations");
         assert!(!report.counters.is_nominal());
     }
 

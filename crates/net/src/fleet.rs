@@ -674,10 +674,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let spec = fast_spec(3);
         let session = |engine: Arc<dyn SimEngine>| {
-            let cache = wsn_dse::EvalCache::new();
-            cache.persist_to(&dir).expect("attach the persistent cache");
-            let mut pool = SimPool::new(2);
-            pool.set_shared_cache(Arc::new(cache));
+            let pool = SimPool::new(2);
+            pool.cache()
+                .persist_to(&dir)
+                .expect("attach the persistent cache");
             NetworkSim::new()
                 .with_engine(engine)
                 .evaluate_on(&pool, &spec, NodeConfig::original())

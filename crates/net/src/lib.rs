@@ -66,8 +66,8 @@ pub use channel::{
 };
 pub use dse::{FleetDseFlow, FleetDseReport, FleetEval};
 pub use exec::{
-    cache_dir_ignored_warning, execute, paper_template, retry_policy, run_flow, Context,
-    FaultsReport, Report, DEFAULT_JITTER_SEED,
+    cache_dir_ignored_warning, eval_pool, execute, paper_template, run_flow, Context, FaultsReport,
+    Report, DEFAULT_JITTER_SEED,
 };
 pub use fleet::{FleetSpec, FleetTopology, NetworkSim};
 pub use pareto::FleetObjectives;

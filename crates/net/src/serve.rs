@@ -14,12 +14,13 @@
 //!
 //! Every job runs through [`crate::execute`] with the server's
 //! [`Context`], so a served report is the CLI's by construction: each
-//! job's flow runs on a pool the context builds over the one shared
-//! cache, and no builder ever clears a cache. Keys fold in the engine's
-//! cache fingerprint and everything the engine reads of the job's
-//! scenario and physics ([`wsn_node::SystemConfig::key_fingerprint`]),
-//! so concurrent jobs with different settings can never poison each
-//! other, while identical jobs coalesce: the second submission of the
+//! job's flow runs on a clone of the context's pool, so on the one
+//! shared cache, and no builder ever clears a cache. Keys fold in the
+//! engine's cache fingerprint and everything the engine reads of the
+//! job's scenario and physics
+//! ([`wsn_node::SystemConfig::key_fingerprint`]), so concurrent jobs
+//! with different settings can never poison each other, while
+//! identical jobs coalesce: the second submission of the
 //! same job is answered almost entirely from memory. Reports served
 //! this way are byte-identical to the CLI's, except the single-node
 //! report's embedded `"cache"` counters, which describe the server's
@@ -34,10 +35,10 @@ use std::time::Duration;
 
 use wsn_dse::jobs::{EventSink, JobEvent, JobFn, JobQueue, JobState};
 use wsn_dse::protocol::{self, json_array, ProtocolError, Request, MAX_FRAME_BYTES};
-use wsn_dse::{DseFlow, EvalCache, SurrogateEngine};
+use wsn_dse::{DseFlow, SurrogateEngine};
 use wsn_node::{ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, SimEngine, SystemConfig};
 
-use crate::{execute, paper_template, retry_policy, Context, DEFAULT_JITTER_SEED};
+use crate::{eval_pool, execute, paper_template, Context, DEFAULT_JITTER_SEED};
 
 /// Server construction options.
 #[derive(Debug, Clone)]
@@ -108,9 +109,14 @@ impl Server {
     /// a surrogate calibration error.
     pub fn bind(addr: &str, config: ServeConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        let cache = Arc::new(EvalCache::new());
+        let pool = eval_pool(
+            config.jobs,
+            config.eval_retries,
+            config.eval_timeout,
+            config.chaos_seed,
+        );
         if let Some(dir) = &config.cache_dir {
-            cache
+            pool.cache()
                 .persist_to(dir)
                 .map_err(|e| format!("cannot attach eval cache at {}: {e}", dir.display()))?;
         }
@@ -133,10 +139,7 @@ impl Server {
         };
         let state = Arc::new(ServerState {
             ctx: Context {
-                jobs: config.jobs,
-                retry: retry_policy(config.eval_retries, config.chaos_seed),
-                deadline: config.eval_timeout,
-                cache: Some(cache),
+                pool,
                 ladder,
                 trace: false,
             },
@@ -177,7 +180,7 @@ impl Server {
             std::thread::spawn(move || handle_connection(&state, stream));
         }
         self.state.queue.shutdown();
-        if let Some(Err(e)) = self.state.ctx.cache.as_ref().map(|cache| cache.flush()) {
+        if let Err(e) = self.state.ctx.pool.cache().flush() {
             eprintln!("warning: final eval cache flush failed: {e}");
         }
     }
@@ -399,10 +402,7 @@ fn stats_frame(state: &ServerState) -> String {
         ),
         None => (0, "[]".to_owned()),
     };
-    let (cache, memo) = match &state.ctx.cache {
-        Some(cache) => (cache.stats(), cache.memo_stats()),
-        None => Default::default(),
-    };
+    let cache = state.ctx.pool.cache();
     format!(
         "{{\"event\":\"stats\",\"requests\":{},\"protocol_errors\":{},\
          \"jobs\":{{\"submitted\":{},\"done\":{},\"failed\":{},\"cancelled\":{},\
@@ -416,7 +416,7 @@ fn stats_frame(state: &ServerState) -> String {
         q.cancelled,
         q.queued,
         q.running,
-        cache.to_json(),
-        memo.to_json(),
+        cache.stats().to_json(),
+        cache.memo_stats().to_json(),
     )
 }

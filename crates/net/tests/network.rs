@@ -2,11 +2,9 @@
 //! fleet evaluator, exact reduction to the single-node simulator, and
 //! warm DSE runs on a shared cache equal to cold ones.
 
-use std::sync::Arc;
-
 use harvester::VibrationProfile;
 use proptest::prelude::*;
-use wsn_dse::{DseFlow, EvalCache, SimPool};
+use wsn_dse::{DseFlow, SimPool};
 use wsn_net::{FleetDseFlow, FleetSpec, NetworkSim, RadioChannel};
 use wsn_node::{EngineKind, NodeConfig, SystemConfig};
 
@@ -114,16 +112,12 @@ proptest! {
         let template = SystemConfig::paper(NodeConfig::original())
             .with_horizon(300.0)
             .with_vibration(VibrationProfile::stepped(0.5886, vec![(0.0, 75.0), (150.0, 80.0)]));
-        let cache = Arc::new(EvalCache::new());
-        let pool = || {
-            let mut pool = SimPool::new(1);
-            pool.set_shared_cache(Arc::clone(&cache));
-            pool
-        };
+        let pool = SimPool::new(1);
+        let cache = pool.cache();
         let node = DseFlow::paper()
             .with_template(template.clone())
             .seed(seed)
-            .with_pool(pool());
+            .with_pool(pool.clone());
         let cold = node.run().expect("cold node flow");
         let mut warm = node.run().expect("warm node flow");
         prop_assert_eq!(cache.memo_stats().hits, 2);
@@ -132,7 +126,7 @@ proptest! {
 
         let fleet = FleetDseFlow::new(FleetSpec::paper(2).with_template(template))
             .seed(seed)
-            .with_pool(pool());
+            .with_pool(pool.clone());
         let cold = fleet.run().expect("cold fleet flow").to_json();
         let warm = fleet.run().expect("warm fleet flow").to_json();
         // The fleet's first run reuses the node flow's design (same

@@ -113,6 +113,18 @@ pub fn payload_is_deadline(payload: &(dyn Any + Send)) -> bool {
     payload.is::<DeadlineAbort>()
 }
 
+/// The message of a caught panic payload: the `&str` or `String` it
+/// carries, or `"non-string panic payload"`.
+pub fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

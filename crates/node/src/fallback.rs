@@ -310,20 +310,10 @@ fn attempt(engine: &dyn SimEngine, cfg: &SystemConfig) -> TierVerdict {
             if deadline::payload_is_deadline(payload.as_ref()) {
                 TierVerdict::Deadline
             } else {
-                TierVerdict::Failed(format!("panicked: {}", panic_text(payload.as_ref())))
+                let text = deadline::panic_text(payload.as_ref());
+                TierVerdict::Failed(format!("panicked: {text}"))
             }
         }
-    }
-}
-
-/// Best-effort text of a panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
     }
 }
 

@@ -833,32 +833,24 @@ mod tests {
 
     #[test]
     fn with_pool_works_before_with_space() {
-        let shared = |cache: &Arc<wsn_dse::EvalCache>| {
-            let mut pool = SimPool::new(1);
-            pool.set_shared_cache(Arc::clone(cache));
-            pool
-        };
         let space = wsn_dse::paper_design_space_with_timer();
-        // Two caches with the same history: one fixed-plan run.
-        let early_cache = Arc::new(wsn_dse::EvalCache::new());
-        let late_cache = Arc::new(wsn_dse::EvalCache::new());
-        for cache in [&early_cache, &late_cache] {
+        // Two pools with the same history: one fixed-plan run.
+        let early_pool = SimPool::new(1);
+        let late_pool = SimPool::new(1);
+        for pool in [&early_pool, &late_pool] {
             fast_flow()
-                .with_pool(shared(cache))
+                .with_pool(pool.clone())
                 .run()
                 .expect("flow runs");
         }
-        let filled = (early_cache.stats(), early_cache.memo_stats());
+        let counters = || (early_pool.cache().stats(), early_pool.cache().memo_stats());
+        let filled = counters();
         assert!(filled.0.entries > 0);
         let early = fast_flow()
-            .with_pool(shared(&early_cache))
+            .with_pool(early_pool.clone())
             .with_space(space.clone());
-        assert_eq!(
-            (early_cache.stats(), early_cache.memo_stats()),
-            filled,
-            "with_space touched the shared cache"
-        );
-        let late = fast_flow().with_space(space).with_pool(shared(&late_cache));
+        assert_eq!(counters(), filled, "with_space touched the shared cache");
+        let late = fast_flow().with_space(space).with_pool(late_pool);
         assert_eq!(
             early.run().expect("flow runs").to_json(),
             late.run().expect("flow runs").to_json()

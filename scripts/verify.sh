@@ -254,13 +254,18 @@ target/release/wsn_client --addr "$ADDR" shutdown > /dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
 
-echo "== cache gate: plain and DSE network runs reuse --cache-dir byte-identically =="
+echo "== cache gate: plain and DSE network runs and refine reuse --cache-dir byte-identically =="
 # A cold and then a warm run with --cache-dir each equal the uncached
-# report byte for byte and leave the v2 cache file behind.
+# output byte for byte and leave the v2 cache file behind. `refine`
+# (text output) runs its second phase on the first phase's pool, so the
+# warm run reads both phases from the directory.
 FLEET_DSE_ARGS="network --nodes 4 --horizon 900 --dse --json"
+REFINE_ARGS="refine --horizon 900"
 # shellcheck disable=SC2086
 target/release/wsn_dse $FLEET_DSE_ARGS > "$FLEET_DIR/fleet-dse.json"
-for gate in "jobs1:$FLEET_ARGS" "fleet-dse:$FLEET_DSE_ARGS"; do
+# shellcheck disable=SC2086
+target/release/wsn_dse $REFINE_ARGS > "$FLEET_DIR/refine.json"
+for gate in "jobs1:$FLEET_ARGS" "fleet-dse:$FLEET_DSE_ARGS" "refine:$REFINE_ARGS"; do
   name="${gate%%:*}"
   for pass in cold warm; do
     # shellcheck disable=SC2086

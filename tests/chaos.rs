@@ -16,7 +16,7 @@ use doe::{Design, ModelSpec};
 use harvester::VibrationProfile;
 use rsm::ResponseSurface;
 use wsn_dse::{
-    paper_design_space, DseError, DseFlow, EvalCache, EvalKey, EvalRecord, SimPool, SurrogateEngine,
+    paper_design_space, DseError, DseFlow, EvalKey, EvalRecord, SimPool, SurrogateEngine,
 };
 use wsn_node::{ChaosEngine, ChaosPlan, EngineKind, NodeConfig, Scenario, SimEngine, SystemConfig};
 
@@ -289,10 +289,10 @@ fn degraded_answers_are_never_cached() {
 fn flow_reports_are_identical_cold_and_warm() {
     let dir = scratch("cold-warm");
     let flow = || {
-        let cache = EvalCache::new();
-        cache.persist_to(&dir).expect("attach the persistent cache");
-        let mut pool = SimPool::new(2);
-        pool.set_shared_cache(Arc::new(cache));
+        let pool = SimPool::new(2);
+        pool.cache()
+            .persist_to(&dir)
+            .expect("attach the persistent cache");
         DseFlow::paper()
             .with_template(fast_template())
             .seed(12)

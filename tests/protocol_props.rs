@@ -238,9 +238,9 @@ fn garbage_strategy() -> impl Strategy<Value = String> {
     .prop_map(|chars| chars.into_iter().collect())
 }
 
-/// Strategy: raw JSON value snippets chosen to stress the balanced
-/// scanner behind [`extract_raw_field`] (braces/brackets inside strings,
-/// escaped quotes, nesting, exotic numbers).
+/// Strategy: raw JSON value snippets chosen to stress the span
+/// extraction behind [`extract_raw_field`] (braces/brackets inside
+/// strings, escaped quotes, nesting, exotic numbers).
 fn report_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(
         prop::sample::select(vec![
