@@ -1,7 +1,8 @@
 //! Wall-clock benches for the simulation engines: the envelope engine's
 //! one-hour scenario (the unit of cost of the whole DOE flow), the full
 //! mixed-signal co-simulation per simulated second, and the steady-state
-//! harvester solve that dominates the envelope engine's inner loop.
+//! harvester solve that dominates the envelope engine's inner loop, at one
+//! point and cycling through the conducting points of a seeded sweep.
 //!
 //! Plain `std::time::Instant` harness (`harness = false`); run with
 //! `cargo bench -p wsn-bench --bench engines`.
@@ -9,7 +10,8 @@
 use std::hint::black_box;
 use std::time::Duration;
 
-use harvester::Microgenerator;
+use harvester::{Microgenerator, TuningMechanism};
+use numkit::rng::Rng;
 use wsn_bench::timing::bench;
 use wsn_node::{EngineKind, NodeConfig, SystemConfig};
 
@@ -45,4 +47,35 @@ fn main() {
                 .power_into_store,
         )
     });
+
+    // The steady-state oracle's near-resonance sweep, one conducting
+    // point per iteration, so that each solve's root lies elsewhere.
+    let (f_lo, f_hi) = TuningMechanism::paper().frequency_range();
+    let mut rng = Rng::new(0x5eed_0014);
+    let conducting: Vec<[f64; 4]> = (0..20_000)
+        .map(|_| {
+            let f_res = rng.uniform(f_lo, f_hi);
+            let f_vib = f_res + rng.uniform(-3.0, 3.0);
+            [f_vib, f_res, rng.uniform(0.01, 2.0), rng.uniform(0.0, 4.0)]
+        })
+        .filter(|&[f_vib, f_res, accel, v_store]| {
+            generator
+                .steady_state(f_vib, f_res, accel, v_store)
+                .electrical_damping
+                > 0.0
+        })
+        .collect();
+    let mut points = conducting.iter().cycle();
+    bench(
+        "harvester_steady_state/sweep",
+        Duration::from_secs(3),
+        || {
+            let &[f_vib, f_res, accel, v_store] = points.next().expect("endless");
+            black_box(
+                generator
+                    .steady_state(black_box(f_vib), f_res, accel, v_store)
+                    .power_into_store,
+            )
+        },
+    );
 }

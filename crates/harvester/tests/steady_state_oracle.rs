@@ -3,13 +3,15 @@
 //! `oracle_steady_state` below is the original solver, kept verbatim: a
 //! fixed 80-step bisection whose residual calls the full
 //! [`DiodeBridge::averages`](harvester::DiodeBridge::averages) at every
-//! step. The library's solver stops at the bisection's fixed point and
-//! evaluates only the power term the residual uses. Both must agree on
-//! every output bit: over a seeded sweep of 100 000 operating points
-//! spanning the tunable band, and at the named edge cases (on
-//! resonance, empty store, a bridge that never conducts, vanishing
-//! excitation). Every report, golden file and digest downstream rests on
-//! this equality.
+//! step. The library's solver replays that bisection's path, stops at its
+//! fixed point and evaluates the residual (only its power term) at the
+//! midpoints near the root. Both must agree on every output bit: over
+//! seeded sweeps spanning the tunable band and the envelope engine's own
+//! inputs, and at the named edge cases (on resonance, empty store, a
+//! bridge that never conducts, vanishing excitation, a root at either end
+//! of the bracket the replay trusts, excitation so large that only the
+//! 80-step cap stops the bisection). Every report, golden file and digest
+//! downstream rests on this equality.
 
 use harvester::{Microgenerator, SteadyState, TuningMechanism};
 use numkit::rng::Rng;
@@ -193,6 +195,125 @@ fn vanishing_excitation_is_bit_identical() {
         for v_store in [0.0, 2.8] {
             check(&g, 82.0, 82.0, accel, v_store);
             check(&g, 70.0, 82.0, accel, v_store);
+        }
+    }
+}
+
+/// `V(c_m)`: the unloaded velocity amplitude, the bisection's upper end.
+fn unloaded_velocity(g: &Microgenerator, f_vib: f64, f_res: f64, accel: f64) -> f64 {
+    let omega = 2.0 * std::f64::consts::PI * f_vib;
+    let omega0 = 2.0 * std::f64::consts::PI * f_res;
+    let denom = ((omega0 * omega0 - omega * omega).powi(2)
+        + (g.mech_damping(f_res) / g.mass() * omega).powi(2))
+    .sqrt();
+    omega * accel / denom
+}
+
+/// The acceleration at which `V(c_m)` sits `ratio` times above the
+/// conduction onset `(v_store + 2 V_d) / Γ`.
+fn accel_for_onset_ratio(
+    g: &Microgenerator,
+    f_vib: f64,
+    f_res: f64,
+    v_store: f64,
+    ratio: f64,
+) -> f64 {
+    let onset = (v_store + g.bridge().threshold()) / g.coupling();
+    ratio * onset / unloaded_velocity(g, f_vib, f_res, 1.0)
+}
+
+#[test]
+fn engine_inputs_sweep_is_bit_identical() {
+    // The envelope engine solves at 60 mg, within a couple of hertz of
+    // resonance once tuned, with the store between its brown-out and
+    // full voltages.
+    let g = Microgenerator::paper();
+    let (f_lo, f_hi) = TuningMechanism::paper().frequency_range();
+    let mut rng = Rng::new(0x5eed_0015);
+    let mut conducting = 0usize;
+    for _ in 0..20_000 {
+        let f_res = rng.uniform(f_lo, f_hi);
+        let f_vib = f_res + rng.uniform(-2.0, 2.0);
+        let v_store = rng.uniform(2.0, 3.6);
+        if check(&g, f_vib, f_res, 0.06 * 9.81, v_store) {
+            conducting += 1;
+        }
+    }
+    assert!(conducting > 5_000, "{conducting} of 20000 points conducted");
+}
+
+/// The paper's generator with another electromagnetic coupling Γ.
+fn with_coupling(coupling: f64) -> Microgenerator {
+    let g = Microgenerator::paper();
+    Microgenerator::new(
+        g.mass(),
+        g.mech_damping_ratio(),
+        coupling,
+        g.coil_resistance(),
+        g.bridge().clone(),
+    )
+    .expect("valid generator")
+}
+
+#[test]
+fn barely_conducting_roots_are_bit_identical() {
+    // V(c_m) a relative 2^-k above the onset: c_e stays so small that the
+    // root lies within a few ulps of V(c_m), the upper end of every
+    // bracket the solver builds, and the answer's amplitude with it.
+    let mut near_top = 0usize;
+    for coupling in [55.0, 1e3, 1e4] {
+        let g = with_coupling(coupling);
+        for (f_vib, f_res) in [(82.0, 82.0), (80.5, 82.0), (70.0, 71.3)] {
+            for v_store in [0.0, 2.8, 3.6] {
+                for k in 20..=52 {
+                    let ratio = 1.0 + (-k as f64).exp2();
+                    let accel = accel_for_onset_ratio(&g, f_vib, f_res, v_store, ratio);
+                    if check(&g, f_vib, f_res, accel, v_store) {
+                        let top = unloaded_velocity(&g, f_vib, f_res, accel);
+                        let v = g.steady_state(f_vib, f_res, accel, v_store).velocity_amp;
+                        if top - v <= (-40f64).exp2() * top {
+                            near_top += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(near_top >= 100, "{near_top} answers within 2^-40 of V(c_m)");
+}
+
+#[test]
+fn roots_just_past_the_onset_are_bit_identical() {
+    // A coupling of 1e9 or more makes c_e rise so steeply past the onset
+    // that the root sits as close to it as rounding allows: about 1e-11
+    // (2^-36.5) above it, since rounding in the conduction angle keeps c_e
+    // near zero before that. V(c_m) is up to a thousand times the onset,
+    // so the bridge conducts there, although c_e may round to zero at the
+    // answer itself.
+    for coupling in [1e9, 1e10, 1e11, 3e11] {
+        let g = with_coupling(coupling);
+        for v_store in [0.0, 2.8] {
+            for ratio in [1.001, 1.5, 2.0, 16.0, 1e3] {
+                let accel = accel_for_onset_ratio(&g, 82.0, 82.0, v_store, ratio);
+                check(&g, 82.0, 82.0, accel, v_store);
+            }
+        }
+    }
+}
+
+#[test]
+fn huge_excitation_is_bit_identical() {
+    // V(c_m) up to ~1e300: 80 halvings never reach a fixed point, the
+    // residual overflows to NaN above ~1e154, and the cap alone stops
+    // the bisection.
+    let g = Microgenerator::paper();
+    for f_vib in [82.0, 80.0, 70.0] {
+        for v_store in [0.0, 2.8] {
+            for e in (0..=300).step_by(5) {
+                for mantissa in [1.0, 3.7] {
+                    check(&g, f_vib, 82.0, mantissa * 10f64.powi(e), v_store);
+                }
+            }
         }
     }
 }

@@ -24,8 +24,14 @@ cargo test -q --offline -p wsn-dse --test cross_engine
 
 echo "== engine gate: steady-state solver and envelope outputs pinned =="
 # The harvester solve must stay bit-identical to the original 80-step
-# bisection, and envelope outputs over Table V to their pinned bits.
+# bisection, and envelope outputs over Table V to their pinned bits. The
+# solve replays that bisection, skipping the residual far from the root:
+# the rounding noise of the residual's sign must stay far inside the
+# replay's margin, and a conducting solve within its evaluation budget.
 cargo test -q --offline -p harvester --test steady_state_oracle
+cargo test -q --offline -p harvester --lib -- \
+  residual_sign_noise_stays_far_inside_the_margin \
+  conducting_solves_make_at_most_30_residual_evaluations
 cargo test -q --offline -p wsn-node --test envelope_pin
 
 echo "== fault-injection gate: determinism + nominal preservation =="
