@@ -277,6 +277,7 @@ fn parse_keeping_raw<'a>(
     field: Option<&str>,
 ) -> Result<(Json, Option<&'a str>), ProtocolError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -302,6 +303,8 @@ fn parse_keeping_raw<'a>(
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -433,12 +436,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe_free_utf8_prefix(rest);
-                    out.push_str(s);
-                    self.pos += s.len();
+                    // Copy everything up to the next quote, backslash or
+                    // control byte in one push. Those bytes are ASCII, and
+                    // so is the byte before the run, so the run starts and
+                    // ends on char boundaries.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -518,19 +525,6 @@ impl<'a> Parser<'a> {
             }
         }
     }
-}
-
-/// The longest prefix of `bytes` that is one complete UTF-8 scalar.
-/// `bytes` comes from a `&str`, so the prefix is always valid; the name
-/// records that no `unsafe` is involved.
-fn unsafe_free_utf8_prefix(bytes: &[u8]) -> &str {
-    let len = match bytes[0] {
-        b if b < 0x80 => 1,
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        _ => 2,
-    };
-    std::str::from_utf8(&bytes[..len.min(bytes.len())]).unwrap_or("\u{fffd}")
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ use wsn_node::{
 };
 
 use crate::pool::{EvalKey, EvalRecord, SimPool};
+use crate::protocol::{json_array, json_f64};
 use crate::Result;
 
 /// Distribution summary of an ensemble of scenario evaluations.
@@ -284,32 +285,41 @@ pub fn fault_scenarios(template: &SystemConfig, plan: FaultPlan, seeds: &[u64]) 
 /// The fault-injection document of `wsn_dse faults --json` and of the
 /// server's `faults` jobs, as one JSON line: the plan, the nominal
 /// response, the ensemble `summary` (one sample per realisation) and
-/// the fault `counters` of one realisation.
+/// the fault `counters` of one realisation. The two ratios are written
+/// to six decimals, and as `null` when the mean is 0 (the fragility is
+/// then infinite and the worst-case ratio NaN); every other number as
+/// [`json_f64`] writes it.
 pub fn faults_json(
     plan: &FaultPlan,
     nominal_tx: f64,
     summary: &RobustnessSummary,
     counters: &FaultCounters,
 ) -> String {
-    let samples: Vec<String> = summary.samples.iter().map(|s| format!("{s}")).collect();
+    let ratio = |v: f64| {
+        if v.is_finite() {
+            format!("{v:.6}")
+        } else {
+            "null".to_owned()
+        }
+    };
     format!(
         "{{\"fault_seed\":{},\"fault_rate\":{},\"realisations\":{},\
          \"nominal_tx\":{},\
-         \"ensemble\":{{\"samples\":[{}],\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{},\
-         \"fragility\":{:.6},\"p10\":{},\"worst_case_ratio\":{:.6}}},\
+         \"ensemble\":{{\"samples\":{},\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{},\
+         \"fragility\":{},\"p10\":{},\"worst_case_ratio\":{}}},\
          \"counters\":{}}}",
         plan.seed(),
-        plan.tx_failure_rate(),
+        json_f64(plan.tx_failure_rate()),
         summary.samples.len(),
-        nominal_tx,
-        samples.join(","),
-        summary.mean,
-        summary.std_dev,
-        summary.min,
-        summary.max,
-        summary.fragility(),
-        summary.percentile(10.0),
-        summary.worst_case_ratio(),
+        json_f64(nominal_tx),
+        json_array(summary.samples.iter().map(|&s| json_f64(s))),
+        json_f64(summary.mean),
+        json_f64(summary.std_dev),
+        json_f64(summary.min),
+        json_f64(summary.max),
+        ratio(summary.fragility()),
+        json_f64(summary.percentile(10.0)),
+        ratio(summary.worst_case_ratio()),
         counters.to_json(),
     )
 }

@@ -132,9 +132,9 @@ pub fn config_to_coded(space: &DesignSpace, config: &NodeConfig) -> Result<Vec<f
 /// centre of one space is a corner of another — so cache keys built from
 /// coded points fold this fingerprint into their scenario component.
 /// That is what makes the persistent [`crate::EvalCache`] safe across
-/// sessions with different `--lower`/`--upper` bounds: two spaces that
-/// differ in any bound (or factor name) can never exchange cached
-/// values.
+/// spaces, such as `refine`'s zoomed second phase or the fourth factor
+/// of `pareto --timer-space`: two spaces that differ in any bound (or
+/// factor name) can never exchange cached values.
 pub fn space_fingerprint(space: &DesignSpace) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     let dimension = fold_fingerprint(FNV_OFFSET, space.dimension() as u64);

@@ -154,59 +154,7 @@ impl DOptimal {
             .collect();
         let criterion = self.criterion;
         let score = |selected: &[usize]| score_selection(&rows, selected, p, criterion, None);
-
-        // Greedy initialisation from a shuffled candidate order: repeatedly
-        // add the candidate that most increases ln det(XᵀX + ridge I).
-        let mut rng = Rng::new(self.seed);
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        rng.shuffle(&mut order);
-
-        let mut selected: Vec<usize> = Vec::with_capacity(self.runs);
-        selected.push(order[0]);
-        while selected.len() < self.runs {
-            let mut best = None;
-            let mut best_ld = f64::NEG_INFINITY;
-            for &c in &order {
-                selected.push(c);
-                let ld = score(&selected);
-                selected.pop();
-                if ld > best_ld {
-                    best_ld = ld;
-                    best = Some(c);
-                }
-            }
-            selected.push(best.expect("candidate set is non-empty"));
-        }
-
-        // Fedorov exchange passes.
-        let mut current_ld = score(&selected);
-        for _pass in 0..self.max_passes {
-            let mut improved = false;
-            for slot in 0..selected.len() {
-                let original = selected[slot];
-                let mut best_swap = original;
-                let mut best_ld = current_ld;
-                for c in 0..rows.len() {
-                    if c == original {
-                        continue;
-                    }
-                    selected[slot] = c;
-                    let ld = score(&selected);
-                    if ld > best_ld + 1e-12 {
-                        best_ld = ld;
-                        best_swap = c;
-                    }
-                }
-                selected[slot] = best_swap;
-                if best_swap != original {
-                    current_ld = best_ld;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
+        let selected = self.select(rows.len(), self.runs, true, score);
 
         let points: Vec<Vec<f64>> = selected
             .iter()
@@ -266,14 +214,40 @@ impl DOptimal {
         let criterion = self.criterion;
         let score =
             |selected: &[usize]| score_selection(&rows, selected, p, criterion, Some(&base_gram));
+        let selected = self.select(rows.len(), extra, false, score);
 
-        let mut rng = Rng::new(self.seed);
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        rng.shuffle(&mut order);
+        let mut combined = base.clone();
+        for &i in &selected {
+            combined.push(candidates.points()[i].clone())?;
+        }
+        Ok(combined)
+    }
 
-        // Greedy fill of the extra slots.
-        let mut selected: Vec<usize> = Vec::with_capacity(extra);
-        while selected.len() < extra {
+    /// The search shared by [`build`](Self::build) and
+    /// [`augment`](Self::augment): selects `target` of the `candidates`
+    /// candidate indices to maximise `score`. Shuffles the candidate
+    /// order with the seed, starts from its first candidate when
+    /// `seed_first` (a fresh design) or from nothing (an augmentation,
+    /// whose base runs `score` already holds), greedily adds the
+    /// candidate that most improves the score until `target` are
+    /// selected, then runs Fedorov exchange passes: each slot takes
+    /// whichever candidate scores best there, until a pass improves
+    /// nothing or `max_passes` passes have run.
+    fn select(
+        &self,
+        candidates: usize,
+        target: usize,
+        seed_first: bool,
+        score: impl Fn(&[usize]) -> f64,
+    ) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..candidates).collect();
+        Rng::new(self.seed).shuffle(&mut order);
+
+        let mut selected: Vec<usize> = Vec::with_capacity(target);
+        if seed_first {
+            selected.push(order[0]);
+        }
+        while selected.len() < target {
             let mut best = None;
             let mut best_score = f64::NEG_INFINITY;
             for &c in &order {
@@ -288,7 +262,6 @@ impl DOptimal {
             selected.push(best.expect("candidate set is non-empty"));
         }
 
-        // Exchange over the new slots only.
         let mut current = score(&selected);
         for _pass in 0..self.max_passes {
             let mut improved = false;
@@ -296,7 +269,7 @@ impl DOptimal {
                 let original = selected[slot];
                 let mut best_swap = original;
                 let mut best_score = current;
-                for c in 0..rows.len() {
+                for c in 0..candidates {
                     if c == original {
                         continue;
                     }
@@ -317,12 +290,7 @@ impl DOptimal {
                 break;
             }
         }
-
-        let mut combined = base.clone();
-        for &i in &selected {
-            combined.push(candidates.points()[i].clone())?;
-        }
-        Ok(combined)
+        selected
     }
 }
 

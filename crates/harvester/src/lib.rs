@@ -14,7 +14,8 @@
 //!   position ↔ magnet gap ↔ effective stiffness ↔ resonant frequency,
 //!   plus the firmware lookup table.
 //! * [`DiodeBridge`] — full-bridge rectifier: closed-form average model
-//!   for the envelope engine and a Shockley-diode transient model.
+//!   for the envelope engine and a constant-drop transient model for the
+//!   full engine, with an opt-in Shockley-diode variant.
 //! * [`Supercapacitor`] — energy storage with leakage.
 //! * [`LoadBank`] — named switchable resistive / constant-current loads
 //!   (the Table III/IV power-consumption models plug in here).

@@ -9,14 +9,6 @@ pub enum SimError {
         /// Simulation time at which the blow-up was detected.
         time: f64,
     },
-    /// An adaptive integrator could not satisfy its tolerance even at its
-    /// minimum step size.
-    StepSizeUnderflow {
-        /// Simulation time of the failing step.
-        time: f64,
-        /// The step size that was rejected.
-        step: f64,
-    },
     /// A Newton iteration failed to converge.
     NewtonDiverged {
         /// Iterations performed before giving up.
@@ -26,13 +18,6 @@ pub enum SimError {
     },
     /// The Newton Jacobian was singular.
     SingularJacobian,
-    /// An event was scheduled in the past.
-    EventInPast {
-        /// Current simulation time.
-        now: f64,
-        /// Requested (invalid) wake time.
-        requested: f64,
-    },
     /// Invalid configuration or argument.
     InvalidArgument(&'static str),
 }
@@ -43,9 +28,6 @@ impl fmt::Display for SimError {
             SimError::NonFiniteState { time } => {
                 write!(f, "non-finite analogue state at t = {time}")
             }
-            SimError::StepSizeUnderflow { time, step } => {
-                write!(f, "step size underflow at t = {time} (step {step:e})")
-            }
             SimError::NewtonDiverged {
                 iterations,
                 residual,
@@ -54,12 +36,6 @@ impl fmt::Display for SimError {
                 "newton iteration diverged after {iterations} iterations (residual {residual:e})"
             ),
             SimError::SingularJacobian => write!(f, "singular jacobian in newton iteration"),
-            SimError::EventInPast { now, requested } => {
-                write!(
-                    f,
-                    "event scheduled in the past: t = {requested} < now = {now}"
-                )
-            }
             SimError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
@@ -75,10 +51,7 @@ mod tests {
     fn display_is_informative() {
         let e = SimError::NonFiniteState { time: 1.5 };
         assert!(e.to_string().contains("1.5"));
-        let e = SimError::EventInPast {
-            now: 2.0,
-            requested: 1.0,
-        };
+        let e = SimError::InvalidArgument("run_until: t_end in the past");
         assert!(e.to_string().contains("past"));
     }
 

@@ -5,17 +5,16 @@
 //! analogue parts (microgenerator mechanics, rectifier, supercapacitor) are
 //! continuous-time equations, while the controller firmware and the sensor
 //! node are digital processes woken by timers. This crate provides the same
-//! computational model:
+//! computational model with one analogue solver, the fixed-step RK4 that
+//! the full-system engine (`wsn_node::FullSystemSim`) runs:
 //!
 //! * [`OdeSystem`] — a continuous-time system `dx/dt = f(t, x)`.
-//! * [`integrate`] — explicit (Euler, RK4, adaptive RKF45) and implicit
-//!   (trapezoidal + Newton) integrators.
-//! * [`newton`] — scalar and multi-dimensional Newton–Raphson solvers used
-//!   by implicit integration and nonlinear component models (diode bridges).
+//! * [`integrate`] — the fixed-step classical RK4 integrator.
+//! * [`newton`] — a damped scalar Newton–Raphson solver, used by the
+//!   harvester's opt-in Shockley diode-bridge model.
 //! * [`Process`], [`MixedSim`] — a discrete-event scheduler whose processes
-//!   can read and steer the analogue state between events, with the
-//!   analogue solver advancing exactly to each event time.
-//! * [`Bus`] — named scalar signals for inter-process communication.
+//!   can read and steer the analogue state between events, with RK4
+//!   advancing the analogue state exactly to each event time.
 //! * [`Trace`] — periodic sampling of the analogue state into traces
 //!   (see [`MixedSim::record_every`]), exportable as VCD via [`vcd`].
 //!
@@ -62,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bus;
 mod error;
 pub mod integrate;
 mod mixed;
@@ -71,10 +69,9 @@ mod ode;
 mod recorder;
 pub mod vcd;
 
-pub use bus::Bus;
 pub use error::SimError;
-pub use mixed::{Context, MixedSim, Process, ProcessId, Solver};
-pub use ode::{LinearStateSpace, OdeSystem};
+pub use mixed::{Context, MixedSim, Process, ProcessId};
+pub use ode::OdeSystem;
 pub use recorder::{Trace, TracePoint};
 
 /// Convenience result alias used throughout the crate.

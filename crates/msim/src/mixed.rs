@@ -2,8 +2,8 @@ use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::integrate::{rk4_step, Rkf45, TrapezoidalNewton};
-use crate::{Bus, OdeSystem, Result, SimError, Trace};
+use crate::integrate::rk4_integrate;
+use crate::{OdeSystem, Result, SimError, Trace};
 
 /// Identifier of a process registered with a [`MixedSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,13 +33,12 @@ pub trait Process<S: OdeSystem>: Any {
 
 /// Execution context handed to a [`Process`] while it is awake.
 ///
-/// Grants access to the current time, the analogue system and state, the
-/// signal [`Bus`], and event scheduling.
+/// Grants access to the current time, the analogue system and state, and
+/// event scheduling.
 pub struct Context<'a, S: OdeSystem> {
     time: f64,
     system: &'a mut S,
     state: &'a mut [f64],
-    bus: &'a mut Bus,
     pending: &'a mut Vec<(f64, usize)>,
     current: usize,
 }
@@ -70,16 +69,6 @@ impl<'a, S: OdeSystem> Context<'a, S> {
     /// tuning positions and similar parameter updates.
     pub fn system_mut(&mut self) -> &mut S {
         self.system
-    }
-
-    /// The shared signal bus.
-    pub fn bus(&self) -> &Bus {
-        self.bus
-    }
-
-    /// Mutable access to the signal bus.
-    pub fn bus_mut(&mut self) -> &mut Bus {
-        self.bus
     }
 
     /// Schedules the calling process to wake at absolute time `t`.
@@ -129,45 +118,25 @@ impl Ord for Event {
     }
 }
 
-/// Analogue solver used between digital events.
-#[derive(Debug, Clone)]
-pub enum Solver {
-    /// Fixed-step classical Runge–Kutta with the given step size.
-    Rk4 {
-        /// Maximum step size in seconds.
-        dt: f64,
-    },
-    /// Adaptive Runge–Kutta–Fehlberg 4(5).
-    Adaptive(Rkf45),
-    /// A-stable implicit trapezoidal rule with the given step size, for
-    /// stiff load-switching networks.
-    ImplicitTrapezoidal {
-        /// Fixed step size in seconds.
-        dt: f64,
-        /// Newton solver configuration.
-        newton: TrapezoidalNewton,
-    },
-}
-
 /// A mixed-signal simulation: one analogue [`OdeSystem`] plus any number of
 /// digital [`Process`]es coupled through a discrete-event scheduler.
 ///
-/// Between digital events the analogue state is advanced with the selected
-/// [`Solver`], landing exactly on each event time so processes observe a
-/// consistent analogue state. This mirrors the SystemC-A lock-step
-/// synchronisation used by the paper.
+/// Between digital events the analogue state is advanced with fixed RK4
+/// steps of at most the analogue step (see [`set_dt`](Self::set_dt)),
+/// landing exactly on each event time so processes observe a consistent
+/// analogue state. This mirrors the SystemC-A lock-step synchronisation
+/// used by the paper.
 ///
 /// See the [crate-level example](crate) for typical usage.
 pub struct MixedSim<S: OdeSystem> {
     system: S,
     state: Vec<f64>,
     time: f64,
-    solver: Solver,
+    dt: f64,
     queue: BinaryHeap<Event>,
     seq: u64,
     processes: Vec<Box<dyn Process<S>>>,
     initialised: bool,
-    bus: Bus,
     trace: Trace,
     sample_interval: Option<f64>,
     sample_origin: f64,
@@ -176,7 +145,7 @@ pub struct MixedSim<S: OdeSystem> {
 
 impl<S: OdeSystem + 'static> MixedSim<S> {
     /// Creates a simulation at `t = 0` with the given analogue system and
-    /// initial state. The default solver is RK4 with a 0.1 ms step.
+    /// initial state. The default analogue step is 0.1 ms.
     ///
     /// # Panics
     ///
@@ -191,12 +160,11 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
             system,
             state: initial_state,
             time: 0.0,
-            solver: Solver::Rk4 { dt: 1e-4 },
+            dt: 1e-4,
             queue: BinaryHeap::new(),
             seq: 0,
             processes: Vec::new(),
             initialised: false,
-            bus: Bus::new(),
             trace: Trace::new(),
             sample_interval: None,
             sample_origin: 0.0,
@@ -204,9 +172,11 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
         }
     }
 
-    /// Replaces the analogue solver.
-    pub fn set_solver(&mut self, solver: Solver) {
-        self.solver = solver;
+    /// Sets the analogue step: the largest RK4 step (s) between events.
+    /// A non-positive step makes the next [`run_until`](Self::run_until)
+    /// fail with [`SimError::InvalidArgument`].
+    pub fn set_dt(&mut self, dt: f64) {
+        self.dt = dt;
     }
 
     /// Registers a digital process; its `init` runs at the start of the
@@ -255,16 +225,6 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
         &mut self.system
     }
 
-    /// The signal bus.
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
-    /// Mutable access to the signal bus (e.g. to pre-register signals).
-    pub fn bus_mut(&mut self) -> &mut Bus {
-        &mut self.bus
-    }
-
     /// Typed read access to a registered process.
     ///
     /// Returns `None` if the id is stale or `P` is not the process's
@@ -289,9 +249,10 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
     ///
     /// # Errors
     ///
-    /// * [`SimError::InvalidArgument`] if `t_end` is before the current time.
-    /// * Solver errors ([`SimError::NonFiniteState`],
-    ///   [`SimError::StepSizeUnderflow`]) from the analogue integration.
+    /// * [`SimError::InvalidArgument`] if `t_end` is before the current time
+    ///   or the analogue step is not positive.
+    /// * [`SimError::NonFiniteState`] from the analogue integration, at the
+    ///   end of the first step that left a non-finite state value.
     pub fn run_until(&mut self, t_end: f64) -> Result<()> {
         if t_end < self.time {
             return Err(SimError::InvalidArgument("run_until: t_end in the past"));
@@ -332,7 +293,6 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
                 time: self.time,
                 system: &mut self.system,
                 state: &mut self.state,
-                bus: &mut self.bus,
                 pending,
                 current: pid,
             };
@@ -375,27 +335,7 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
                 Some(ts) => ts.min(t_target),
                 None => t_target,
             };
-            match &self.solver {
-                Solver::Rk4 { dt } => {
-                    let mut t = self.time;
-                    while t < seg_end {
-                        let step = dt.min(seg_end - t);
-                        rk4_step(&self.system, t, &mut self.state, step);
-                        t += step;
-                    }
-                }
-                Solver::Adaptive(rkf) => {
-                    let rkf = rkf.clone();
-                    rkf.integrate(&self.system, self.time, seg_end, &mut self.state)?;
-                }
-                Solver::ImplicitTrapezoidal { dt, newton } => {
-                    let (dt, newton) = (*dt, newton.clone());
-                    newton.integrate(&self.system, self.time, seg_end, &mut self.state, dt)?;
-                }
-            }
-            if !self.state.iter().all(|v| v.is_finite()) {
-                return Err(SimError::NonFiniteState { time: seg_end });
-            }
+            rk4_integrate(&self.system, self.time, seg_end, &mut self.state, self.dt)?;
             self.time = seg_end;
         }
         // Emit a sample if one is due exactly at the target time.
@@ -497,9 +437,10 @@ mod tests {
         // First sample at t=0, value 1.0.
         assert_eq!(trace.points()[0].time, 0.0);
         assert_eq!(trace.points()[0].state[0], 1.0);
-        // Value at t=1 close to e^-1.
-        let v = trace.sample_at(0, 1.0).unwrap();
-        assert!((v - (-1.0_f64).exp()).abs() < 1e-6);
+        // Last sample at t=1, value close to e^-1.
+        let last = trace.points().last().unwrap();
+        assert_eq!(last.time, 1.0);
+        assert!((last.state[0] - (-1.0_f64).exp()).abs() < 1e-6);
     }
 
     #[test]
@@ -507,40 +448,6 @@ mod tests {
         let mut sim = MixedSim::new(Decay, vec![1.0]);
         sim.run_until(1.0).unwrap();
         assert!(sim.run_until(0.5).is_err());
-    }
-
-    #[test]
-    fn two_processes_communicate_over_bus() {
-        struct Writer;
-        impl Process<Decay> for Writer {
-            fn init(&mut self, ctx: &mut Context<'_, Decay>) {
-                ctx.wake_at(0.2);
-            }
-            fn wake(&mut self, ctx: &mut Context<'_, Decay>) {
-                let t = ctx.time();
-                let id = ctx.bus().lookup("flag").expect("registered");
-                ctx.bus_mut().write(id, 1.0, t);
-            }
-        }
-        struct Reader {
-            saw: bool,
-        }
-        impl Process<Decay> for Reader {
-            fn init(&mut self, ctx: &mut Context<'_, Decay>) {
-                ctx.wake_at(0.4);
-            }
-            fn wake(&mut self, ctx: &mut Context<'_, Decay>) {
-                let id = ctx.bus().lookup("flag").expect("registered");
-                self.saw = ctx.bus().read(id) == 1.0;
-            }
-        }
-        let mut sim = MixedSim::new(Decay, vec![1.0]);
-        sim.bus_mut().register("flag", 0.0);
-        sim.add_process(Writer);
-        let r = sim.add_process(Reader { saw: false });
-        sim.run_until(1.0).unwrap();
-        let reader: &Reader = sim.process(r).unwrap();
-        assert!(reader.saw, "reader should observe the writer's flag");
     }
 
     #[test]
@@ -572,63 +479,36 @@ mod tests {
     }
 
     #[test]
-    fn implicit_solver_handles_stiff_system_with_events() {
-        struct Stiff;
-        impl OdeSystem for Stiff {
+    fn simultaneous_events_fire_in_registration_order() {
+        /// A constant analogue state: the next ticket number.
+        struct Counter;
+        impl OdeSystem for Counter {
             fn dim(&self) -> usize {
                 1
             }
-            fn derivatives(&self, _t: f64, x: &[f64], d: &mut [f64]) {
-                d[0] = -1e5 * x[0];
+            fn derivatives(&self, _t: f64, _x: &[f64], d: &mut [f64]) {
+                d[0] = 0.0;
             }
         }
-        struct StiffTicker {
-            times: Vec<f64>,
-        }
-        impl Process<Stiff> for StiffTicker {
-            fn init(&mut self, ctx: &mut Context<'_, Stiff>) {
-                ctx.wake_at(0.25);
-            }
-            fn wake(&mut self, ctx: &mut Context<'_, Stiff>) {
-                let t = ctx.time();
-                self.times.push(t);
-                ctx.wake_at(t + 0.25);
-            }
-        }
-        let mut sim = MixedSim::new(Stiff, vec![1.0]);
-        sim.set_solver(Solver::ImplicitTrapezoidal {
-            dt: 1e-3, // far beyond the explicit stability limit (2e-5)
-            newton: crate::integrate::TrapezoidalNewton::new(),
-        });
-        let id = sim.add_process(StiffTicker { times: Vec::new() });
-        sim.run_until(1.0).unwrap();
-        assert!(sim.state()[0].abs() < 1.0, "stiff decay stayed bounded");
-        let ticker: &StiffTicker = sim.process(id).unwrap();
-        assert_eq!(ticker.times.len(), 4);
-    }
-
-    #[test]
-    fn simultaneous_events_fire_in_registration_order() {
+        /// Takes a ticket when woken; the ticket is its firing position.
         struct Logger {
-            tag: f64,
+            ticket: Option<f64>,
         }
-        impl Process<Decay> for Logger {
-            fn init(&mut self, ctx: &mut Context<'_, Decay>) {
+        impl Process<Counter> for Logger {
+            fn init(&mut self, ctx: &mut Context<'_, Counter>) {
                 ctx.wake_at(0.5);
             }
-            fn wake(&mut self, ctx: &mut Context<'_, Decay>) {
-                let t = ctx.time();
-                let id = ctx.bus().lookup("order").expect("registered");
-                let prev = ctx.bus().read(id);
-                ctx.bus_mut().write(id, prev * 10.0 + self.tag, t);
+            fn wake(&mut self, ctx: &mut Context<'_, Counter>) {
+                self.ticket = Some(ctx.state()[0]);
+                ctx.state_mut()[0] += 1.0;
             }
         }
-        let mut sim = MixedSim::new(Decay, vec![1.0]);
-        sim.bus_mut().register("order", 0.0);
-        sim.add_process(Logger { tag: 1.0 });
-        sim.add_process(Logger { tag: 2.0 });
+        let mut sim = MixedSim::new(Counter, vec![0.0]);
+        let first = sim.add_process(Logger { ticket: None });
+        let second = sim.add_process(Logger { ticket: None });
         sim.run_until(1.0).unwrap();
-        let id = sim.bus().lookup("order").unwrap();
-        assert_eq!(sim.bus().read(id), 12.0);
+        let ticket = |id| sim.process::<Logger>(id).unwrap().ticket;
+        assert_eq!(ticket(first), Some(0.0));
+        assert_eq!(ticket(second), Some(1.0));
     }
 }

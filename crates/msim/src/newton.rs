@@ -1,15 +1,10 @@
-//! Newton–Raphson solvers for nonlinear algebraic systems.
+//! A damped Newton–Raphson solver for scalar nonlinear equations.
 //!
-//! These are used by the implicit integrator in [`crate::integrate`] and by
-//! nonlinear component models such as the diode-bridge rectifier, which must
-//! solve `i = Is (exp(v/nVt) − 1)` style equations at every evaluation.
-
-use numkit::Matrix;
+//! Nonlinear component models use it to solve `i = Is (exp(v/nVt) − 1)`
+//! style equations at every evaluation: the harvester's opt-in Shockley
+//! diode bridge calls [`newton_scalar`] for its conduction current.
 
 use crate::{Result, SimError};
-
-/// Default iteration cap for all Newton solvers in this module.
-pub const DEFAULT_MAX_ITER: usize = 50;
 
 /// Solves `f(x) = 0` for scalar `x` with an analytic derivative.
 ///
@@ -75,83 +70,6 @@ where
     }
 }
 
-/// Solves the vector system `F(x) = 0` using a finite-difference Jacobian.
-///
-/// `residual` writes `F(x)` into its output slice. The Jacobian is estimated
-/// with forward differences and factorised with partial-pivoting LU.
-///
-/// # Errors
-///
-/// * [`SimError::NewtonDiverged`] when the residual norm stays above `tol`.
-/// * [`SimError::SingularJacobian`] when the finite-difference Jacobian is
-///   singular.
-///
-/// # Example
-///
-/// ```
-/// // Intersection of the circle x²+y²=4 with the line y=x.
-/// let sol = msim::newton::newton_system(
-///     |x, out| {
-///         out[0] = x[0] * x[0] + x[1] * x[1] - 4.0;
-///         out[1] = x[1] - x[0];
-///     },
-///     &[1.0, 2.0],
-///     1e-12,
-///     50,
-/// ).expect("converges");
-/// assert!((sol[0] - 2.0_f64.sqrt()).abs() < 1e-8);
-/// ```
-pub fn newton_system<F>(residual: F, x0: &[f64], tol: f64, max_iter: usize) -> Result<Vec<f64>>
-where
-    F: Fn(&[f64], &mut [f64]),
-{
-    let n = x0.len();
-    let mut x = x0.to_vec();
-    let mut fx = vec![0.0; n];
-    let mut f_pert = vec![0.0; n];
-
-    for _ in 0..max_iter {
-        residual(&x, &mut fx);
-        let norm = fx.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if !norm.is_finite() {
-            return Err(SimError::NewtonDiverged {
-                iterations: max_iter,
-                residual: norm,
-            });
-        }
-        if norm <= tol {
-            return Ok(x);
-        }
-        // Forward-difference Jacobian.
-        let mut jac = Matrix::zeros(n, n);
-        for j in 0..n {
-            let h = 1e-7 * x[j].abs().max(1e-7);
-            let saved = x[j];
-            x[j] = saved + h;
-            residual(&x, &mut f_pert);
-            x[j] = saved;
-            for i in 0..n {
-                jac[(i, j)] = (f_pert[i] - fx[i]) / h;
-            }
-        }
-        let lu = jac.lu().map_err(|_| SimError::SingularJacobian)?;
-        let delta = lu.solve_vec(&fx).map_err(|_| SimError::SingularJacobian)?;
-        for i in 0..n {
-            x[i] -= delta[i];
-        }
-    }
-    residual(&x, &mut fx);
-    let norm = fx.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if norm <= tol {
-        Ok(x)
-    } else {
-        Err(SimError::NewtonDiverged {
-            iterations: max_iter,
-            residual: norm,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,46 +110,5 @@ mod tests {
         // f has no root; derivative nonzero.
         let err = newton_scalar(|x: f64| x.exp(), |x| x.exp(), 0.0, 1e-12, 5).unwrap_err();
         assert!(matches!(err, SimError::NewtonDiverged { .. }));
-    }
-
-    #[test]
-    fn system_linear_case_converges_in_one_step() {
-        let sol = newton_system(
-            |x, out| {
-                out[0] = 2.0 * x[0] + x[1] - 5.0;
-                out[1] = x[0] - x[1] + 1.0;
-            },
-            &[0.0, 0.0],
-            1e-10,
-            10,
-        )
-        .unwrap();
-        assert!((sol[0] - 4.0 / 3.0).abs() < 1e-6);
-        assert!((sol[1] - 7.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn system_nonlinear_circle_line() {
-        let sol = newton_system(
-            |x, out| {
-                out[0] = x[0] * x[0] + x[1] * x[1] - 2.0;
-                out[1] = x[0] - x[1];
-            },
-            &[0.5, 1.5],
-            1e-13,
-            50,
-        )
-        .unwrap();
-        assert!((sol[0] - 1.0).abs() < 1e-8);
-        assert!((sol[1] - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn system_singular_jacobian_detected() {
-        let err = newton_system(|_x, out| out.fill(1.0), &[0.0, 0.0], 1e-12, 5).unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::SingularJacobian | SimError::NewtonDiverged { .. }
-        ));
     }
 }

@@ -1,11 +1,9 @@
-use numkit::Matrix;
-
 /// A continuous-time dynamical system `dx/dt = f(t, x)`.
 ///
 /// Implementors describe the analogue half of a mixed-signal model: the
 /// microgenerator mechanics, the rectifier/storage network, or any other
 /// lumped continuous dynamics. The state vector layout is owned by the
-/// implementor; integrators only need [`dim`](OdeSystem::dim) and
+/// implementor; the integrator only needs [`dim`](OdeSystem::dim) and
 /// [`derivatives`](OdeSystem::derivatives).
 ///
 /// # Example
@@ -34,102 +32,4 @@ pub trait OdeSystem {
     ///
     /// Implementations must not read `dxdt`; it may contain stale data.
     fn derivatives(&self, t: f64, x: &[f64], dxdt: &mut [f64]);
-}
-
-/// A linear time-invariant system `dx/dt = A x + B u(t)` with a caller
-/// supplied input function.
-///
-/// This is the building block of the *linearised state-space* acceleration
-/// technique of the paper's reference \[9\]: over a window in which the
-/// digital configuration is constant, the analogue network is linear and can
-/// be advanced with large steps.
-pub struct LinearStateSpace<U> {
-    a: Matrix,
-    b: Matrix,
-    input: U,
-    n_inputs: usize,
-}
-
-impl<U: Fn(f64) -> Vec<f64>> LinearStateSpace<U> {
-    /// Creates the system from its `A` (n x n) and `B` (n x m) matrices and
-    /// an input function returning `m` values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square or `b` has a different row count.
-    pub fn new(a: Matrix, b: Matrix, input: U) -> Self {
-        assert!(a.is_square(), "state matrix must be square");
-        assert_eq!(a.rows(), b.rows(), "A and B row counts must match");
-        let n_inputs = b.cols();
-        LinearStateSpace {
-            a,
-            b,
-            input,
-            n_inputs,
-        }
-    }
-
-    /// State matrix `A`.
-    pub fn a(&self) -> &Matrix {
-        &self.a
-    }
-
-    /// Input matrix `B`.
-    pub fn b(&self) -> &Matrix {
-        &self.b
-    }
-}
-
-impl<U: Fn(f64) -> Vec<f64>> OdeSystem for LinearStateSpace<U> {
-    fn dim(&self) -> usize {
-        self.a.rows()
-    }
-
-    fn derivatives(&self, t: f64, x: &[f64], dxdt: &mut [f64]) {
-        let u = (self.input)(t);
-        debug_assert_eq!(u.len(), self.n_inputs, "input dimension mismatch");
-        for (i, out) in dxdt.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (j, xj) in x.iter().enumerate() {
-                s += self.a[(i, j)] * xj;
-            }
-            for (k, uk) in u.iter().enumerate() {
-                s += self.b[(i, k)] * uk;
-            }
-            *out = s;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::integrate;
-
-    #[test]
-    fn linear_state_space_matches_manual_derivative() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[-4.0, -0.5]]).unwrap();
-        let b = Matrix::from_rows(&[&[0.0], &[1.0]]).unwrap();
-        let sys = LinearStateSpace::new(a, b, |_t| vec![2.0]);
-        let mut dxdt = [0.0; 2];
-        sys.derivatives(0.0, &[1.0, 3.0], &mut dxdt);
-        assert_eq!(dxdt[0], 3.0);
-        assert_eq!(dxdt[1], -4.0 - 1.5 + 2.0);
-    }
-
-    #[test]
-    fn undriven_decay_reaches_zero() {
-        let a = Matrix::from_rows(&[&[-1.0]]).unwrap();
-        let b = Matrix::zeros(1, 1);
-        let sys = LinearStateSpace::new(a, b, |_t| vec![0.0]);
-        let mut x = vec![1.0];
-        integrate::rk4_integrate(&sys, 0.0, 5.0, &mut x, 0.01).unwrap();
-        assert!((x[0] - (-5.0_f64).exp()).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "square")]
-    fn rectangular_state_matrix_panics() {
-        let _ = LinearStateSpace::new(Matrix::zeros(2, 3), Matrix::zeros(2, 1), |_t| vec![0.0]);
-    }
 }

@@ -49,47 +49,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Extracts the time axis.
-    pub fn times(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.time).collect()
-    }
-
-    /// Extracts one state component as a series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds for the recorded state vectors.
-    pub fn component(&self, index: usize) -> Vec<f64> {
-        self.points.iter().map(|p| p.state[index]).collect()
-    }
-
-    /// Linearly interpolates one state component at an arbitrary time.
-    /// Returns `None` outside the recorded range or when empty.
-    pub fn sample_at(&self, index: usize, time: f64) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let first = self.points.first().expect("non-empty");
-        let last = self.points.last().expect("non-empty");
-        if time < first.time || time > last.time {
-            return None;
-        }
-        let pos = self.points.partition_point(|p| p.time <= time);
-        if pos == 0 {
-            return Some(first.state[index]);
-        }
-        if pos >= self.points.len() {
-            return Some(last.state[index]);
-        }
-        let lo = &self.points[pos - 1];
-        let hi = &self.points[pos];
-        if hi.time == lo.time {
-            return Some(hi.state[index]);
-        }
-        let f = (time - lo.time) / (hi.time - lo.time);
-        Some(lo.state[index] * (1.0 - f) + hi.state[index] * f)
-    }
 }
 
 #[cfg(test)]
@@ -103,25 +62,7 @@ mod tests {
         tr.push(0.0, &[1.0, 10.0]);
         tr.push(1.0, &[2.0, 20.0]);
         assert_eq!(tr.len(), 2);
-        assert_eq!(tr.times(), vec![0.0, 1.0]);
-        assert_eq!(tr.component(1), vec![10.0, 20.0]);
-    }
-
-    #[test]
-    fn interpolation() {
-        let mut tr = Trace::new();
-        tr.push(0.0, &[0.0]);
-        tr.push(2.0, &[4.0]);
-        assert_eq!(tr.sample_at(0, 1.0), Some(2.0));
-        assert_eq!(tr.sample_at(0, 0.0), Some(0.0));
-        assert_eq!(tr.sample_at(0, 2.0), Some(4.0));
-        assert_eq!(tr.sample_at(0, 3.0), None);
-        assert_eq!(tr.sample_at(0, -1.0), None);
-    }
-
-    #[test]
-    fn empty_trace_sample_is_none() {
-        let tr = Trace::new();
-        assert_eq!(tr.sample_at(0, 0.0), None);
+        assert_eq!(tr.points()[1].time, 1.0);
+        assert_eq!(tr.points()[1].state, vec![2.0, 20.0]);
     }
 }

@@ -382,6 +382,7 @@ fn pareto_flow(job: &ParetoJob, ctx: &Context) -> ParetoDseFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsn_dse::protocol::{parse_json, Json};
 
     fn timed_out(request: &Request, ctx: &Context) -> bool {
         matches!(execute(request, ctx), Err(DseError::EvalTimedOut { .. }))
@@ -432,6 +433,23 @@ mod tests {
         assert_eq!(ladder.tier_stats()[0].served as usize, inserts);
         assert_eq!(inserts, 4, "the nominal run and three realisations");
         assert!(!report.counters.is_nominal());
+    }
+
+    #[test]
+    fn a_faults_job_that_sends_nothing_writes_null_ratios() {
+        // At rate 1 every attempt fails, so every realisation sends 0
+        // packets: the fragility is infinite and the worst-case ratio NaN.
+        let job = FaultsJob {
+            fault_rate: 1.0,
+            horizon: 600.0,
+            ..FaultsJob::default()
+        };
+        let report = execute(&Request::Faults(job), &Context::default()).unwrap();
+        let doc = parse_json(&report.to_json()).expect("valid JSON");
+        let ensemble = doc.get("ensemble").expect("ensemble member");
+        assert_eq!(ensemble.get("mean"), Some(&Json::Num(0.0)));
+        assert_eq!(ensemble.get("fragility"), Some(&Json::Null));
+        assert_eq!(ensemble.get("worst_case_ratio"), Some(&Json::Null));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use harvester::{HarvesterCircuit, Load, LoadId};
-use msim::{Context, MixedSim, Process, Solver};
+use msim::{Context, MixedSim, Process};
 
 use crate::engine::{fold_fingerprint, EngineKind, SimEngine};
 use crate::faults::{FaultPlan, BROWNOUT_HYSTERESIS_V, MAX_TX_RETRIES};
@@ -145,7 +145,7 @@ impl FullSystemSim {
         circuit.loads_mut().set_active(sleep_mcu, true)?;
 
         let mut sim = MixedSim::new(circuit, vec![0.0, 0.0, cfg.initial_voltage]);
-        sim.set_solver(Solver::Rk4 { dt: self.dt });
+        sim.set_dt(self.dt);
         if let Some(interval) = cfg.trace_interval {
             sim.record_every(interval);
         }

@@ -585,9 +585,11 @@ fn store(
     }
 }
 
-/// Coordinates quantised to the shared cache grid (1e-6), the same
-/// resolution [`wsn_dse::EvalKey`] uses, so "the same point" means the
-/// same thing to the NSGA dedup and to the evaluation cache.
+/// Coordinates quantised to a 1e-6 grid: two points that share a key are
+/// "the same point" to the NSGA dedup and the front bookkeeping. The
+/// evaluation cache keys on a finer grid ([`wsn_dse::EvalKey`] quantises
+/// to 1e-9), so points the dedup keeps apart never share a cache entry,
+/// but two points it merges may still key two.
 pub(crate) fn grid_key(coords: &[f64]) -> Vec<i64> {
     coords
         .iter()

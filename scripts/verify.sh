@@ -22,17 +22,20 @@ cargo test -q --offline
 echo "== cargo test cross_engine (envelope vs full co-simulation) =="
 cargo test -q --offline -p wsn-dse --test cross_engine
 
-echo "== engine gate: steady-state solver and envelope outputs pinned =="
+echo "== engine gate: steady-state solver, envelope and full-engine outputs pinned =="
 # The harvester solve must stay bit-identical to the original 80-step
-# bisection, and envelope outputs over Table V to their pinned bits. The
-# solve replays that bisection, skipping the residual far from the root:
-# the rounding noise of the residual's sign must stay far inside the
-# replay's margin, and a conducting solve within its evaluation budget.
+# bisection, and envelope outputs over Table V and short full-engine
+# runs (RK4 between scheduled events, retuning, faults) to their pinned
+# bits. The solve replays that bisection, skipping the residual far from
+# the root: the rounding noise of the residual's sign must stay far
+# inside the replay's margin, and a conducting solve within its
+# evaluation budget.
 cargo test -q --offline -p harvester --test steady_state_oracle
 cargo test -q --offline -p harvester --lib -- \
   residual_sign_noise_stays_far_inside_the_margin \
   conducting_solves_make_at_most_30_residual_evaluations
 cargo test -q --offline -p wsn-node --test envelope_pin
+cargo test -q --offline -p wsn-node --test fullsim_pin
 
 echo "== fault-injection gate: determinism + nominal preservation =="
 cargo test -q --offline -p wsn-dse --test determinism -- \
@@ -211,6 +214,8 @@ served_equals_cli() {
 served_equals_cli run --horizon 900
 served_equals_cli simulate --clock 125000 --watchdog 60 --interval 0.005 --horizon 900
 served_equals_cli faults --horizon 900 --fault-seed 3 --fault-rate 0.2
+# Every realisation sends nothing: the ratios are null, not inf/NaN.
+served_equals_cli faults --horizon 600 --fault-rate 1
 served_equals_cli network --nodes 4 --horizon 600 --grid-pitch 30 --interference 20 \
   --delivery 50
 served_equals_cli network --nodes 4 --horizon 900 --dse
