@@ -2,7 +2,8 @@
 //! one-hour scenario (the unit of cost of the whole DOE flow), the full
 //! mixed-signal co-simulation per simulated second, and the steady-state
 //! harvester solve that dominates the envelope engine's inner loop, at one
-//! point and cycling through the conducting points of a seeded sweep.
+//! point and cycling through the conducting points of a seeded sweep,
+//! unseeded and seeded as the envelope engine seeds it.
 //!
 //! Plain `std::time::Instant` harness (`harness = false`); run with
 //! `cargo bench -p wsn-bench --bench engines`.
@@ -74,6 +75,31 @@ fn main() {
             black_box(
                 generator
                     .steady_state(black_box(f_vib), f_res, accel, v_store)
+                    .power_into_store,
+            )
+        },
+    );
+
+    // The same points 2 mV up, each seeded with its answer at the sweep's
+    // store voltage: the envelope engine's re-solve once its store moves.
+    let warm: Vec<([f64; 4], f64)> = conducting
+        .iter()
+        .map(|&[f_vib, f_res, accel, v_store]| {
+            let near = generator
+                .steady_state(f_vib, f_res, accel, v_store)
+                .velocity_amp;
+            ([f_vib, f_res, accel, v_store + 2e-3], near)
+        })
+        .collect();
+    let mut points = warm.iter().cycle();
+    bench(
+        "harvester_steady_state/warm",
+        Duration::from_secs(3),
+        || {
+            let &([f_vib, f_res, accel, v_store], near) = points.next().expect("endless");
+            black_box(
+                generator
+                    .steady_state_near(black_box(f_vib), f_res, accel, v_store, near)
                     .power_into_store,
             )
         },

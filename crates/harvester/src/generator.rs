@@ -153,22 +153,54 @@ impl Microgenerator {
     /// bounds bit-for-bit unchanged — every later step would too — and
     /// otherwise after 80 steps.
     ///
-    /// The answer is that bisection's, bit for bit, from about 20 residual
-    /// evaluations per conducting solve instead of 55. Anderson–Björck
-    /// secant steps from the conduction onset and `v_unloaded` first
-    /// bracket the root, and the bracket is widened by a relative margin of
-    /// 2⁻⁴⁴ (256–512 ulps). Then the bisection runs its own path, with the
-    /// same midpoints, stop and cap, but evaluates the residual only at
+    /// The answer is that bisection's, bit for bit, from about 20
+    /// evaluations of the loaded response per conducting solve instead of
+    /// 56 (the conduction test and the reported operating point included),
+    /// and about 18 from a close guess. Anderson–Björck secant steps
+    /// from the conduction onset and `v_unloaded` first bracket the root,
+    /// and the bracket is widened by a relative margin of 2⁻⁴⁴ (256–512
+    /// ulps). Then the bisection runs its own path, with the same
+    /// midpoints, stop and cap, but evaluates the residual only at
     /// midpoints inside the widened bracket. Elsewhere the sign is known:
     /// the residual falls with slope at most −1, so rounding can flip its
     /// sign only within a few ulps of the root (4 at most on the oracle's
-    /// sweeps).
+    /// sweeps). [`steady_state_near`](Self::steady_state_near) starts the
+    /// secant search from a guess and returns the same bits.
     ///
     /// # Panics
     ///
     /// Panics if `f_vib`, `f_res` or `accel` is not positive, or if
-    /// `v_store` is negative.
+    /// `v_store` is negative. Also panics, naming the inputs, if the
+    /// velocity amplitude is not finite: at excitation so large (above
+    /// about 4e178 m/s² on resonance at 82 Hz) that `v²` overflows and the
+    /// electrical damping `2P/v²` is NaN.
     pub fn steady_state(&self, f_vib: f64, f_res: f64, accel: f64, v_store: f64) -> SteadyState {
+        self.steady_state_near(f_vib, f_res, accel, v_store, f64::NAN)
+    }
+
+    /// [`steady_state`](Self::steady_state) with the root search seeded
+    /// near `near`, a guess at the answer's velocity amplitude (m/s): the
+    /// previous solve's `velocity_amp` at the same frequencies and
+    /// excitation and a nearby store voltage is a good one. The answer is
+    /// `steady_state`'s, bit for bit, for every `near`, whether zero,
+    /// negative, infinite or NaN: the guess changes only how many residual
+    /// evaluations the solve makes. Before its secant steps the search
+    /// evaluates the residual at `near · (1 ∓ 10⁻³)`, and each of the two
+    /// points that falls strictly inside its bracket becomes the bracket
+    /// end its sign names. From a guess within 10⁻³ of the answer, those
+    /// two evaluations replace about six secant steps.
+    ///
+    /// # Panics
+    ///
+    /// As [`steady_state`](Self::steady_state).
+    pub fn steady_state_near(
+        &self,
+        f_vib: f64,
+        f_res: f64,
+        accel: f64,
+        v_store: f64,
+        near: f64,
+    ) -> SteadyState {
         assert!(f_vib > 0.0 && f_res > 0.0, "frequencies must be positive");
         assert!(accel > 0.0, "acceleration must be positive");
         assert!(v_store >= 0.0, "store voltage must be non-negative");
@@ -189,6 +221,8 @@ impl Microgenerator {
         // through P = ½ c_e v², and the amplitude V(c_m + c_e(v)) it
         // allows.
         let loaded = |v: f64| {
+            #[cfg(test)]
+            tests::RESIDUALS.with(|n| n.set(n.get() + 1));
             let c_e = if v <= 1e-12 {
                 0.0
             } else {
@@ -203,40 +237,45 @@ impl Microgenerator {
 
         // r(v) = V(c_m + c_e(v)) − v: positive at v→0⁺, non-positive at
         // v_unloaded.
-        let residual = |v: f64| {
-            #[cfg(test)]
-            tests::RESIDUALS.with(|n| n.set(n.get() + 1));
-            loaded(v).1 - v
-        };
-
         let v_unloaded = velocity_amplitude(c_m);
-        let r_unloaded = residual(v_unloaded);
-        let trial = if r_unloaded >= 0.0 {
+        let at_unloaded = loaded(v_unloaded);
+        let r_unloaded = at_unloaded.1 - v_unloaded;
+        // The operating point at the answer, reusing its evaluation where
+        // the search already made it.
+        let (c_e, velocity) = if r_unloaded >= 0.0 {
             // Bridge never conducts: the unloaded response is the answer.
-            v_unloaded
+            at_unloaded
         } else {
             // Below the conduction onset c_e = 0, so r(v) = v_unloaded − v.
             let onset = (clamp / self.coupling).max(1e-12);
-            let (below, above) = sign_known_outside(&residual, onset, v_unloaded, r_unloaded);
+            let residual = |v: f64| loaded(v).1 - v;
+            let (below, above) = sign_known_outside(&residual, onset, v_unloaded, r_unloaded, near);
             // Bisection's own path, evaluating only near the root.
             let mut lo: f64 = 1e-12;
             let mut hi = v_unloaded;
+            let mut at_trial = None;
             for _ in 0..80 {
                 let mid = 0.5 * (lo + hi);
-                let positive = mid < below || (mid <= above && residual(mid) > 0.0);
+                let at_mid = (mid >= below && mid <= above).then(|| loaded(mid));
+                let positive = at_mid.map_or(mid < below, |(_, v)| v - mid > 0.0);
                 let bound = if positive { &mut lo } else { &mut hi };
-                // The step would leave the bracket as it is: fixed point.
+                // The step would leave the bracket as it is: fixed point,
+                // and the answer 0.5 · (lo + hi) is this midpoint.
                 if bound.to_bits() == mid.to_bits() {
+                    at_trial = at_mid;
                     break;
                 }
                 *bound = mid;
             }
-            0.5 * (lo + hi)
+            at_trial.unwrap_or_else(|| loaded(0.5 * (lo + hi)))
         };
+        assert!(
+            velocity.is_finite(),
+            "steady_state(f_vib {f_vib:?}, f_res {f_res:?}, accel {accel:?}, v_store \
+             {v_store:?}): velocity amplitude {velocity} is not finite"
+        );
 
         // Report a fully consistent operating point.
-        let (c_e, velocity) = loaded(trial);
-
         let emf = self.coupling * velocity;
         let avg = self
             .bridge
@@ -259,6 +298,11 @@ impl Microgenerator {
 /// ulps of the root (DESIGN.md §7), and 2⁻⁴⁴ is 256–512 ulps.
 const MARGIN: f64 = 1.0 / (1u64 << 44) as f64;
 
+/// The relative offset of [`sign_known_outside`]'s two seed points from
+/// its guess, `near · (1 ∓ SEED_OFFSET)`. Of 10⁻², 10⁻³, 10⁻⁴ and 10⁻⁵,
+/// 10⁻³ made the fewest evaluations on envelope-engine traffic.
+const SEED_OFFSET: f64 = 1e-3;
+
 /// Brackets the root of the decreasing residual `r` and returns
 /// `(below, above)`: `r(v) > 0` at every `v < below` and `r(v)` is not
 /// positive at any `v > above`, so a bisection need not evaluate `r`
@@ -266,21 +310,35 @@ const MARGIN: f64 = 1.0 / (1u64 << 44) as f64;
 ///
 /// The search starts from the conduction onset, where `r = v_unloaded −
 /// onset > 0` analytically, and from `v_unloaded`, where `r_unloaded` was
-/// evaluated. It takes Anderson–Björck (regula falsi) steps, kept a
-/// quarter of the stop width inside the bracket so that an iterate on the
-/// root closes the bracket with one more step, and falls back to the
-/// midpoint where the interpolation is NaN. The bracket's ends are only
-/// ever points whose sign was evaluated, or the onset, and each is pushed
-/// out by [`MARGIN`]. After 40 steps the bracket is returned as it is,
-/// however wide, which costs evaluations and never bits.
+/// evaluated. It first evaluates `r` at the seed points `near · (1 ∓
+/// SEED_OFFSET)` that lie strictly inside the bracket, in that order, and
+/// moves the end each one's sign names (a NaN, infinite or non-positive
+/// `near` seeds nothing). Then it takes Anderson–Björck (regula falsi)
+/// steps, kept a quarter of the stop width inside the bracket so that an
+/// iterate on the root closes the bracket with one more step, and falls
+/// back to the midpoint where the interpolation is NaN. The bracket's ends
+/// are only ever points whose sign was evaluated, or the onset, and each
+/// is pushed out by [`MARGIN`]. After 40 steps the bracket is returned as
+/// it is, however wide, which costs evaluations and never bits.
 fn sign_known_outside(
     r: &impl Fn(f64) -> f64,
     onset: f64,
     v_unloaded: f64,
     r_unloaded: f64,
+    near: f64,
 ) -> (f64, f64) {
     let (mut a, mut fa) = (onset, v_unloaded - onset);
     let (mut b, mut fb) = (v_unloaded, r_unloaded);
+    for x in [near * (1.0 - SEED_OFFSET), near * (1.0 + SEED_OFFSET)] {
+        if a < x && x < b {
+            let fx = r(x);
+            if fx > 0.0 {
+                (a, fa) = (x, fx);
+            } else {
+                (b, fb) = (x, fx);
+            }
+        }
+    }
     // The end the previous step moved: −1 the lower, 1 the upper.
     let mut last = 0i8;
     let mut steps = 0;
@@ -320,7 +378,8 @@ mod tests {
     use numkit::rng::Rng;
 
     thread_local! {
-        /// Residual evaluations made by `steady_state` on this thread.
+        /// Evaluations of the loaded response (each residual is one) made
+        /// by `steady_state_near` on this thread.
         pub(super) static RESIDUALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
@@ -517,8 +576,9 @@ mod tests {
 
     #[test]
     fn conducting_solves_make_at_most_30_residual_evaluations() {
-        // Plain bisection made 55.5 per conducting solve on this sweep,
-        // counting the conduction test at v_unloaded.
+        // Plain bisection made 56.5 per conducting solve on this sweep,
+        // counting the conduction test at v_unloaded and the final
+        // operating point.
         let g = Microgenerator::paper();
         let (mut solves, mut evaluations) = (0u64, 0u64);
         for [f_vib, f_res, accel, v_store] in near_resonance_sweep() {
@@ -535,6 +595,42 @@ mod tests {
         assert!(
             solves > 10_000 && mean <= 30.0,
             "{mean:.2} residual evaluations per conducting solve over {solves} solves"
+        );
+    }
+
+    #[test]
+    fn seeded_solves_along_a_store_voltage_walk_make_at_most_19_evaluations() {
+        // The envelope engine re-solves at the same frequencies and
+        // excitation once its store has moved 2 mV, seeded with the last
+        // answer. Walk each sweep point's store up in 2 mV steps.
+        let g = Microgenerator::paper();
+        let (mut solves, mut seeded, mut unseeded) = (0u64, 0u64, 0u64);
+        for [f_vib, f_res, accel, v_store] in near_resonance_sweep().step_by(4) {
+            let mut near = g.steady_state(f_vib, f_res, accel, v_store).velocity_amp;
+            for step in 1..=5 {
+                let v = v_store + 2e-3 * f64::from(step);
+                RESIDUALS.with(|n| n.set(0));
+                let hinted = g.steady_state_near(f_vib, f_res, accel, v, near);
+                let hinted_evaluations = RESIDUALS.with(|n| n.replace(0));
+                let plain = g.steady_state(f_vib, f_res, accel, v);
+                assert_eq!(
+                    hinted, plain,
+                    "seeded from {near:e} at ({f_vib}, {f_res}, {accel}, {v})"
+                );
+                if plain.electrical_damping > 0.0 {
+                    solves += 1;
+                    seeded += hinted_evaluations;
+                    unseeded += RESIDUALS.with(|n| n.get());
+                }
+                near = hinted.velocity_amp;
+            }
+        }
+        let mean = |n: u64| n as f64 / solves as f64;
+        assert!(
+            solves > 10_000 && mean(seeded) <= 19.0,
+            "{:.2} evaluations per seeded conducting solve ({:.2} unseeded) over {solves} solves",
+            mean(seeded),
+            mean(unseeded)
         );
     }
 }

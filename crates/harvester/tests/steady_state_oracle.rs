@@ -1,4 +1,5 @@
-//! Bit-identity oracle for [`Microgenerator::steady_state`].
+//! Bit-identity oracle for [`Microgenerator::steady_state`] and
+//! [`Microgenerator::steady_state_near`].
 //!
 //! `oracle_steady_state` below is the original solver, kept verbatim: a
 //! fixed 80-step bisection whose residual calls the full
@@ -10,8 +11,13 @@
 //! inputs, and at the named edge cases (on resonance, empty store, a
 //! bridge that never conducts, vanishing excitation, a root at either end
 //! of the bracket the replay trusts, excitation so large that only the
-//! 80-step cap stops the bisection). Every report, golden file and digest
+//! 80-step cap stops the bisection). Every point is solved again through
+//! `steady_state_near` from a range of guesses, good, bad and invalid,
+//! and each must give the same bits. Where the oracle's answer is NaN,
+//! the solver must panic instead. Every report, golden file and digest
 //! downstream rests on this equality.
+
+use std::panic::catch_unwind;
 
 use harvester::{Microgenerator, SteadyState, TuningMechanism};
 use numkit::rng::Rng;
@@ -99,18 +105,90 @@ fn bits(ss: &SteadyState) -> [u64; 7] {
     ]
 }
 
-/// Solves one point both ways and asserts bit equality; returns whether
-/// the bridge conducted.
+/// The library's replay margin, 2⁻⁴⁴ relative to the root.
+const MARGIN: f64 = 1.0 / (1u64 << 44) as f64;
+
+/// Guesses for `steady_state_near` around a point whose answer has
+/// velocity amplitude `answer`: the answer itself, one ulp and one replay
+/// margin to either side, points inside the bracket the search starts
+/// from but well off the root, both ends of the bisection's bracket
+/// (`1e-12` and `v_unloaded`) and the conduction onset `onset`, points
+/// below and above that bracket, and guesses that seed nothing.
+fn hints(answer: f64, onset: f64, v_unloaded: f64) -> [f64; 18] {
+    let ulp = |v: f64, step: i64| f64::from_bits(v.to_bits().wrapping_add_signed(step));
+    [
+        answer,
+        ulp(answer, -1),
+        ulp(answer, 1),
+        answer * (1.0 - MARGIN),
+        answer * (1.0 + MARGIN),
+        0.5 * (onset + answer),
+        0.5 * (answer + v_unloaded),
+        1e-12,
+        onset,
+        v_unloaded,
+        0.5 * onset,
+        2.0 * v_unloaded,
+        0.0,
+        -answer,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+    ]
+}
+
+/// Solves one point both ways, and again from every guess in [`hints`],
+/// and asserts bit equality; returns whether the bridge conducted. Where
+/// the oracle's velocity is not finite, asserts instead that the solver
+/// panics, unseeded and seeded, with a message naming the inputs.
 fn check(g: &Microgenerator, f_vib: f64, f_res: f64, accel: f64, v_store: f64) -> bool {
-    let fast = g.steady_state(f_vib, f_res, accel, v_store);
     let oracle = oracle_steady_state(g, f_vib, f_res, accel, v_store);
+    if !oracle.velocity_amp.is_finite() {
+        for near in [f64::NAN, 1.0] {
+            let solved = catch_unwind(|| g.steady_state_near(f_vib, f_res, accel, v_store, near));
+            let payload = solved.expect_err(&format!(
+                "steady_state_near({f_vib:?}, {f_res:?}, {accel:?}, {v_store:?}, {near:?}) \
+                 returned where the oracle's velocity is {}",
+                oracle.velocity_amp
+            ));
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(
+                message.contains(&format!("accel {accel:?}, v_store {v_store:?}")),
+                "{message}"
+            );
+        }
+        return false;
+    }
+    let fast = g.steady_state(f_vib, f_res, accel, v_store);
     assert_eq!(
         bits(&fast),
         bits(&oracle),
         "steady_state({f_vib:?}, {f_res:?}, {accel:?}, {v_store:?}) drifted from the \
          oracle:\n  solver {fast:?}\n  oracle {oracle:?}"
     );
+    let onset = (v_store + g.bridge().threshold()) / g.coupling();
+    let v_unloaded = unloaded_velocity(g, f_vib, f_res, accel);
+    for near in hints(oracle.velocity_amp, onset, v_unloaded) {
+        check_near(g, [f_vib, f_res, accel, v_store], near, &oracle);
+    }
     fast.electrical_damping > 0.0
+}
+
+/// Solves one point through `steady_state_near` from `near` and asserts
+/// the oracle's bits; returns the answer.
+fn check_near(g: &Microgenerator, point: [f64; 4], near: f64, oracle: &SteadyState) -> SteadyState {
+    let [f_vib, f_res, accel, v_store] = point;
+    let seeded = g.steady_state_near(f_vib, f_res, accel, v_store, near);
+    assert_eq!(
+        bits(&seeded),
+        bits(oracle),
+        "steady_state_near({f_vib:?}, {f_res:?}, {accel:?}, {v_store:?}, {near:?}) \
+         drifted from the oracle:\n  solver {seeded:?}\n  oracle {oracle:?}"
+    );
+    seeded
 }
 
 #[test]
@@ -242,6 +320,36 @@ fn engine_inputs_sweep_is_bit_identical() {
     assert!(conducting > 5_000, "{conducting} of 20000 points conducted");
 }
 
+#[test]
+fn engine_walks_seeded_from_the_last_answer_are_bit_identical() {
+    // The envelope engine re-solves at the same frequencies and
+    // excitation once its store has moved past 2 mV, seeded with its last
+    // answer's velocity amplitude. Walk the store of each engine-input
+    // point up or down in such steps, seeding each solve that way.
+    let g = Microgenerator::paper();
+    let (f_lo, f_hi) = TuningMechanism::paper().frequency_range();
+    let mut rng = Rng::new(0x5eed_0016);
+    let accel = 0.06 * 9.81;
+    let mut conducting = 0usize;
+    for _ in 0..5_000 {
+        let f_res = rng.uniform(f_lo, f_hi);
+        let f_vib = f_res + rng.uniform(-2.0, 2.0);
+        let start = rng.uniform(2.0, 3.6);
+        let step = rng.uniform(-1.0, 1.0).signum() * 2.001e-3;
+        let mut near = f64::NAN;
+        for k in 0..6 {
+            let v_store = start + step * f64::from(k);
+            let oracle = oracle_steady_state(&g, f_vib, f_res, accel, v_store);
+            let seeded = check_near(&g, [f_vib, f_res, accel, v_store], near, &oracle);
+            if k > 0 && seeded.electrical_damping > 0.0 {
+                conducting += 1;
+            }
+            near = seeded.velocity_amp;
+        }
+    }
+    assert!(conducting > 5_000, "{conducting} seeded solves conducted");
+}
+
 /// The paper's generator with another electromagnetic coupling Γ.
 fn with_coupling(coupling: f64) -> Microgenerator {
     let g = Microgenerator::paper();
@@ -305,15 +413,30 @@ fn roots_just_past_the_onset_are_bit_identical() {
 fn huge_excitation_is_bit_identical() {
     // V(c_m) up to ~1e300: 80 halvings never reach a fixed point, the
     // residual overflows to NaN above ~1e154, and the cap alone stops
-    // the bisection.
+    // the bisection. Where the oracle's answer is still finite the
+    // solver must match it; where it is NaN the solver must panic.
     let g = Microgenerator::paper();
+    let (mut finite, mut panicked) = (0usize, 0usize);
     for f_vib in [82.0, 80.0, 70.0] {
         for v_store in [0.0, 2.8] {
             for e in (0..=300).step_by(5) {
                 for mantissa in [1.0, 3.7] {
-                    check(&g, f_vib, 82.0, mantissa * 10f64.powi(e), v_store);
+                    let accel = mantissa * 10f64.powi(e);
+                    if oracle_steady_state(&g, f_vib, 82.0, accel, v_store)
+                        .velocity_amp
+                        .is_finite()
+                    {
+                        finite += 1;
+                    } else {
+                        panicked += 1;
+                    }
+                    check(&g, f_vib, 82.0, accel, v_store);
                 }
             }
         }
     }
+    assert!(
+        finite > 100 && panicked > 100,
+        "{finite} finite, {panicked} NaN"
+    );
 }

@@ -24,29 +24,58 @@ use crate::{OdeSystem, Result, SimError};
 /// assert!((x[0] - (-0.1_f64).exp()).abs() < 1e-6);
 /// ```
 pub fn rk4_step<S: OdeSystem + ?Sized>(sys: &S, t: f64, x: &mut [f64], dt: f64) {
-    let n = sys.dim();
-    debug_assert_eq!(x.len(), n);
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
+    Stages::new(sys.dim()).step(sys, t, x, dt);
+}
 
-    sys.derivatives(t, x, &mut k1);
-    for i in 0..n {
-        tmp[i] = x[i] + 0.5 * dt * k1[i];
+/// The stage vectors of an RK4 step, allocated once per integration and
+/// reused by every step ([`OdeSystem::derivatives`] never reads them).
+struct Stages {
+    k1: Vec<f64>,
+    k2: Vec<f64>,
+    k3: Vec<f64>,
+    k4: Vec<f64>,
+    tmp: Vec<f64>,
+}
+
+impl Stages {
+    fn new(n: usize) -> Self {
+        Stages {
+            k1: vec![0.0; n],
+            k2: vec![0.0; n],
+            k3: vec![0.0; n],
+            k4: vec![0.0; n],
+            tmp: vec![0.0; n],
+        }
     }
-    sys.derivatives(t + 0.5 * dt, &tmp, &mut k2);
-    for i in 0..n {
-        tmp[i] = x[i] + 0.5 * dt * k2[i];
-    }
-    sys.derivatives(t + 0.5 * dt, &tmp, &mut k3);
-    for i in 0..n {
-        tmp[i] = x[i] + dt * k3[i];
-    }
-    sys.derivatives(t + dt, &tmp, &mut k4);
-    for i in 0..n {
-        x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+
+    /// Advances `x` by one step of size `dt`.
+    fn step<S: OdeSystem + ?Sized>(&mut self, sys: &S, t: f64, x: &mut [f64], dt: f64) {
+        let n = sys.dim();
+        debug_assert_eq!(x.len(), n);
+        let Stages {
+            k1,
+            k2,
+            k3,
+            k4,
+            tmp,
+        } = self;
+
+        sys.derivatives(t, x, k1);
+        for i in 0..n {
+            tmp[i] = x[i] + 0.5 * dt * k1[i];
+        }
+        sys.derivatives(t + 0.5 * dt, tmp, k2);
+        for i in 0..n {
+            tmp[i] = x[i] + 0.5 * dt * k2[i];
+        }
+        sys.derivatives(t + 0.5 * dt, tmp, k3);
+        for i in 0..n {
+            tmp[i] = x[i] + dt * k3[i];
+        }
+        sys.derivatives(t + dt, tmp, k4);
+        for i in 0..n {
+            x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+        }
     }
 }
 
@@ -74,10 +103,11 @@ pub fn rk4_integrate<S: OdeSystem + ?Sized>(
     if t1 < t0 {
         return Err(SimError::InvalidArgument("rk4_integrate: t1 < t0"));
     }
+    let mut stages = Stages::new(sys.dim());
     let mut t = t0;
     while t < t1 {
         let step = dt.min(t1 - t);
-        rk4_step(sys, t, x, step);
+        stages.step(sys, t, x, step);
         t += step;
         if !x.iter().all(|v| v.is_finite()) {
             return Err(SimError::NonFiniteState { time: t });

@@ -108,6 +108,9 @@ impl EnvelopeSim {
             let f0 = cfg.vibration.dominant_frequency(0.0);
             firmware.set_position(cfg.tuning.position_for_frequency(f0));
         }
+        // The generator's resonance moves only when the firmware's tuning
+        // state does: at a wake or a cold boot.
+        let mut f_res = firmware.resonant_frequency();
 
         let mut state = State {
             t: 0.0,
@@ -116,6 +119,7 @@ impl EnvelopeSim {
             trace: Vec::new(),
             sample_count: 0,
             cached_harvest: None,
+            last_solve: None,
         };
 
         let sleep_current = node.sleep_current() + MCU_SLEEP_CURRENT;
@@ -153,11 +157,11 @@ impl EnvelopeSim {
             // Events exactly at the horizon still fire (matching the
             // discrete-event semantics of the full co-simulation).
             if t_event > cfg.horizon {
-                self.advance(cfg, &mut state, cfg.horizon, &firmware, sleep_current);
+                self.advance(cfg, &mut state, cfg.horizon, f_res, sleep_current);
                 break;
             }
 
-            self.advance(cfg, &mut state, t_event, &firmware, sleep_current);
+            self.advance(cfg, &mut state, t_event, f_res, sleep_current);
 
             // Firmware action completions.
             while let Some(front) = pending.front() {
@@ -236,6 +240,7 @@ impl EnvelopeSim {
                 watchdog_wakes += 1;
                 let f_vib = cfg.vibration.dominant_frequency(state.t);
                 let outcome = firmware.wake(f_vib, state.v);
+                f_res = firmware.resonant_frequency();
                 state.cached_harvest = None; // position may have changed
                 let mut completes = state.t;
                 for action in &outcome.actions {
@@ -312,6 +317,7 @@ impl EnvelopeSim {
                     brownout_armed = false;
                     faults.brownouts += 1;
                     firmware.cold_boot();
+                    f_res = firmware.resonant_frequency();
                     pending.clear();
                     retries_used = 0;
                     state.cached_harvest = None;
@@ -347,18 +353,15 @@ impl EnvelopeSim {
     }
 
     /// Advances the envelope from `state.t` to `to`, integrating harvest,
-    /// sleep and leakage currents.
+    /// sleep and leakage currents at the generator resonance `f_res`.
     fn advance(
         &self,
         cfg: &SystemConfig,
         state: &mut State,
         to: f64,
-        firmware: &TuningFirmware,
+        f_res: f64,
         sleep_current: f64,
     ) {
-        // The firmware is borrowed for the whole call: its position, and
-        // so the generator's resonance, cannot change mid-advance.
-        let f_res = firmware.resonant_frequency();
         while state.t < to - 1e-12 {
             // Trace sampling boundary.
             let next_sample = cfg.trace_interval.map(|dt| state.sample_count as f64 * dt);
@@ -422,8 +425,14 @@ struct State {
     trace: Vec<VoltageSample>,
     sample_count: u64,
     /// `(f_vib, f_res, amplitude, v, current)` of the last steady-state
-    /// solve (the amplitude varies in time once blackout windows gate it).
+    /// solve (the amplitude varies in time once blackout windows gate it),
+    /// while its current may still be used.
     cached_harvest: Option<(f64, f64, f64, f64, f64)>,
+    /// `(f_vib, f_res, amplitude, velocity_amp)` of the last steady-state
+    /// solve. Firmware events clear the cache above but not this: the
+    /// next solve at the same frequencies and amplitude starts its search
+    /// from that velocity amplitude.
+    last_solve: Option<(f64, f64, f64, f64)>,
 }
 
 impl State {
@@ -442,8 +451,15 @@ impl State {
                 return i;
             }
         }
-        let ss = cfg.generator.steady_state(f_vib, f_res, amp, self.v);
+        let near = match self.last_solve {
+            Some((fv, fr, a, velocity)) if fv == f_vib && fr == f_res && a == amp => velocity,
+            _ => f64::NAN,
+        };
+        let ss = cfg
+            .generator
+            .steady_state_near(f_vib, f_res, amp, self.v, near);
         self.cached_harvest = Some((f_vib, f_res, amp, self.v, ss.current_avg));
+        self.last_solve = Some((f_vib, f_res, amp, ss.velocity_amp));
         ss.current_avg
     }
 }

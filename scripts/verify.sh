@@ -24,16 +24,23 @@ cargo test -q --offline -p wsn-dse --test cross_engine
 
 echo "== engine gate: steady-state solver, envelope and full-engine outputs pinned =="
 # The harvester solve must stay bit-identical to the original 80-step
-# bisection, and envelope outputs over Table V and short full-engine
-# runs (RK4 between scheduled events, retuning, faults) to their pinned
-# bits. The solve replays that bisection, skipping the residual far from
-# the root: the rounding noise of the residual's sign must stay far
-# inside the replay's margin, and a conducting solve within its
-# evaluation budget.
+# bisection, from any guess it is seeded with, and envelope outputs over
+# Table V and short full-engine runs (RK4 between scheduled events,
+# retuning, faults) to their pinned bits. The oracle solves every point
+# again from good, bad and invalid guesses, and
+# engine_walks_seeded_from_the_last_answer_are_bit_identical seeds each
+# solve of a store-voltage walk as the envelope engine does. The solve
+# replays that bisection, skipping the residual far from the root: the
+# rounding noise of the residual's sign must stay far inside the
+# replay's margin, a conducting solve within its evaluation budget, and
+# a seeded one within its smaller budget.
 cargo test -q --offline -p harvester --test steady_state_oracle
+cargo test -q --offline -p harvester --test steady_state_oracle -- \
+  engine_walks_seeded_from_the_last_answer_are_bit_identical
 cargo test -q --offline -p harvester --lib -- \
   residual_sign_noise_stays_far_inside_the_margin \
-  conducting_solves_make_at_most_30_residual_evaluations
+  conducting_solves_make_at_most_30_residual_evaluations \
+  seeded_solves_along_a_store_voltage_walk_make_at_most_19_evaluations
 cargo test -q --offline -p wsn-node --test envelope_pin
 cargo test -q --offline -p wsn-node --test fullsim_pin
 
