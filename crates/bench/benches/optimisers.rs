@@ -1,7 +1,8 @@
 //! Wall-clock benches for the optimiser stack on the paper's Eq. 9
 //! surface: how much compute each global method spends to find the
-//! boundary optimum. The `nsga2` group times the multi-objective
-//! search the Pareto flow runs over its fitted surfaces.
+//! boundary optimum, and `surface_optima/eq9`, the flow's whole
+//! optimisation step on a fitted Eq. 9. The `nsga2` group times the
+//! multi-objective search the Pareto flow runs over its fitted surfaces.
 //!
 //! Plain `std::time::Instant` harness (`harness = false`); run with
 //! `cargo bench -p wsn-bench --bench optimisers`.
@@ -9,9 +10,10 @@
 use std::hint::black_box;
 use std::time::Duration;
 
-use doe::ModelSpec;
+use doe::{full_factorial, ModelSpec};
 use numkit::rng::Rng;
 use optim::{Bounds, GeneticAlgorithm, Optimizer, ParticleSwarm, SimulatedAnnealing};
+use rsm::ResponseSurface;
 use wsn_bench::timing::bench;
 use wsn_bench::PAPER_EQ9;
 use wsn_pareto::{non_dominated_sort, Nsga2};
@@ -49,6 +51,22 @@ fn main() {
                 .expect("valid config")
                 .value,
         )
+    });
+    // The rows above run 50 moves per temperature and score one point
+    // per call. The flow's step (`wsn_dse::surface_optima`, no memo) runs
+    // SA at 80 moves through `maximize_batch` on a `SurfaceObjective`,
+    // then the GA scoring each generation in one batch, on a fitted
+    // surface: here Eq. 9 fitted to its own values on the 3^3 grid.
+    let model = ModelSpec::quadratic(3);
+    let grid = full_factorial(3, 3).expect("valid");
+    let responses: Vec<f64> = grid
+        .points()
+        .iter()
+        .map(|p| model.predict(&PAPER_EQ9, p))
+        .collect();
+    let surface = ResponseSurface::fit(&grid, model, &responses).expect("estimable");
+    bench("surface_optima/eq9", Duration::from_secs(3), || {
+        black_box(wsn_dse::surface_optima(None, 3, &surface, 7).expect("valid config"))
     });
 
     println!();

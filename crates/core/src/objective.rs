@@ -45,6 +45,7 @@ impl<'a> SurfaceObjective<'a> {
 }
 
 impl BatchObjective for SurfaceObjective<'_> {
+    #[inline]
     fn value(&self, x: &[f64]) -> f64 {
         self.surface.predict(x)
     }

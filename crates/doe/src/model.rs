@@ -19,6 +19,7 @@ impl Term {
     /// # Panics
     ///
     /// Panics if the term references a coordinate beyond `point.len()`.
+    #[inline]
     pub fn eval(&self, point: &[f64]) -> f64 {
         match *self {
             Term::Intercept => 1.0,
@@ -184,6 +185,7 @@ impl ModelSpec {
     ///
     /// Panics if `coefficients.len() != self.num_terms()` or the point has
     /// the wrong dimension.
+    #[inline]
     pub fn predict(&self, coefficients: &[f64], point: &[f64]) -> f64 {
         assert_eq!(
             coefficients.len(),

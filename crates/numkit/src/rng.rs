@@ -59,6 +59,7 @@ impl Rng {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
@@ -68,6 +69,7 @@ impl Rng {
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 random mantissa bits.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -77,6 +79,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics when `lo > hi` or a bound is non-finite.
+    #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(
             lo <= hi && lo.is_finite() && hi.is_finite(),
@@ -92,10 +95,29 @@ impl Rng {
     /// # Panics
     ///
     /// Panics when `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
+        self.below_zone(n, Rng::zone(n))
+    }
+
+    /// The rejection zone [`below`](Self::below) draws `n` under: the
+    /// largest multiple of `n` that fits in a `u64`. A caller that draws
+    /// many times below one `n` computes it once for
+    /// [`below_zone`](Self::below_zone).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n == 0`.
+    #[inline]
+    pub fn zone(n: u64) -> u64 {
         assert!(n > 0, "below: n must be positive");
-        // Rejection sampling over the largest multiple of n.
-        let zone = u64::MAX - (u64::MAX % n);
+        u64::MAX - (u64::MAX % n)
+    }
+
+    /// [`below`](Self::below) with its rejection zone given: the same
+    /// draws and the same value when `zone == Rng::zone(n)`.
+    #[inline]
+    pub fn below_zone(&mut self, n: u64, zone: u64) -> u64 {
         loop {
             let v = self.next_u64();
             if v < zone {
@@ -109,6 +131,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics when `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         self.below(n as u64) as usize
     }
@@ -138,16 +161,34 @@ impl Rng {
         self.next_u64() & 1 == 1
     }
 
-    /// Standard normal sample via Box–Muller.
+    /// Standard normal sample via Box–Muller:
+    /// `Rng::box_muller` of [`normal_uniforms`](Self::normal_uniforms).
+    #[inline]
     pub fn normal(&mut self) -> f64 {
+        let (u1, u2) = self.normal_uniforms();
+        Rng::box_muller(u1, u2)
+    }
+
+    /// The two uniforms one [`normal`](Self::normal) draw consumes:
+    /// `u1` in `(f64::MIN_POSITIVE, 1)`, redrawn until it lies there,
+    /// then `u2` in `[0, 1)`.
+    #[inline]
+    pub fn normal_uniforms(&mut self) -> (f64, f64) {
         loop {
             let u1 = self.next_f64();
             if u1 <= f64::MIN_POSITIVE {
                 continue;
             }
-            let u2 = self.next_f64();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            return (u1, self.next_f64());
         }
+    }
+
+    /// The Box–Muller transform of [`normal_uniforms`](Self::normal_uniforms)'
+    /// pair. Its radius `sqrt(-2 ln u1)` is positive, so its sign is the
+    /// sign of `cos(2π u2)`.
+    #[inline]
+    pub fn box_muller(u1: f64, u2: f64) -> f64 {
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// Fisher–Yates shuffle in place.

@@ -131,26 +131,6 @@ impl GeneticAlgorithm {
         Ok(())
     }
 
-    /// Tournament selection driven by an arbitrary strict preference:
-    /// `better(a, b)` answers "does individual `a` beat individual `b`?".
-    /// The scalar path instantiates it with a fitness comparison; rank
-    /// based wrappers (NSGA-II crowded comparison) supply their own.
-    fn tournament_by<'a>(
-        &self,
-        rng: &mut Rng,
-        population: &'a [Vec<f64>],
-        better: &dyn Fn(usize, usize) -> bool,
-    ) -> &'a [f64] {
-        let mut best = rng.index(population.len());
-        for _ in 1..self.tournament_size {
-            let c = rng.index(population.len());
-            if better(c, best) {
-                best = c;
-            }
-        }
-        &population[best]
-    }
-
     /// Breeds one child from `population`: two tournaments under the
     /// `better` preference, BLX-α blend crossover and the
     /// Gaussian-with-occasional-redraw mutation — the exact variation
@@ -171,23 +151,59 @@ impl GeneticAlgorithm {
         population: &[Vec<f64>],
         better: &dyn Fn(usize, usize) -> bool,
     ) -> Vec<f64> {
+        let n = population.len();
+        let mut child = vec![0.0; bounds.dimension()];
+        self.breed_into(
+            rng,
+            bounds,
+            (n, Rng::zone(n as u64)),
+            |i| &population[i],
+            better,
+            &mut child,
+        );
+        child
+    }
+
+    /// The one breeding body behind [`breed`](Self::breed) and the GA's
+    /// own loop: breeds a child of the `n` parents `parent(i)` straight
+    /// into `child`. `zone` is [`Rng::zone`]`(n)`, so a run that breeds
+    /// many children from one population size computes it once.
+    #[inline]
+    fn breed_into<'p>(
+        &self,
+        rng: &mut Rng,
+        bounds: &Bounds,
+        (n, zone): (usize, u64),
+        parent: impl Fn(usize) -> &'p [f64],
+        better: impl Fn(usize, usize) -> bool,
+        child: &mut [f64],
+    ) {
         let (lower, upper) = (bounds.lower(), bounds.upper());
-        let p1 = self.tournament_by(rng, population, better);
-        let p2 = self.tournament_by(rng, population, better);
-        let mut child: Vec<f64> = if rng.next_f64() < self.crossover_rate {
-            // BLX-α blend crossover.
-            p1.iter()
-                .zip(p2)
-                .map(|(a, b)| {
-                    let lo = a.min(*b);
-                    let hi = a.max(*b);
-                    let d = hi - lo;
-                    rng.uniform(lo - self.blend_alpha * d, hi + self.blend_alpha * d)
-                })
-                .collect()
-        } else {
-            p1.to_vec()
+        // Tournament selection under the strict preference `better(a,
+        // b)`: "does individual `a` beat individual `b`?".
+        let tournament = |rng: &mut Rng| {
+            let mut best = rng.below_zone(n as u64, zone) as usize;
+            for _ in 1..self.tournament_size {
+                let c = rng.below_zone(n as u64, zone) as usize;
+                if better(c, best) {
+                    best = c;
+                }
+            }
+            parent(best)
         };
+        let p1 = tournament(rng);
+        let p2 = tournament(rng);
+        if rng.next_f64() < self.crossover_rate {
+            // BLX-α blend crossover.
+            for ((gene, a), b) in child.iter_mut().zip(p1).zip(p2) {
+                let lo = a.min(*b);
+                let hi = a.max(*b);
+                let d = hi - lo;
+                *gene = rng.uniform(lo - self.blend_alpha * d, hi + self.blend_alpha * d);
+            }
+        } else {
+            child.copy_from_slice(p1);
+        }
         for (d, gene) in child.iter_mut().enumerate() {
             if rng.next_f64() < self.mutation_rate {
                 // Mostly local Gaussian steps, with an occasional
@@ -202,52 +218,58 @@ impl GeneticAlgorithm {
             }
             *gene = gene.clamp(lower[d], upper[d]);
         }
-        child
     }
 
     /// Shared GA body over a *population-level* evaluator: each
     /// generation is fully assembled before `evaluate` scores it, so a
     /// batch evaluator sees exactly the points a per-point evaluator
     /// would — the RNG stream and the search trajectory are identical
-    /// for both entry points. `evaluate` overwrites its second argument
-    /// with one fitness per point, so the fitness buffer is reused
-    /// across generations.
+    /// for both entry points. A generation is a row-major `n × k` slice
+    /// (point `i` at `i * k..(i + 1) * k`); `evaluate` overwrites its
+    /// second argument with one fitness per point. Each generation's
+    /// elites and children are written into a spare buffer of the same
+    /// shape, which then becomes the population, so no generation
+    /// allocates.
     fn run<E>(&self, bounds: &Bounds, mut evaluate: E) -> Result<OptimResult>
     where
-        E: FnMut(&[Vec<f64>], &mut Vec<f64>),
+        E: FnMut(&[f64], &mut Vec<f64>),
     {
         self.validate()?;
         let mut rng = Rng::new(self.seed);
+        let (n, k) = (self.population_size, bounds.dimension());
 
-        let mut population: Vec<Vec<f64>> = (0..self.population_size)
-            .map(|_| bounds.sample(&mut rng))
-            .collect();
-        let mut fitness = Vec::with_capacity(self.population_size);
+        let mut population: Vec<f64> = (0..n).flat_map(|_| bounds.sample(&mut rng)).collect();
+        let mut next = vec![0.0; n * k];
+        let mut fitness = Vec::with_capacity(n);
         evaluate(&population, &mut fitness);
         // Count the points actually handed to the evaluator, so the
         // bookkeeping can never drift from what the objective saw — the
         // property the trait-default-vs-batch regression test pins.
-        let mut evaluations = population.len();
+        let mut evaluations = n;
+        let zone = Rng::zone(n as u64);
+        let mut elites = Vec::with_capacity(self.elite_count);
 
         for _gen in 0..self.generations {
-            // Rank current population (descending fitness).
-            let mut order: Vec<usize> = (0..population.len()).collect();
-            order.sort_by(|&a, &b| fitness[b].total_cmp(&fitness[a]));
-
-            let mut next: Vec<Vec<f64>> = order
-                .iter()
-                .take(self.elite_count)
-                .map(|&i| population[i].clone())
-                .collect();
-
+            fittest(&fitness, self.elite_count, &mut elites);
+            let (kept, bred) = next.split_at_mut(self.elite_count * k);
+            for (slot, &i) in kept.chunks_exact_mut(k).zip(&elites) {
+                slot.copy_from_slice(&population[i * k..(i + 1) * k]);
+            }
             let better = |a: usize, b: usize| fitness[a] > fitness[b];
-            while next.len() < self.population_size {
-                next.push(self.breed(&mut rng, bounds, &population, &better));
+            for child in bred.chunks_exact_mut(k) {
+                self.breed_into(
+                    &mut rng,
+                    bounds,
+                    (n, zone),
+                    |i| &population[i * k..(i + 1) * k],
+                    better,
+                    child,
+                );
             }
 
-            population = next;
+            std::mem::swap(&mut population, &mut next);
             evaluate(&population, &mut fitness);
-            evaluations += population.len();
+            evaluations += n;
         }
 
         let (best_idx, best_val) = fitness
@@ -255,13 +277,12 @@ impl GeneticAlgorithm {
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("population is non-empty");
+        let best = population[best_idx * k..(best_idx + 1) * k].to_vec();
         if !best_val.is_finite() {
-            return Err(OptimError::NonFiniteObjective {
-                point: population[best_idx].clone(),
-            });
+            return Err(OptimError::NonFiniteObjective { point: best });
         }
         Ok(OptimResult {
-            x: population[best_idx].clone(),
+            x: best,
             value: *best_val,
             evaluations,
             iterations: self.generations,
@@ -269,11 +290,33 @@ impl GeneticAlgorithm {
     }
 }
 
+/// Fills `top` with the indices of the `count` fittest points, best
+/// first under `total_cmp`, the lower index first among equals: the
+/// first `count` entries of a stable descending sort, in one pass.
+fn fittest(fitness: &[f64], count: usize, top: &mut Vec<usize>) {
+    top.clear();
+    if count == 0 {
+        return;
+    }
+    for (i, f) in fitness.iter().enumerate() {
+        // After every kept index it does not strictly beat.
+        let at = top
+            .iter()
+            .position(|&j| f.total_cmp(&fitness[j]).is_gt())
+            .unwrap_or(top.len());
+        if at < count {
+            top.truncate(count - 1);
+            top.insert(at, i);
+        }
+    }
+}
+
 impl Optimizer for GeneticAlgorithm {
     fn maximize<F: Fn(&[f64]) -> f64 + Sync>(&self, bounds: &Bounds, f: F) -> Result<OptimResult> {
-        self.run(bounds, |population: &[Vec<f64>], fitness: &mut Vec<f64>| {
+        let k = bounds.dimension();
+        self.run(bounds, |population: &[f64], fitness: &mut Vec<f64>| {
             fitness.clear();
-            fitness.extend(population.iter().map(|x| guard(f(x))));
+            fitness.extend(population.chunks_exact(k).map(|x| guard(f(x))));
         })
     }
 
@@ -282,12 +325,12 @@ impl Optimizer for GeneticAlgorithm {
         // Every generation has the same size, so the SoA block is
         // allocated once and fully overwritten each time.
         let mut block = Vec::new();
-        self.run(bounds, |population: &[Vec<f64>], fitness: &mut Vec<f64>| {
+        self.run(bounds, |population: &[f64], fitness: &mut Vec<f64>| {
             // Pack the generation into a column-major SoA block and
             // score it in one pass.
-            let n = population.len();
+            let n = population.len() / k;
             block.resize(k * n, 0.0);
-            for (i, x) in population.iter().enumerate() {
+            for (i, x) in population.chunks_exact(k).enumerate() {
                 for (d, &c) in x.iter().enumerate() {
                     block[d * n + i] = c;
                 }

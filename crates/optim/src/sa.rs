@@ -3,6 +3,42 @@ use numkit::rng::Rng;
 use crate::common::guard;
 use crate::{Bounds, OptimError, OptimResult, Optimizer, Result};
 
+/// Half-width of the bands around `u2 = 1/4` and `u2 = 3/4` inside
+/// which [`clamped`] leaves a Box–Muller draw's sign to the transform.
+/// There the rounded angle `2π·u2` can fall on either side of ±π/2: at
+/// exactly 1/4 the cosine is +6e-17. Outside the bands the angle is at
+/// least 2π·2⁻⁴⁰ ≈ 5.7e-12 from ±π/2, and its rounding error is about
+/// 1e-15, so the cosine has the exact cosine's sign.
+const SIGN_BAND: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Below this `Δ/T`, `exp(Δ/T)` is 0 (its smallest positive value,
+/// 4.9e-324, is `exp(-744.4)`), so no uniform draw in `[0, 1)` lies
+/// below it.
+const EXP_UNDERFLOW: f64 = -746.0;
+
+/// The coordinate a move from `x` lands on when the clamp alone decides
+/// it, or `None` when the Gaussian step must be computed.
+///
+/// The step is `scale · box_muller(u1, u2)` with `scale > 0`, so its sign
+/// is the sign of `cos(2π·u2)`. When `x` sits on a bound and that sign
+/// points out of the box (negative at `lo`, positive at `hi`),
+/// `(x + step).clamp(lo, hi)` is the bound itself, bit for bit, whatever
+/// the step's size. A zero bound is left to the transform: a step that
+/// underflows to `+0.0` turns `-0.0 + step` into `+0.0`, which the clamp
+/// keeps.
+#[inline]
+fn clamped(x: f64, lo: f64, hi: f64, u2: f64) -> Option<f64> {
+    let negative = 0.25 + SIGN_BAND < u2 && u2 < 0.75 - SIGN_BAND;
+    let positive = !(0.25 - SIGN_BAND..=0.75 + SIGN_BAND).contains(&u2);
+    if x == lo && lo != 0.0 && negative {
+        Some(lo)
+    } else if x == hi && hi != 0.0 && positive {
+        Some(hi)
+    } else {
+        None
+    }
+}
+
 /// Simulated annealing with Gaussian moves and geometric cooling.
 ///
 /// This mirrors the role of MATLAB's `simulannealbnd` in the paper: a
@@ -128,7 +164,13 @@ impl Optimizer for SimulatedAnnealing {
 
         // Scale the schedule to the objective magnitude so the acceptance
         // probabilities are meaningful for surfaces like Eq. 9 (|y| ~ 500).
-        let scale = current_val.abs().max(1.0);
+        // A non-finite start (guarded to −∞) would make both temperatures
+        // infinite and the schedule empty, so it scales by 1.
+        let scale = if current_val.is_finite() {
+            current_val.abs().max(1.0)
+        } else {
+            1.0
+        };
         let mut temperature = self.initial_temperature * scale;
         let t_final = self.final_temperature * scale;
 
@@ -137,13 +179,26 @@ impl Optimizer for SimulatedAnnealing {
             // Move magnitude shrinks with temperature (fraction of range).
             let frac = 0.5 * (temperature / (self.initial_temperature * scale)).sqrt() + 0.01;
             for _ in 0..self.moves_per_temperature {
+                // Each coordinate takes one normal's two uniforms; the
+                // transform runs only when the clamp does not decide.
                 for (d, c) in candidate.iter_mut().enumerate() {
-                    *c = (current[d] + frac * widths[d] * rng.normal()).clamp(lower[d], upper[d]);
+                    let (u1, u2) = rng.normal_uniforms();
+                    let x = current[d];
+                    *c = match clamped(x, lower[d], upper[d], u2) {
+                        Some(bound) => bound,
+                        None => (x + frac * widths[d] * Rng::box_muller(u1, u2))
+                            .clamp(lower[d], upper[d]),
+                    };
                 }
                 let v = guard(f(&candidate));
                 evaluations += 1;
                 let delta = v - current_val;
-                if delta >= 0.0 || rng.next_f64() < (delta / temperature).exp() {
+                let accept = delta >= 0.0 || {
+                    let u = rng.next_f64();
+                    let ratio = delta / temperature;
+                    ratio > EXP_UNDERFLOW && u < ratio.exp()
+                };
+                if accept {
                     std::mem::swap(&mut current, &mut candidate);
                     current_val = v;
                     if v > best_val {
@@ -265,6 +320,85 @@ mod tests {
         let bounds = Bounds::symmetric(1, 1.0).unwrap();
         let r = SimulatedAnnealing::new().maximize(&bounds, |_| f64::NAN);
         assert!(matches!(r, Err(OptimError::NonFiniteObjective { .. })));
+    }
+
+    #[test]
+    fn searches_when_the_centre_is_not_finite() {
+        // NaN only at the exact centre; maximum 1 at (0.5, -0.5).
+        let bounds = Bounds::symmetric(2, 1.0).unwrap();
+        let f = |x: &[f64]| {
+            if x == [0.0, 0.0] {
+                f64::NAN
+            } else {
+                1.0 - (x[0] - 0.5).powi(2) - (x[1] + 0.5).powi(2)
+            }
+        };
+        let r = SimulatedAnnealing::new()
+            .seed(1)
+            .maximize(&bounds, f)
+            .unwrap();
+        assert!(r.value > 1.0 - 1e-3, "value {}", r.value);
+        assert!(r.iterations > 0);
+    }
+
+    #[test]
+    fn the_skip_agrees_with_the_sign_of_the_transform() {
+        // u2 within ±64 ulps of 1/4 and 3/4, and of each band edge.
+        let mut u2s = Vec::new();
+        for centre in [0.25_f64, 0.75] {
+            for edge in [centre, centre - SIGN_BAND, centre + SIGN_BAND] {
+                let mut below = edge;
+                let mut above = edge;
+                u2s.push(edge);
+                for _ in 0..64 {
+                    below = below.next_down();
+                    above = above.next_up();
+                    u2s.extend([below, above]);
+                }
+            }
+        }
+        // The band edges decide.
+        assert!(clamped(1.0, -1.0, 1.0, 0.25 - 2.0 * SIGN_BAND).is_some());
+        assert!(clamped(-1.0, -1.0, 1.0, 0.25 + 2.0 * SIGN_BAND).is_some());
+        let mut u1s = vec![f64::MIN_POSITIVE.next_up(), 1e-300, 1e-10, 0.5];
+        u1s.extend([1.0_f64.next_down(), 1.0_f64.next_down().next_down()]);
+        let mut rng = Rng::new(0x5eed);
+        u1s.extend((0..64).map(|_| rng.normal_uniforms().0));
+        let (lo, hi) = (-3.0, 0.5);
+        let (mut decided_lo, mut decided_hi) = (0, 0);
+        for &u2 in &u2s {
+            for &u1 in &u1s {
+                let z = Rng::box_muller(u1, u2);
+                if let Some(b) = clamped(lo, lo, hi, u2) {
+                    assert!(z < 0.0, "u1 {u1:e} u2 {u2:e}: z = {z:e}");
+                    assert_eq!(b, lo);
+                    decided_lo += 1;
+                }
+                if let Some(b) = clamped(hi, lo, hi, u2) {
+                    assert!(z > 0.0, "u1 {u1:e} u2 {u2:e}: z = {z:e}");
+                    assert_eq!(b, hi);
+                    decided_hi += 1;
+                }
+            }
+        }
+        assert!(decided_lo > 0 && decided_hi > 0);
+        // Off a bound, or on a zero bound, the transform always runs.
+        assert_eq!(clamped(0.1, lo, hi, 0.5), None);
+        assert_eq!(clamped(0.0, 0.0, 1.0, 0.5), None);
+        assert_eq!(clamped(-0.0, -1.0, -0.0, 0.0), None);
+    }
+
+    #[test]
+    fn exp_is_zero_below_the_underflow_cut() {
+        for r in [
+            EXP_UNDERFLOW,
+            EXP_UNDERFLOW - 1e-9,
+            -1e4,
+            f64::MIN,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(r.exp().to_bits(), 0.0_f64.to_bits(), "exp({r})");
+        }
     }
 
     #[test]

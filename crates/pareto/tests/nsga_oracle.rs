@@ -17,6 +17,11 @@
 //! * `Nsga2::run` by bits for seeds 0–15 × populations {4, 5, 16, 48, 70}
 //!   × generations {0, 1, 15} over 2-, 3- and 4-axis evaluators, a
 //!   plateaued one and one with NaN holes.
+//!
+//! The oracle breeds with the scalar GA's first `breed` (with its
+//! `tournament_by`, `Rng::normal` and `Rng::below`), also kept verbatim,
+//! so the library's in-place breeding body is checked under the crowded
+//! comparison too.
 
 use numkit::rng::Rng;
 use optim::Bounds;
@@ -27,9 +32,99 @@ type Eval = dyn Fn(&[Vec<f64>]) -> Vec<Vec<f64>>;
 
 mod oracle {
     use numkit::rng::Rng;
-    use optim::{Bounds, GeneticAlgorithm};
+    use optim::Bounds;
 
     use super::Eval;
+
+    // `GeneticAlgorithm::new()`'s variation settings.
+    const CROSSOVER_RATE: f64 = 0.9;
+    const MUTATION_RATE: f64 = 0.15;
+    const MUTATION_SIGMA: f64 = 0.1;
+    const TOURNAMENT_SIZE: usize = 3;
+    const BLEND_ALPHA: f64 = 0.5;
+
+    /// `Rng::normal` as first written.
+    fn normal(rng: &mut Rng) -> f64 {
+        loop {
+            let u1 = rng.next_f64();
+            if u1 <= f64::MIN_POSITIVE {
+                continue;
+            }
+            let u2 = rng.next_f64();
+            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        }
+    }
+
+    /// `Rng::index` over `Rng::below` as first written.
+    fn index(rng: &mut Rng, n: usize) -> usize {
+        let n = n as u64;
+        assert!(n > 0, "below: n must be positive");
+        // Rejection sampling over the largest multiple of n.
+        let zone = u64::MAX - (u64::MAX % n);
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return (v % n) as usize;
+            }
+        }
+    }
+
+    /// `GeneticAlgorithm::tournament_by` as first written.
+    fn tournament_by<'a>(
+        rng: &mut Rng,
+        population: &'a [Vec<f64>],
+        better: &dyn Fn(usize, usize) -> bool,
+    ) -> &'a [f64] {
+        let mut best = index(rng, population.len());
+        for _ in 1..TOURNAMENT_SIZE {
+            let c = index(rng, population.len());
+            if better(c, best) {
+                best = c;
+            }
+        }
+        &population[best]
+    }
+
+    /// `GeneticAlgorithm::breed` as first written.
+    fn breed(
+        rng: &mut Rng,
+        bounds: &Bounds,
+        population: &[Vec<f64>],
+        better: &dyn Fn(usize, usize) -> bool,
+    ) -> Vec<f64> {
+        let (lower, upper) = (bounds.lower(), bounds.upper());
+        let p1 = tournament_by(rng, population, better);
+        let p2 = tournament_by(rng, population, better);
+        let mut child: Vec<f64> = if rng.next_f64() < CROSSOVER_RATE {
+            // BLX-α blend crossover.
+            p1.iter()
+                .zip(p2)
+                .map(|(a, b)| {
+                    let lo = a.min(*b);
+                    let hi = a.max(*b);
+                    let d = hi - lo;
+                    rng.uniform(lo - BLEND_ALPHA * d, hi + BLEND_ALPHA * d)
+                })
+                .collect()
+        } else {
+            p1.to_vec()
+        };
+        for (d, gene) in child.iter_mut().enumerate() {
+            if rng.next_f64() < MUTATION_RATE {
+                // Mostly local Gaussian steps, with an occasional
+                // uniform redraw so a converged population can still
+                // jump between faces of the design cube (Eq. 9's saddle
+                // has competing corner optima).
+                if rng.next_f64() < 0.2 {
+                    *gene = rng.uniform(lower[d], upper[d]);
+                } else {
+                    *gene += MUTATION_SIGMA * (upper[d] - lower[d]) * normal(rng);
+                }
+            }
+            *gene = gene.clamp(lower[d], upper[d]);
+        }
+        child
+    }
 
     pub fn dominates(a: &[f64], b: &[f64]) -> bool {
         debug_assert_eq!(a.len(), b.len());
@@ -168,7 +263,6 @@ mod oracle {
         bounds: &Bounds,
         evaluate: &Eval,
     ) -> Vec<(Vec<f64>, Vec<f64>)> {
-        let ga = GeneticAlgorithm::new();
         let n = population.max(4);
         let mut rng = Rng::new(seed);
         let mut pop: Vec<Vec<f64>> = (0..n).map(|_| bounds.sample(&mut rng)).collect();
@@ -180,7 +274,7 @@ mod oracle {
             };
             let mut children: Vec<Vec<f64>> = Vec::with_capacity(n);
             while children.len() < n {
-                children.push(ga.breed(&mut rng, bounds, &pop, &better));
+                children.push(breed(&mut rng, bounds, &pop, &better));
             }
             let child_vals = evaluate(&children);
             pop.extend(children);

@@ -196,6 +196,7 @@ impl ResponseSurface {
     /// # Panics
     ///
     /// Panics if `coded.len()` differs from the model dimension.
+    #[inline]
     pub fn predict(&self, coded: &[f64]) -> f64 {
         self.model.predict(&self.coefficients, coded)
     }

@@ -13,6 +13,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# named_tests CARGO_TEST_ARGS... -- NAME...: runs exactly the tests whose
+# full paths are the NAMEs (`--exact`) and fails unless every one of them
+# ran and passed. A bare name filter that matches nothing runs 0 tests
+# and exits 0, so a renamed or deleted test would silently empty its gate.
+named_tests() {
+  local args=()
+  while [ "$#" -gt 0 ] && [ "$1" != "--" ]; do
+    args+=("$1")
+    shift
+  done
+  shift
+  local out passed
+  if ! out="$(cargo test -q --offline "${args[@]}" -- --exact "$@" 2>&1)"; then
+    printf '%s\n' "$out" >&2
+    return 1
+  fi
+  passed="$(printf '%s\n' "$out" \
+    | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' \
+    | awk '{ s += $1 } END { print s + 0 }')"
+  if [ "$passed" -ne "$#" ]; then
+    printf '%s\n' "$out" >&2
+    echo "verify: $passed of $# named tests ran in ${args[*]}: $*" >&2
+    return 1
+  fi
+}
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
@@ -35,27 +61,49 @@ echo "== engine gate: steady-state solver, envelope and full-engine outputs pinn
 # replay's margin, a conducting solve within its evaluation budget, and
 # a seeded one within its smaller budget.
 cargo test -q --offline -p harvester --test steady_state_oracle
-cargo test -q --offline -p harvester --test steady_state_oracle -- \
+named_tests -p harvester --test steady_state_oracle -- \
   engine_walks_seeded_from_the_last_answer_are_bit_identical
-cargo test -q --offline -p harvester --lib -- \
-  residual_sign_noise_stays_far_inside_the_margin \
-  conducting_solves_make_at_most_30_residual_evaluations \
-  seeded_solves_along_a_store_voltage_walk_make_at_most_19_evaluations
+named_tests -p harvester --lib -- \
+  generator::tests::residual_sign_noise_stays_far_inside_the_margin \
+  generator::tests::conducting_solves_make_at_most_30_residual_evaluations \
+  generator::tests::seeded_solves_along_a_store_voltage_walk_make_at_most_19_evaluations
 cargo test -q --offline -p wsn-node --test envelope_pin
 cargo test -q --offline -p wsn-node --test fullsim_pin
 
+echo "== optimiser gate: SA and GA trajectories pinned and equal to the original kernels =="
+# Both optimisers of the flow's step keep their pinned trajectories, and
+# agree bit for bit with their first implementations, kept verbatim in
+# the oracle test, over seeds, dimensions, boxes, objective shapes and
+# settings. The annealer skips the Box–Muller transform where the clamp
+# decides a coordinate; its sign test must agree with the transform's
+# sign around the bands it leaves to the transform.
+named_tests -p optim --test trajectory_pin -- \
+  simulated_annealing_trajectories_are_pinned \
+  genetic_algorithm_trajectories_are_pinned
+named_tests -p optim --test kernel_oracle -- \
+  simulated_annealing_matches_the_original \
+  genetic_algorithm_matches_the_original \
+  default_runs_match_the_original \
+  breed_matches_the_original \
+  normal_matches_the_original
+named_tests -p optim --lib -- \
+  sa::tests::the_skip_agrees_with_the_sign_of_the_transform \
+  sa::tests::exp_is_zero_below_the_underflow_cut \
+  sa::tests::searches_when_the_centre_is_not_finite
+
 echo "== fault-injection gate: determinism + nominal preservation =="
-cargo test -q --offline -p wsn-dse --test determinism -- \
+named_tests -p wsn-dse --test determinism -- \
   fault_injected_report_is_bit_identical_at_any_job_count \
   nominal_fault_plan_reproduces_the_baseline_report
-cargo test -q --offline -p wsn-node --lib -- \
-  nominal_plan_reproduces_the_fault_free_run
+named_tests -p wsn-node --lib -- \
+  envelope::tests::nominal_plan_reproduces_the_fault_free_run \
+  fullsim::tests::nominal_plan_reproduces_the_fault_free_run
 
 echo "== fault-injection gate: partial batches never poison the cache =="
-cargo test -q --offline -p wsn-dse --lib -- \
-  partial_batch_isolates_failures_and_keeps_cache_clean \
-  panicking_evaluations_are_caught_and_reported \
-  transient_failures_are_retried_within_the_batch
+named_tests -p wsn-dse --lib -- \
+  pool::tests::partial_batch_isolates_failures_and_keeps_cache_clean \
+  pool::tests::panicking_evaluations_are_caught_and_reported \
+  pool::tests::transient_failures_are_retried_within_the_batch
 
 echo "== network gate: channel invariants + fleet reduction =="
 cargo test -q --offline -p wsn-net --test channel_props
@@ -133,11 +181,11 @@ cmp "$FLEET_DIR/BENCH_pareto-full.json" BENCH_pareto.json
 
 echo "== robustness gate: chaos harness + corrupted-cache recovery =="
 cargo test -q --offline -p wsn-dse --test chaos
-cargo test -q --offline -p wsn-dse --lib -- \
-  every_single_byte_flip_is_caught \
-  every_truncation_is_safe \
-  garbage_file_is_fully_quarantined \
-  poisoned_cache_mutex_recovers_instead_of_cascading
+named_tests -p wsn-dse --lib -- \
+  persist::tests::every_single_byte_flip_is_caught \
+  persist::tests::every_truncation_is_safe \
+  persist::tests::garbage_file_is_fully_quarantined \
+  pool::tests::poisoned_cache_mutex_recovers_instead_of_cascading
 
 echo "== robustness gate: warm cache run is byte-identical to cold =="
 CACHE_DIR="$FLEET_DIR/evalcache"
